@@ -12,6 +12,7 @@ verification failed), 2 usage or format error, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import serialize
@@ -27,7 +28,6 @@ from .cpm import (
 from .dilation import build_dilation, verify_dilation
 from .errors import (
     DimensionMismatchError,
-    FormatError,
     NotSPError,
     NotTracePreservingError,
     ResidualOffBlockError,
@@ -68,6 +68,16 @@ def _parse_dims(text: str) -> list[int]:
         return [int(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tolerance: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text}")
+    return value
 
 
 def _load_channel(path) -> KrausRep:
@@ -201,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the SP verifiers on a channel file")
     verify.add_argument("file")
     verify.add_argument("--method", choices=VERIFY_METHODS + ("all",), default="all")
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_parse_tol, default=1e-9)
     verify.set_defaults(func=cmd_verify)
 
     convert = sub.add_parser("convert", help="convert a channel to another representation")
@@ -209,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--to", choices=("choi", "kraus-min", "orthonormal", "blocks"),
                          required=True)
     convert.add_argument("--out", required=True)
-    convert.add_argument("--tol", type=float, default=1e-9)
+    convert.add_argument("--tol", type=_parse_tol, default=1e-9)
     convert.set_defaults(func=cmd_convert)
 
     comp = sub.add_parser("compose", help="compose two channel files (first acts first)")
@@ -221,12 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dilate = sub.add_parser("dilate", help="build the unitary dilation of a TP SP channel")
     dilate.add_argument("file")
     dilate.add_argument("--out", required=True)
-    dilate.add_argument("--tol", type=float, default=1e-9)
+    dilate.add_argument("--tol", type=_parse_tol, default=1e-9)
     dilate.set_defaults(func=cmd_dilate)
 
     rank = sub.add_parser("kraus-rank", help="print the Kraus rank and the SP bound")
     rank.add_argument("file")
-    rank.add_argument("--tol", type=float, default=1e-9)
+    rank.add_argument("--tol", type=_parse_tol, default=1e-9)
     rank.set_defaults(func=cmd_kraus_rank)
 
     return parser
@@ -236,9 +246,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
     except SpcpmError as exc:
         _err(str(exc))
         return EXIT_USAGE

@@ -268,3 +268,23 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--dims", "1,1,1", "--kraus", "1", "--seed", "1", "--out", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "chan.json"],
+        ["convert", "chan.json", "--to", "blocks", "--out", "out.json"],
+        ["dilate", "chan.json", "--out", "out.json"],
+        ["kraus-rank", "chan.json"],
+    ],
+    ids=["verify", "convert", "dilate", "kraus-rank"],
+)
+def test_meaningless_tolerance_is_usage_error(command, value, capsys):
+    # an infinite tolerance would call every channel SP, a NaN or negative
+    # one none; both are refused before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--tol={value}"])
+    assert exc.value.code == 2
+    assert "tolerance" in capsys.readouterr().err

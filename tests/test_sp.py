@@ -3,6 +3,7 @@ the random sampler."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spcpm.cpm import (
     KrausRep,
@@ -25,6 +26,8 @@ from spcpm.sp import (
     SPBlockRep,
     _block_indices,
     blocks_from_sp,
+    commutation_violation,
+    definition_violation,
     is_sp_commutation,
     is_sp_definition,
     is_sp_kraus_blocks,
@@ -33,6 +36,7 @@ from spcpm.sp import (
     sp_from_blocks,
     sp_kraus_bound_holds,
     split_kraus_blocks,
+    trace_violation,
 )
 from spcpm.spaces import DecomposedSpace, embed_block_operator
 
@@ -369,3 +373,274 @@ class TestCompositionClosure:
             assert is_sp_kraus_blocks(comp)
             assert is_sp_commutation(comp)
             assert is_sp_trace(comp)
+
+
+# Apply-per-matrix-unit references: the loop form of the definition,
+# commutation and trace routes.  The library reads all images at once from
+# the reshaped coefficient matrix; these apply the channel d^2 times and
+# multiply by dense projectors, so they share no code path with it.
+
+
+def matrix_units(d):
+    for a in range(d):
+        for b in range(d):
+            unit = np.zeros((d, d), dtype=np.complex128)
+            unit[a, b] = 1.0
+            yield a, b, unit
+
+
+def block_of(space, index):
+    return 1 if index < space.d1 else 2
+
+
+def reference_definition(rep):
+    worst = 0.0
+    for src_block, tgt_block in ((2, 1), (1, 2)):
+        for _, _, unit in matrix_units(rep.source.block_dim(src_block)):
+            q = embed_block_operator(unit, rep.source, rep.source, src_block, src_block)
+            image = apply(rep, q)
+            worst = max(worst, abs(np.trace(rep.target.projector(tgt_block) @ image)))
+    return worst
+
+
+def reference_commutation_by_unit(rep):
+    """Per source unit (a, b): the residuals of the four block identities,
+    keyed by the target block pair (i, j)."""
+    pt = {1: rep.target.projector(1), 2: rep.target.projector(2)}
+    out = {}
+    for a, b, unit in matrix_units(rep.source.dim):
+        image = apply(rep, unit)
+        own = (block_of(rep.source, a), block_of(rep.source, b))
+        out[a, b] = {
+            (i, j): np.linalg.norm(
+                pt[i] @ image @ pt[j] - (image if (i, j) == own else 0.0)
+            )
+            for i in (1, 2)
+            for j in (1, 2)
+        }
+    return out
+
+
+def reference_commutation(rep):
+    return max(max(r.values()) for r in reference_commutation_by_unit(rep).values())
+
+
+def reference_reconstruction(rep):
+    """Worst residual of phi(Q) = sum_ij P_ti phi(P_si Q P_sj) P_tj."""
+    pt = {1: rep.target.projector(1), 2: rep.target.projector(2)}
+    worst = 0.0
+    for a, b, unit in matrix_units(rep.source.dim):
+        image = apply(rep, unit)
+        recon = pt[block_of(rep.source, a)] @ image @ pt[block_of(rep.source, b)]
+        worst = max(worst, np.linalg.norm(image - recon))
+    return worst
+
+
+def reference_trace(rep):
+    pt1, pt2 = rep.target.projector(1), rep.target.projector(2)
+    worst1 = worst2 = 0.0
+    for a, b, unit in matrix_units(rep.source.dim):
+        image = apply(rep, unit)
+        in1 = 1.0 if (a == b and a < rep.source.d1) else 0.0
+        in2 = 1.0 if (a == b and a >= rep.source.d1) else 0.0
+        worst1 = max(worst1, abs(np.trace(pt1 @ image) - in1))
+        worst2 = max(worst2, abs(np.trace(pt2 @ image) - in2))
+    return worst1, worst2
+
+
+def tp_renormalized(rep):
+    s = sum(op.conj().T @ op for op in rep.ops)
+    w, v = np.linalg.eigh(s)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
+
+
+def tp_defect(rep):
+    s = sum(op.conj().T @ op for op in rep.ops)
+    return np.linalg.norm(s - np.eye(rep.source.dim))
+
+
+ORACLE_SPLITS = [
+    ((2, 2), (2, 2)),
+    ((6, 6), (6, 6)),
+    ((1, 3), (2, 2)),
+    ((3, 1), (1, 4)),
+    ((2, 3), (3, 1)),
+]
+
+
+def oracle_channels():
+    """SP (TP), leaky (TP, not SP) and non-TP channels on every split."""
+    rng = np.random.default_rng(130)
+    cases = []
+    for n, ((s1, s2), (t1, t2)) in enumerate(ORACLE_SPLITS):
+        src, tgt = DecomposedSpace(s1, s2), DecomposedSpace(t1, t2)
+        k = s1 * t1 + s2 * t2
+        sp = random_sp_channel(src, tgt, k, True, 4000 + n)
+        leaky = tp_renormalized(perturb_cross_block(sp, rng, 1e-3))
+        raw = random_sp_channel(src, tgt, k, False, 4100 + n)
+        non_tp = perturb_cross_block(raw, rng)
+        tag = f"{s1}+{s2}->{t1}+{t2}"
+        cases += [(f"sp {tag}", sp), (f"leaky {tag}", leaky), (f"non-tp {tag}", non_tp)]
+    return cases
+
+
+ORACLE_CASES = oracle_channels()
+
+
+@pytest.mark.parametrize("name,rep", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+class TestTensorRoutesMatchLoopReferences:
+    def tol(self, rep):
+        return 1e-12 * max(1.0, np.linalg.norm(kraus_to_choi(rep).matrix))
+
+    def test_definition(self, name, rep):
+        assert abs(definition_violation(rep)[0] - reference_definition(rep)) <= self.tol(rep)
+
+    def test_commutation(self, name, rep):
+        residual = commutation_violation(rep)[0]
+        assert abs(residual - reference_commutation(rep)) <= self.tol(rep)
+
+    def test_trace(self, name, rep):
+        r1, _, r2 = trace_violation(rep)
+        ref1, ref2 = reference_trace(rep)
+        assert abs(r1 - ref1) <= self.tol(rep)
+        assert abs(r2 - ref2) <= self.tol(rep)
+
+    def test_reconstruction_is_commutation_at_own_block_pair(self, name, rep):
+        # the reconstruction identity of a unit is its commutation identity at
+        # (block(a), block(b)); that one is also the worst of the four
+        by_unit = reference_commutation_by_unit(rep)
+        own = max(
+            r[block_of(rep.source, a), block_of(rep.source, b)]
+            for (a, b), r in by_unit.items()
+        )
+        recon = reference_reconstruction(rep)
+        assert abs(recon - own) <= self.tol(rep)
+        assert abs(recon - commutation_violation(rep)[0]) <= self.tol(rep)
+
+
+TP_ORACLE_CASES = [c for c in ORACLE_CASES if not c[0].startswith("non-tp")]
+
+
+@pytest.mark.parametrize("name,rep", TP_ORACLE_CASES, ids=[c[0] for c in TP_ORACLE_CASES])
+def test_block_residuals_agree_up_to_tp_defect(name, rep):
+    # Tr(P_t1 phi(E_ab)) + Tr(P_t2 phi(E_ab)) = (sum_k V_k† V_k)[b, a]
+    r1, _, r2 = trace_violation(rep)
+    assert abs(r2 - r1) <= tp_defect(rep) + 1e-12
+
+
+class TestTensorRouteLabels:
+    def test_labels_name_worst_unit_and_block(self):
+        # a single coupling operator |t_0><s_1| on C^2: only phi(E[1,1]) is
+        # nonzero, and it lands in target block 1 instead of block 2
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = KrausRep(C2, C2, (e01,))
+        residual, label = definition_violation(rep)
+        assert residual == 1.0
+        assert label == "Tr(P_t1 phi(E[0,0] on source block 2))"
+        residual, label = commutation_violation(rep)
+        assert residual == 1.0
+        assert label == "P_t2 phi(E[1,1]) P_t2 vs phi(P_s2 E[1,1] P_s2)"
+        r1, label, r2 = trace_violation(rep)
+        assert label == "Tr(P_t1 phi(E[0,0])) vs Tr(P_s1 E[0,0])"
+        assert r1 == 1.0 and r2 == 1.0
+
+    def test_sp_labels(self):
+        rep = identity_channel(C2)
+        assert definition_violation(rep) == (0.0, "no cross-block leakage")
+        assert commutation_violation(rep) == (0.0, "all block identities hold")
+        assert trace_violation(rep) == (0.0, "block weights conserved", 0.0)
+
+
+@pytest.mark.parametrize(
+    "src,tgt", [((3, 1), (1, 4)), ((6, 6), (6, 6))], ids=["3+1->1+4", "6+6->6+6"]
+)
+def test_exactly_sp_non_tp_channel_has_exactly_zero_residuals(src, tgt):
+    # off-pattern mass is summed directly, never as total minus in-block mass,
+    # which would leave rounding residue far above any tolerance
+    # (with the subtraction, about half of these seeds give ~5e-7 at 3+1->1+4)
+    s, t = DecomposedSpace(*src), DecomposedSpace(*tgt)
+    for seed in range(131, 141):
+        rep = random_sp_channel(s, t, s.d1 * t.d1 + s.d2 * t.d2, False, seed)
+        assert not is_trace_preserving(rep)
+        assert commutation_violation(rep)[0] == 0.0
+        assert definition_violation(rep)[0] == 0.0
+        assert is_sp_commutation(rep, 1e-15)
+
+
+# Property tests.  A block unitary U1 (+) U2 commutes with both block
+# projectors, so applying it on either side of every Kraus operator cannot
+# create or remove cross-block weight: the verdict of every route and the
+# Kraus rank are unchanged.  On the target side it only rotates each image,
+# phi(Q) -> U phi(Q) U†, which leaves every block trace and block norm, hence
+# the definition, commutation and trace residuals, unchanged as well.
+
+PROPERTY_SPLITS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2), (1, 7), (7, 1)]
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def block_unitary(rng, space):
+    u = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for block in (1, 2):
+        sl = space.block_slice(block)
+        u[sl, sl] = haar_unitary(rng, space.block_dim(block))
+    return u
+
+
+@st.composite
+def tp_channels(draw):
+    """A trace-preserving channel between two drawn splits, SP or leaky."""
+    s1, s2 = draw(st.sampled_from(PROPERTY_SPLITS))
+    t1, t2 = draw(st.sampled_from(PROPERTY_SPLITS))
+    src, tgt = DecomposedSpace(s1, s2), DecomposedSpace(t1, t2)
+    # enough operators for a full-rank normalizer on both blocks
+    k = max(-(-s1 // t1), -(-s2 // t2)) + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rep = random_sp_channel(src, tgt, k, True, seed)
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        rep = tp_renormalized(perturb_cross_block(rep, rng, 0.05))
+    return rep, rng
+
+
+def sp_verdicts(rep):
+    return (
+        is_sp_definition(rep),
+        is_sp_kraus_blocks(rep),
+        is_sp_commutation(rep),
+        is_sp_trace(rep),
+    )
+
+
+def block_rotated(rep, rng, side):
+    if side == "target":
+        u = block_unitary(rng, rep.target)
+        ops = tuple(u @ op for op in rep.ops)
+    else:
+        u = block_unitary(rng, rep.source)
+        ops = tuple(op @ u for op in rep.ops)
+    return KrausRep(rep.source, rep.target, ops)
+
+
+@PROPERTY_SETTINGS
+@given(tp_channels(), st.sampled_from(["source", "target"]))
+def test_verdicts_and_rank_invariant_under_block_unitaries(channel, side):
+    rep, rng = channel
+    turned = block_rotated(rep, rng, side)
+    assert sp_verdicts(turned) == sp_verdicts(rep)
+    assert len(set(sp_verdicts(rep))) == 1  # the four routes agree
+    assert kraus_rank(turned) == kraus_rank(rep)
+
+
+@PROPERTY_SETTINGS
+@given(tp_channels())
+def test_residuals_invariant_under_target_block_unitary(channel):
+    rep, rng = channel
+    turned = block_rotated(rep, rng, "target")
+    assert abs(definition_violation(turned)[0] - definition_violation(rep)[0]) <= 1e-12
+    assert abs(commutation_violation(turned)[0] - commutation_violation(rep)[0]) <= 1e-12
+    r1, _, r2 = trace_violation(rep)
+    t1, _, t2 = trace_violation(turned)
+    assert abs(t1 - r1) <= 1e-12
+    assert abs(t2 - r2) <= 1e-12

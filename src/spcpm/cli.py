@@ -12,7 +12,6 @@ verification failed), 2 usage or format error, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import serialize
@@ -35,6 +34,7 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
+from .linalg import check_tolerance
 from .sp import (
     definition_violation,
     commutation_violation,
@@ -75,9 +75,10 @@ def _parse_tol(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid tolerance: {text!r}") from exc
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text}")
-    return value
+    try:
+        return check_tolerance(value, "tolerance")
+    except SpcpmError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_channel(path) -> KrausRep:

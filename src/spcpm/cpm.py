@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
     as_matrix,
+    check_tolerance,
     frobenius,
     frozen_matrix,
     gram_matrix,
@@ -167,6 +168,7 @@ def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
     Equals the rank of the coefficient matrix at the relative eigenvalue
     cutoff; never exceeds source.dim * target.dim.
     """
+    check_tolerance(rtol, "rtol")
     w = hermitian_eig(kraus_to_choi(rep).matrix, tol=DEFAULT_TOL).eigenvalues
     cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
     return int(np.count_nonzero(w > cutoff))
@@ -225,6 +227,7 @@ def compose(b: KrausRep, a: KrausRep) -> KrausRep:
 
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether sum_k V_k† V_k = I within ``tol`` (Frobenius)."""
+    check_tolerance(tol)
     total = np.zeros((rep.source.dim, rep.source.dim), dtype=np.complex128)
     for op in rep.ops:
         total += op.conj().T @ op
@@ -238,6 +241,7 @@ def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     of the same channel can look arbitrarily different, the coefficient
     matrix cannot.
     """
+    check_tolerance(tol)
     if a.source.dim != b.source.dim or a.target.dim != b.target.dim:
         raise DimensionMismatchError("channels act between different dimensions")
     return frobenius(kraus_to_choi(a).matrix - kraus_to_choi(b).matrix) <= tol

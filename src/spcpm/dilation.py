@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpm import (
-    KrausRep,
-    apply,
-    choi_to_kraus,
-    is_trace_preserving,
-    kraus_to_choi,
-)
+from .cpm import KrausRep, choi_to_kraus, is_trace_preserving, kraus_to_choi
 from .errors import (
     NotSPError,
     NotTracePreservingError,
@@ -43,10 +37,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
+    as_matrix,
+    check_tolerance,
     frobenius,
     frozen_matrix,
-    partial_trace_ancilla,
-    tensor,
 )
 from .sp import is_sp_definition, is_sp_kraus_blocks, split_kraus_blocks
 from .spaces import DecomposedSpace
@@ -54,40 +48,51 @@ from .spaces import DecomposedSpace
 
 @dataclass(frozen=True)
 class UnitaryDilation:
-    """A unitary on system x ancilla split into two block partial isometries.
+    """A unitary on system x ancilla, block diagonal over the system blocks.
 
     The reference ancilla state is coordinate 0; ancilla coordinate k pairs
     with the k-th Kraus operator, so ``ancilla_dim`` is one more than the
-    Kraus rank of the realized channel.
+    Kraus rank of the realized channel.  Only ``u`` is stored: the partial
+    isometries ``v1`` and ``v2`` are its two diagonal blocks, sliced out.
     """
 
     space: DecomposedSpace
     ancilla_dim: int
     u: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
 
     def __post_init__(self) -> None:
         if self.ancilla_dim < 1:
             raise ValueError("ancilla must be at least one-dimensional")
         n = self.space.dim * self.ancilla_dim
-        mats = []
-        for name, mat in (("u", self.u), ("v1", self.v1), ("v2", self.v2)):
-            arr = frozen_matrix(mat)
-            if arr.shape != (n, n):
-                raise ShapeMismatchError(
-                    f"{name} has shape {arr.shape}, expected {(n, n)}"
-                )
-            mats.append(arr)
-        object.__setattr__(self, "u", mats[0])
-        object.__setattr__(self, "v1", mats[1])
-        object.__setattr__(self, "v2", mats[2])
+        arr = frozen_matrix(self.u)
+        if arr.shape != (n, n):
+            raise ShapeMismatchError(f"u has shape {arr.shape}, expected {(n, n)}")
+        object.__setattr__(self, "u", arr)
 
+    @property
+    def u4(self) -> np.ndarray:
+        """``u`` as a (d, anc, d, anc) view: system index slow, ancilla fast."""
+        d, anc = self.space.dim, self.ancilla_dim
+        return self.u.reshape(d, anc, d, anc)
 
-def _ancilla_unit(dim: int, i: int, j: int) -> np.ndarray:
-    unit = np.zeros((dim, dim), dtype=np.complex128)
-    unit[i, j] = 1.0
-    return unit
+    def _block(self, block: int) -> np.ndarray:
+        """V_i = (P_i x I) U (P_i x I); exact, as P_i is a 0/1 diagonal."""
+        sb = self.space.block_slice(block)
+        v = np.zeros_like(self.u4)
+        v[sb, :, sb, :] = self.u4[sb, :, sb, :]
+        v = v.reshape(self.u.shape)
+        v.setflags(write=False)
+        return v
+
+    @property
+    def v1(self) -> np.ndarray:
+        """The partial isometry supported on block 1 (read-only copy)."""
+        return self._block(1)
+
+    @property
+    def v2(self) -> np.ndarray:
+        """The partial isometry supported on block 2 (read-only copy)."""
+        return self._block(2)
 
 
 def build_dilation(
@@ -96,8 +101,14 @@ def build_dilation(
     """Construct the unitary dilation of a trace-preserving SP channel.
 
     The Kraus list is first reduced to a linearly independent one, so the
-    ancilla dimension is the minimal K + 1 for this construction.
+    ancilla dimension is the minimal K + 1 for this construction.  Each
+    ancilla block of the (d, anc, d, anc) view of U is written directly;
+    with P_k = V_{1,k} + V_{2,k} the block-diagonal part of V_k:
+
+        U[:, k, :, k'] = delta_kk' I - P_k P_k'†   (k, k' >= 1)
+        U[:, k, :, 0]  = P_k,   U[:, 0, :, k] = P_k†,   U[:, 0, :, 0] = 0.
     """
+    check_tolerance(rtol, "rtol")
     if rep.source != rep.target:
         raise SourceTargetMismatchError(
             "dilation requires identical source and target decompositions"
@@ -108,42 +119,47 @@ def build_dilation(
         raise NotSPError("dilation requires a subspace-preserving channel")
     minimal = choi_to_kraus(kraus_to_choi(rep), rtol)
     split1, split2 = split_kraus_blocks(minimal, tol)
-    anc = len(minimal.ops) + 1
+    pieces = np.stack(split1) + np.stack(split2)
     space = rep.source
-    eye_anc = np.eye(anc, dtype=np.complex128)
-    parts = []
-    for block, pieces in ((1, split1), (2, split2)):
-        proj = space.projector(block)
-        v = tensor(proj, eye_anc) - tensor(proj, _ancilla_unit(anc, 0, 0))
-        for row, piece_r in enumerate(pieces, start=1):
-            for col, piece_c in enumerate(pieces, start=1):
-                v -= tensor(piece_r @ piece_c.conj().T, _ancilla_unit(anc, row, col))
-        for k, piece in enumerate(pieces, start=1):
-            v += tensor(piece, _ancilla_unit(anc, k, 0))
-            v += tensor(piece.conj().T, _ancilla_unit(anc, 0, k))
-        parts.append(v)
-    v1, v2 = parts
-    return UnitaryDilation(space, anc, v1 + v2, v1, v2)
+    d, anc = space.dim, len(minimal.ops) + 1
+    u4 = np.zeros((d, anc, d, anc), dtype=np.complex128)
+    u4[:, 1:, :, 1:] = -np.einsum(
+        "rij,clj->irlc", pieces, pieces.conj(), optimize=True
+    )
+    np.einsum("iaia->ia", u4)[:, 1:] += 1.0  # a writable view of the diagonal
+    u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
+    u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
+    return UnitaryDilation(space, anc, u4.reshape(d * anc, d * anc))
 
 
 def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
-    """Evolve Q x |0><0| by the unitary and trace out the ancilla."""
+    """Evolve Q x |0><0| by the unitary and trace out the ancilla.
+
+    Only the reference column of U acts: the result is sum_k A_k Q A_k†
+    with A_k = U[:, k, :, 0], so no system x ancilla state is formed.
+    """
     d = dil.space.dim
-    qa = np.asarray(q, dtype=np.complex128)
+    qa = as_matrix(q)
     if qa.shape != (d, d):
         raise ShapeMismatchError(f"input has shape {qa.shape}, expected {(d, d)}")
-    joint = tensor(qa, _ancilla_unit(dil.ancilla_dim, 0, 0))
-    evolved = dil.u @ joint @ dil.u.conj().T
-    return partial_trace_ancilla(evolved, d, dil.ancilla_dim)
+    cols = dil.u4[:, :, :, 0].transpose(1, 0, 2)
+    return np.einsum("kij,klj->il", cols @ qa, cols.conj())
 
 
 def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
     """Kraus operators of the induced channel, one per ancilla coordinate:
     the ancilla blocks of the unitary against the reference column."""
-    d, anc = dil.space.dim, dil.ancilla_dim
-    blocks = dil.u.reshape(d, anc, d, anc)
-    ops = tuple(np.ascontiguousarray(blocks[:, k, :, 0]) for k in range(anc))
+    u4 = dil.u4
+    ops = tuple(u4[:, k, :, 0] for k in range(dil.ancilla_dim))
     return KrausRep(dil.space, dil.space, ops)
+
+
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    """(||M†M - I||_F, ||MM† - I||_F)."""
+    eye = np.eye(m.shape[0])
+    return np.array(
+        [frobenius(m.conj().T @ m - eye), frobenius(m @ m.conj().T - eye)]
+    )
 
 
 def verify_dilation(
@@ -151,35 +167,38 @@ def verify_dilation(
 ) -> bool:
     """Full audit of a dilation against the channel it claims to realize.
 
-    Checks the split U = V1 + V2, unitarity, the partial-isometry and
-    block-support conditions on V1 and V2, agreement with ``rep`` on a
-    spanning set of inputs, and finally that the induced channel passes the
-    weight-leakage SP test (any operator pair satisfying the conditions
-    realizes an SP channel, so a valid dilation must too).
+    Every condition is checked on slices of the (d, anc, d, anc) view of U:
+
+    * the off-block part of U (system block 1 <-> block 2) vanishes, normed
+      directly on its slices, so U = V1 + V2;
+    * each diagonal block V_i is unitary on its support (the
+      partial-isometry conditions V_i V_i† = V_i† V_i = P_i x I), and so
+      is U;
+    * the induced channel agrees with ``rep`` on every source matrix unit:
+      the worst Frobenius norm over units (a, b) of the difference of the
+      images, read from the reshaped coefficient matrices;
+    * the induced channel passes the weight-leakage SP test (any operator
+      pair satisfying the conditions realizes an SP channel, so a valid
+      dilation must too).
     """
+    check_tolerance(tol)
     if rep.source != dil.space or rep.target != dil.space:
         return False
-    d, anc = dil.space.dim, dil.ancilla_dim
-    n = d * anc
-    eye_big = np.eye(n, dtype=np.complex128)
-    if frobenius(dil.u - (dil.v1 + dil.v2)) > tol:
+    space, u4 = dil.space, dil.u4
+    d, anc = space.dim, dil.ancilla_dim
+    s1, s2 = space.block_slice(1), space.block_slice(2)
+    off = np.hypot(frobenius(u4[s1, :, s2, :]), frobenius(u4[s2, :, s1, :]))
+    if off > tol:
         return False
-    if frobenius(dil.u.conj().T @ dil.u - eye_big) > tol:
+    for sb, db in ((s1, space.d1), (s2, space.d2)):
+        block = u4[sb, :, sb, :].reshape(db * anc, db * anc)
+        if _unitarity_defects(block).max() > tol:
+            return False
+    if _unitarity_defects(dil.u).max() > tol:
         return False
-    if frobenius(dil.u @ dil.u.conj().T - eye_big) > tol:
+    induced = kraus_from_dilation(dil)
+    diff = kraus_to_choi(induced).matrix - kraus_to_choi(rep).matrix
+    per_unit = np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2))
+    if per_unit.max() > tol:
         return False
-    for block, v in ((1, dil.v1), (2, dil.v2)):
-        support = tensor(dil.space.projector(block), np.eye(anc))
-        if frobenius(v @ v.conj().T - support) > tol:
-            return False
-        if frobenius(v.conj().T @ v - support) > tol:
-            return False
-        if frobenius(support @ v @ support - v) > tol:
-            return False
-    for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d), dtype=np.complex128)
-            unit[a, b] = 1.0
-            if frobenius(apply_dilation(dil, unit) - apply(rep, unit)) > tol:
-                return False
-    return is_sp_definition(kraus_from_dilation(dil), tol)
+    return bool(is_sp_definition(induced, tol))

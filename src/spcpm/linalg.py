@@ -9,10 +9,15 @@ All functions accept anything convertible to a 2-D complex array and return
 fresh ``complex128`` arrays.  Matrices here are small (dimension tens, not
 thousands), so everything is done by direct eigendecomposition; determinism
 for identical input bits matters more than speed.
+
+Every ``tol``/``rtol`` argument of the library must be finite and > 0;
+:func:`check_tolerance` enforces that at each public entry point, either
+directly or in the first callee the value is handed to.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,12 +29,28 @@ from .errors import (
     NotSquareError,
     ShapeMismatchError,
     SingularMatrixError,
+    SpcpmError,
 )
 
 #: Default tolerance for positivity and residual checks.
 DEFAULT_TOL = 1e-9
 #: Default relative cutoff for rank decisions (pseudo-inverse, Kraus rank).
 DEFAULT_RTOL = 1e-10
+
+
+def check_tolerance(value: float, name: str = "tol") -> float:
+    """Return ``value`` if it is a finite number > 0, else raise SpcpmError.
+
+    An infinite tolerance would accept every residual and a NaN, zero or
+    negative one would reject every residual, so neither decides anything.
+    """
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise SpcpmError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 def as_matrix(m) -> np.ndarray:
@@ -82,6 +103,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     in exact arithmetic.  Asymmetry beyond ``tol * max(1, ||M||_F)`` raises
     :class:`NotHermitianError`.
     """
+    check_tolerance(tol)
     arr = as_matrix(m)
     _require_square(arr)
     asym = _asymmetry(arr)
@@ -122,6 +144,7 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     Hermiticity requires ``||M - M†||_F <= tol * max(1, ||M||_F)``; the
     eigenvalue floor is ``-tol * max(1, max|eigenvalue|)``.
     """
+    check_tolerance(tol)
     arr = as_matrix(m)
     _require_square(arr)
     if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):
@@ -140,6 +163,7 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     positive semi-definite.  The diagonal-block checks make the verdict
     match assembled-matrix positivity even for indefinite A or B.
     """
+    check_tolerance(tol)
     a = as_matrix(a)
     b = as_matrix(b)
     c = as_matrix(c)

@@ -4,7 +4,8 @@ dilations.
 Complex entries are stored as [re, im] pairs of IEEE-754 doubles; the
 encoder relies on Python's shortest-round-trip float formatting, so a write
 followed by a read reproduces every matrix bit-exactly.  Every file carries
-a ``format`` tag.
+a ``format`` tag: files are written as ``spcpm/2`` (compact JSON; a
+dilation stores ``u`` only) and ``spcpm/1`` files are still read.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from .linalg import as_matrix
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace
 
-FORMAT = "spcpm/1"
+FORMAT = "spcpm/2"
+#: The first format, which also stored a dilation's ``v1`` and ``v2``.
+FORMAT_V1 = "spcpm/1"
 
 
 def encode_matrix(m) -> dict:
     arr = as_matrix(m)
-    data = [[float(z.real), float(z.imag)] for z in arr.ravel()]
+    data = arr.view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "data": data}
 
 
@@ -43,16 +46,15 @@ def decode_matrix(obj) -> np.ndarray:
         raise FormatError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError("matrix data length does not match rows * cols")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for idx, entry in enumerate(data):
-        try:
-            re, im = entry
-            flat[idx] = complex(float(re), float(im))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad matrix entry at position {idx}") from exc
-    if not np.all(np.isfinite(flat)):
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad matrix entries: {exc}") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise FormatError("matrix entries must be [re, im] pairs")
+    if not np.all(np.isfinite(pairs)):
         raise FormatError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def _encode_space(space: DecomposedSpace) -> list[int]:
@@ -176,31 +178,30 @@ def dilation_to_obj(dil: UnitaryDilation) -> dict:
         "dims": _encode_space(dil.space),
         "ancilla_dim": dil.ancilla_dim,
         "u": encode_matrix(dil.u),
-        "v1": encode_matrix(dil.v1),
-        "v2": encode_matrix(dil.v2),
     }
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
+    """Read a dilation.  An ``spcpm/1`` object also carries ``v1`` and
+    ``v2``; they must equal the diagonal blocks of ``u`` exactly."""
     _expect_kind(obj, "dilation")
     space = _decode_space(obj, "dims")
     anc = obj.get("ancilla_dim")
     if not isinstance(anc, int) or anc < 1:
         raise FormatError("ancilla_dim must be a positive integer")
     try:
-        return UnitaryDilation(
-            space,
-            anc,
-            decode_matrix(obj.get("u")),
-            decode_matrix(obj.get("v1")),
-            decode_matrix(obj.get("v2")),
-        )
+        dil = UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
     except SpcpmError as exc:
         raise FormatError(str(exc)) from exc
+    if obj.get("format") == FORMAT_V1:
+        for name in ("v1", "v2"):
+            if not np.array_equal(decode_matrix(obj.get(name)), getattr(dil, name)):
+                raise FormatError(f"{name} is not the block of u it must be")
+    return dil
 
 
 def write_file(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj) + "\n")
 
 
 def read_file(path) -> dict:
@@ -210,6 +211,6 @@ def read_file(path) -> dict:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError("top-level JSON value must be an object")
-    if obj.get("format") != FORMAT:
+    if obj.get("format") not in (FORMAT, FORMAT_V1):
         raise FormatError(f"unsupported format tag: {obj.get('format')!r}")
     return obj

@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
     block_psd_failure,
+    check_tolerance,
     frobenius,
     frozen_matrix,
     inv_sqrt_psd,
@@ -137,27 +138,44 @@ def definition_violation(rep: KrausRep) -> tuple[float, str]:
 
 def is_sp_definition(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Weight-leakage test straight from the defining conditions."""
+    check_tolerance(tol)
     return definition_violation(rep)[0] <= tol
 
 
 def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
-    """Worst relative cross-block component over the Kraus operators."""
-    s1, s2 = rep.source.block_slice(1), rep.source.block_slice(2)
-    t1, t2 = rep.target.block_slice(1), rep.target.block_slice(2)
-    worst, label = 0.0, "no cross-block component"
-    for k, op in enumerate(rep.ops):
-        scale = max(1.0, frobenius(op))
-        for ti, sj, tb, sb in ((2, 1, t2, s1), (1, 2, t1, s2)):
-            residual = frobenius(op[tb, sb]) / scale
-            if residual > worst:
-                worst = residual
-                label = f"||P_t{ti} V[{k}] P_s{sj}||_F / max(1, ||V[{k}]||_F)"
-    return worst, label
+    """Worst relative cross-block component over the Kraus operators.
+
+    Reads the operators themselves, stacked as a (K, dt, ds) array: the two
+    cross-block slices of every operator are normed at once, each relative
+    to max(1, ||V_k||_F).
+    """
+    source, target = rep.source, rep.target
+    ops = np.stack(rep.ops)
+    pairs = ((2, 1), (1, 2))
+    cross = np.stack(
+        [
+            np.linalg.norm(
+                ops[:, target.block_slice(ti), source.block_slice(sj)], axis=(1, 2)
+            )
+            for ti, sj in pairs
+        ],
+        axis=1,
+    )
+    relative = cross / np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))[:, None]
+    k, pair = np.unravel_index(np.argmax(relative), relative.shape)
+    if relative[k, pair] == 0.0:
+        return 0.0, "no cross-block component"
+    ti, sj = pairs[pair]
+    return (
+        float(relative[k, pair]),
+        f"||P_t{ti} V[{k}] P_s{sj}||_F / max(1, ||V[{k}]||_F)",
+    )
 
 
 def is_sp_kraus_blocks(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Kraus-operator test: every operator splits into two block-supported
     pieces, V_k = P_t1 V_k P_s1 + P_t2 V_k P_s2."""
+    check_tolerance(tol)
     return kraus_blocks_violation(rep)[0] <= tol
 
 
@@ -208,6 +226,7 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
 
 def is_sp_commutation(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Block-commutation test over a spanning set of inputs."""
+    check_tolerance(tol)
     return commutation_violation(rep)[0] <= tol
 
 
@@ -312,6 +331,7 @@ def random_sp_channel(
     """
     if k < 1:
         raise ValueError("need at least one Kraus operator")
+    check_tolerance(rtol, "rtol")
     rng = np.random.default_rng(seed)
 
     def crandn(rows: int, cols: int) -> np.ndarray:
@@ -349,6 +369,7 @@ def sp_kraus_bound_holds(
     The bound is the size of the assembled block triple, which is the only
     nonzero part of an SP channel's coefficient matrix.
     """
+    check_tolerance(rtol, "rtol")
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("bound applies to subspace-preserving channels only")
     bound = rep.source.d1 * rep.target.d1 + rep.source.d2 * rep.target.d2

@@ -9,6 +9,7 @@ from spcpm import serialize
 from spcpm.cli import main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
 from spcpm.dilation import verify_dilation
+from spcpm.errors import FormatError
 from spcpm.sp import sp_from_blocks
 from spcpm.spaces import DecomposedSpace
 
@@ -54,6 +55,56 @@ class TestMatrixRoundTrip:
         assert back.source == rep.source and back.target == rep.target
         for a, b in zip(back.ops, rep.ops):
             np.testing.assert_array_equal(a, b)
+
+
+class TestFileFormat:
+    def test_files_are_compact_and_tagged_2(self, tmp_path):
+        path = tmp_path / "chan.json"
+        write_channel(path, KrausRep(C2, C2, (np.eye(2),)))
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text)["format"] == "spcpm/2"
+
+    def test_first_format_channel_still_reads(self, tmp_path):
+        rep = KrausRep(C2, C2, (np.diag([1.0, -1.0]),))
+        obj = serialize.channel_to_obj(rep)
+        obj["format"] = "spcpm/1"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj, indent=2) + "\n")
+        back = serialize.channel_from_obj(serialize.read_file(path))
+        np.testing.assert_array_equal(back.ops[0], rep.ops[0])
+
+    def test_unknown_format_tag_is_refused(self, tmp_path):
+        obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
+        obj["format"] = "spcpm/3"
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="format tag"):
+            serialize.read_file(path)
+
+    def test_signed_zeros_survive(self):
+        mat = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
+        text = json.dumps(serialize.encode_matrix(mat))
+        back = serialize.decode_matrix(json.loads(text))
+        assert back.tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1.0, 0.0], [1.0]],
+            [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            [[1.0, 0.0], ["x", 0.0]],
+            [[1.0, 0.0], [{}, 0.0]],
+            [[1.0, 0.0], [None, 0.0]],
+            [[1.0, 0.0], [float("inf"), 0.0]],
+            [[1.0, 0.0], [10**400, 0.0]],
+            [1.0, 0.0],
+        ],
+        ids=["short", "triple", "text", "object", "null", "inf", "huge", "flat"],
+    )
+    def test_bad_entries_are_format_errors(self, data):
+        with pytest.raises(FormatError):
+            serialize.decode_matrix({"rows": 1, "cols": 2, "data": data})
 
 
 class TestGen:
@@ -212,6 +263,9 @@ class TestDilate:
         assert dil.ancilla_dim == 2
         rep = serialize.channel_from_obj(serialize.read_file(src))
         assert verify_dilation(dil, rep)
+        # the file stores u alone; v1 and v2 are its blocks
+        obj = serialize.read_file(out)
+        assert set(obj) == {"format", "kind", "dims", "ancilla_dim", "u"}
 
     def test_generated_channel(self, tmp_path):
         src = tmp_path / "chan.json"

@@ -1,9 +1,19 @@
 """Tests for the unitary dilation of trace-preserving SP channels."""
 
+import json
+
 import numpy as np
 import pytest
 
-from spcpm.cpm import KrausRep, apply, channels_equal, kraus_rank
+from spcpm import serialize
+from spcpm.cpm import (
+    KrausRep,
+    apply,
+    channels_equal,
+    choi_to_kraus,
+    kraus_rank,
+    kraus_to_choi,
+)
 from spcpm.dilation import (
     UnitaryDilation,
     apply_dilation,
@@ -12,12 +22,13 @@ from spcpm.dilation import (
     verify_dilation,
 )
 from spcpm.errors import (
+    FormatError,
     NotSPError,
     NotTracePreservingError,
     SourceTargetMismatchError,
 )
 from spcpm.linalg import tensor
-from spcpm.sp import is_sp_definition, random_sp_channel
+from spcpm.sp import is_sp_definition, random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -36,6 +47,37 @@ def unit(d, i, j):
     e = np.zeros((d, d), dtype=np.complex128)
     e[i, j] = 1.0
     return e
+
+
+def full_rank_tp_channel(d1, d2, seed):
+    space = DecomposedSpace(d1, d2)
+    return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
+
+
+def reference_dilation(rep):
+    """The Kronecker-sum construction, term by term:
+
+        V_i = P_i x I - P_i x |0><0| - sum_{k,k'} V_{i,k} V_{i,k'}† x |k><k'|
+              + sum_k V_{i,k} x |k><0| + sum_k V_{i,k}† x |0><k|,
+
+    as K^2 + 2K full n x n Kronecker products.  Returns (u, v1, v2)."""
+    minimal = choi_to_kraus(kraus_to_choi(rep))
+    split1, split2 = split_kraus_blocks(minimal)
+    anc = len(minimal.ops) + 1
+    space = rep.source
+    parts = []
+    for block, pieces in ((1, split1), (2, split2)):
+        proj = space.projector(block)
+        v = tensor(proj, np.eye(anc)) - tensor(proj, unit(anc, 0, 0))
+        for row, piece_r in enumerate(pieces, start=1):
+            for col, piece_c in enumerate(pieces, start=1):
+                v -= tensor(piece_r @ piece_c.conj().T, unit(anc, row, col))
+        for k, piece in enumerate(pieces, start=1):
+            v += tensor(piece, unit(anc, k, 0))
+            v += tensor(piece.conj().T, unit(anc, 0, k))
+        parts.append(v)
+    v1, v2 = parts
+    return v1 + v2, v1, v2
 
 
 class TestBuildDilation:
@@ -130,9 +172,7 @@ class TestVerifyDilation:
         dil = build_dilation(rep)
         # replace the unitary by one that moves weight between blocks
         swap_sys = np.array([[0.0, 1.0], [1.0, 0.0]])
-        tampered = UnitaryDilation(
-            dil.space, dil.ancilla_dim, tensor(swap_sys, np.eye(2)), dil.v1, dil.v2
-        )
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, tensor(swap_sys, np.eye(2)))
         assert not verify_dilation(tampered, rep)
 
     def test_rejects_perturbed_unitary(self):
@@ -140,9 +180,7 @@ class TestVerifyDilation:
         rep = dephasing_channel(0.5)
         dil = build_dilation(rep)
         noise = 1e-3 * crandn(rng, *dil.u.shape)
-        tampered = UnitaryDilation(
-            dil.space, dil.ancilla_dim, dil.u + noise, dil.v1, dil.v2
-        )
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u + noise)
         assert not verify_dilation(tampered, rep, 1e-9)
 
     def test_rejects_wrong_channel(self):
@@ -157,3 +195,118 @@ class TestVerifyDilation:
         induced = kraus_from_dilation(dil)
         assert channels_equal(induced, rep, 1e-9)
         assert is_sp_definition(induced)
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1), (2, 2), (3, 3), (4, 4)])
+def test_slice_writes_match_kronecker_sum(d1, d2):
+    rep = full_rank_tp_channel(d1, d2, 950 + 10 * d1 + d2)
+    dil = build_dilation(rep)
+    u, v1, v2 = reference_dilation(rep)
+    assert dil.u.shape == u.shape
+    assert np.max(np.abs(dil.u - u)) <= 1e-14
+    assert np.max(np.abs(dil.v1 - v1)) <= 1e-14
+    assert np.max(np.abs(dil.v2 - v2)) <= 1e-14
+
+
+def test_blocks_are_exact_slices_of_u():
+    dil = build_dilation(full_rank_tp_channel(2, 3, 960))
+    # no off-block entry at all, so the two blocks add up to u bit-exactly
+    assert np.array_equal(dil.v1 + dil.v2, dil.u)
+    assert not dil.v1.flags.writeable and not dil.v2.flags.writeable
+
+
+def test_six_plus_six_full_rank(tmp_path):
+    rep = full_rank_tp_channel(6, 6, 961)
+    dil = build_dilation(rep)
+    assert dil.ancilla_dim == 73
+    assert verify_dilation(dil, rep)
+    path = tmp_path / "dil66.json"
+    serialize.write_file(path, serialize.dilation_to_obj(dil))
+    back = serialize.dilation_from_obj(serialize.read_file(path))
+    assert back.space == dil.space and back.ancilla_dim == dil.ancilla_dim
+    assert back.u.tobytes() == dil.u.tobytes()
+
+
+class TestAuditBySlices:
+    def test_rejects_off_block_noise(self):
+        rep = full_rank_tp_channel(2, 2, 962)
+        dil = build_dilation(rep)
+        rng = np.random.default_rng(963)
+        noise = 1e-7 * crandn(rng, *dil.u4.shape)
+        s1, s2 = dil.space.block_slice(1), dil.space.block_slice(2)
+        off = np.zeros_like(noise)
+        off[s1, :, s2, :] = noise[s1, :, s2, :]
+        off[s2, :, s1, :] = noise[s2, :, s1, :]
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u + off.reshape(dil.u.shape))
+        assert verify_dilation(dil, rep)
+        assert not verify_dilation(tampered, rep)
+
+    def test_rejects_non_unitary_block(self):
+        rep = dephasing_channel(0.5)
+        dil = build_dilation(rep)
+        # scale block 2 only: the off-block part stays exactly zero
+        scaled = dil.v1 + (1 + 1e-6) * dil.v2
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, scaled)
+        assert not verify_dilation(tampered, rep)
+
+    def test_agreement_matches_unit_by_unit_loop(self):
+        # the Choi-difference residual is the worst per-unit image difference
+        rep = full_rank_tp_channel(2, 1, 964)
+        other = full_rank_tp_channel(2, 1, 965)
+        dil = build_dilation(rep)
+        d = dil.space.dim
+        loop = max(
+            np.linalg.norm(apply_dilation(dil, unit(d, a, b)) - apply(other, unit(d, a, b)))
+            for a in range(d)
+            for b in range(d)
+        )
+        assert loop > 1e-3
+        assert verify_dilation(dil, other, 0.999 * loop) is False
+        assert verify_dilation(dil, other, 1.001 * loop) is True
+
+    def test_apply_rejects_non_finite_input(self):
+        dil = build_dilation(dephasing_channel(0.5))
+        with pytest.raises(ValueError, match="finite"):
+            apply_dilation(dil, np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def v1_dilation_obj(rep):
+    """A dilation object as the first file format wrote it: u, v1 and v2."""
+    u, v1, v2 = reference_dilation(rep)
+    return {
+        "format": "spcpm/1",
+        "kind": "dilation",
+        "dims": [rep.source.d1, rep.source.d2],
+        "ancilla_dim": u.shape[0] // rep.source.dim,
+        "u": serialize.encode_matrix(u),
+        "v1": serialize.encode_matrix(v1),
+        "v2": serialize.encode_matrix(v2),
+    }
+
+
+class TestFirstFormatFiles:
+    def test_consistent_file_reads_back(self, tmp_path):
+        rep = full_rank_tp_channel(2, 2, 970)
+        obj = v1_dilation_obj(rep)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj, indent=2) + "\n")
+        dil = serialize.dilation_from_obj(serialize.read_file(path))
+        u, v1, v2 = reference_dilation(rep)
+        assert dil.u.tobytes() == u.tobytes()
+        assert np.array_equal(dil.v1, v1) and np.array_equal(dil.v2, v2)
+        assert verify_dilation(dil, rep)
+
+    def test_tampered_v1_is_refused(self, tmp_path):
+        rep = full_rank_tp_channel(2, 2, 971)
+        obj = v1_dilation_obj(rep)
+        obj["v1"]["data"][0][0] += 1e-15
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj, indent=2) + "\n")
+        with pytest.raises(FormatError, match="v1"):
+            serialize.dilation_from_obj(serialize.read_file(path))
+
+    def test_missing_v2_is_refused(self):
+        obj = v1_dilation_obj(dephasing_channel(0.5))
+        del obj["v2"]
+        with pytest.raises(FormatError):
+            serialize.dilation_from_obj(obj)

@@ -32,6 +32,7 @@ from spcpm.sp import (
     is_sp_definition,
     is_sp_kraus_blocks,
     is_sp_trace,
+    kraus_blocks_violation,
     random_sp_channel,
     sp_from_blocks,
     sp_kraus_bound_holds,
@@ -448,6 +449,21 @@ def reference_trace(rep):
     return worst1, worst2
 
 
+def reference_kraus_blocks(rep):
+    """The blocks route operator by operator: (worst residual, label)."""
+    pt = {1: rep.target.projector(1), 2: rep.target.projector(2)}
+    ps = {1: rep.source.projector(1), 2: rep.source.projector(2)}
+    worst, label = 0.0, "no cross-block component"
+    for k, op in enumerate(rep.ops):
+        scale = max(1.0, np.linalg.norm(op))
+        for ti, sj in ((2, 1), (1, 2)):
+            residual = np.linalg.norm(pt[ti] @ op @ ps[sj]) / scale
+            if residual > worst:
+                worst = residual
+                label = f"||P_t{ti} V[{k}] P_s{sj}||_F / max(1, ||V[{k}]||_F)"
+    return worst, label
+
+
 def tp_renormalized(rep):
     s = sum(op.conj().T @ op for op in rep.ops)
     w, v = np.linalg.eigh(s)
@@ -506,6 +522,12 @@ class TestTensorRoutesMatchLoopReferences:
         assert abs(r1 - ref1) <= self.tol(rep)
         assert abs(r2 - ref2) <= self.tol(rep)
 
+    def test_kraus_blocks(self, name, rep):
+        residual, label = kraus_blocks_violation(rep)
+        ref_residual, ref_label = reference_kraus_blocks(rep)
+        assert abs(residual - ref_residual) <= self.tol(rep)
+        assert label == ref_label
+
     def test_reconstruction_is_commutation_at_own_block_pair(self, name, rep):
         # the reconstruction identity of a unit is its commutation identity at
         # (block(a), block(b)); that one is also the worst of the four
@@ -544,12 +566,16 @@ class TestTensorRouteLabels:
         r1, label, r2 = trace_violation(rep)
         assert label == "Tr(P_t1 phi(E[0,0])) vs Tr(P_s1 E[0,0])"
         assert r1 == 1.0 and r2 == 1.0
+        residual, label = kraus_blocks_violation(rep)
+        assert residual == 1.0
+        assert label == "||P_t1 V[0] P_s2||_F / max(1, ||V[0]||_F)"
 
     def test_sp_labels(self):
         rep = identity_channel(C2)
         assert definition_violation(rep) == (0.0, "no cross-block leakage")
         assert commutation_violation(rep) == (0.0, "all block identities hold")
         assert trace_violation(rep) == (0.0, "block weights conserved", 0.0)
+        assert kraus_blocks_violation(rep) == (0.0, "no cross-block component")
 
 
 @pytest.mark.parametrize(

@@ -30,19 +30,7 @@ from .dilation import (
     verify_dilation,
 )
 from .errors import SpcpmError
-from .linalg import (
-    DEFAULT_RTOL,
-    DEFAULT_TOL,
-    block_psd_check,
-    gram_matrix,
-    hermitian_eig,
-    inv_sqrt_psd,
-    is_psd,
-    partial_trace_ancilla,
-    pseudo_inverse,
-    tensor,
-    zero_space_projector,
-)
+from .linalg import DEFAULT_RTOL, DEFAULT_TOL, block_psd_check
 from .sp import (
     SPBlockRep,
     blocks_from_sp,
@@ -55,7 +43,7 @@ from .sp import (
     sp_kraus_bound_holds,
     split_kraus_blocks,
 )
-from .spaces import DecomposedSpace, embed_block_operator, extract_block_operator
+from .spaces import DecomposedSpace
 
 __all__ = [
     "ChoiRep",
@@ -75,12 +63,6 @@ __all__ = [
     "channels_equal",
     "choi_to_kraus",
     "compose",
-    "embed_block_operator",
-    "extract_block_operator",
-    "gram_matrix",
-    "hermitian_eig",
-    "inv_sqrt_psd",
-    "is_psd",
     "is_sp_commutation",
     "is_sp_definition",
     "is_sp_kraus_blocks",
@@ -90,16 +72,12 @@ __all__ = [
     "kraus_rank",
     "kraus_to_choi",
     "orthonormal_kraus",
-    "partial_trace_ancilla",
-    "pseudo_inverse",
     "random_sp_channel",
     "sp_from_blocks",
     "sp_kraus_bound_holds",
     "split_kraus_blocks",
-    "tensor",
     "unitary_mix",
     "verify_dilation",
-    "zero_space_projector",
 ]
 
 __version__ = "0.1.0"

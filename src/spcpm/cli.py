@@ -5,8 +5,15 @@ verifiers), ``convert`` (change representation), ``compose``, ``dilate`` and
 ``kraus-rank``.  Channels travel as JSON files; reports go to standard
 output, diagnostics to standard error.
 
-Exit codes: 0 success or affirmative verdict, 1 domain-negative (not SP,
-verification failed), 2 usage or format error, 3 internal numeric failure.
+Exit codes, decided in :func:`main` from the error class:
+
+* 0 -- success or affirmative verdict;
+* 1 -- domain-negative: ``verify`` finds the channel not SP, or a
+  :class:`NotSPError`, :class:`NotTracePreservingError` or
+  :class:`SourceTargetMismatchError` is raised;
+* 2 -- usage or format error: any other :class:`SpcpmError`;
+* 3 -- numeric failure: :class:`SingularMatrixError` (the sampler's
+  normalizer stayed singular) or a dilation that fails its own audit.
 """
 
 from __future__ import annotations
@@ -26,11 +33,9 @@ from .cpm import (
 )
 from .dilation import build_dilation, verify_dilation
 from .errors import (
-    DimensionMismatchError,
     NotSPError,
     NotTracePreservingError,
-    ResidualOffBlockError,
-    SingularNormalizerError,
+    SingularMatrixError,
     SourceTargetMismatchError,
     SpcpmError,
 )
@@ -51,7 +56,14 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-VERIFY_METHODS = ("definition", "blocks", "commutation", "trace")
+#: The SP verifiers by method name; each returns (worst residual, label, ...).
+VERIFIERS = {
+    "definition": definition_violation,
+    "blocks": kraus_blocks_violation,
+    "commutation": commutation_violation,
+    "trace": trace_violation,
+}
+VERIFY_METHODS = tuple(VERIFIERS)
 
 
 def _err(message: str) -> None:
@@ -86,20 +98,9 @@ def _load_channel(path) -> KrausRep:
 
 
 def cmd_gen(args) -> int:
-    try:
-        source = DecomposedSpace(args.dims[0], args.dims[1])
-        target = DecomposedSpace(args.dims[2], args.dims[3])
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    if args.kraus < 1:
-        _err("--kraus must be at least 1")
-        return EXIT_USAGE
-    try:
-        rep = random_sp_channel(source, target, args.kraus, args.tp, args.seed)
-    except SingularNormalizerError as exc:
-        _err(str(exc))
-        return EXIT_NUMERIC
+    source = DecomposedSpace(args.dims[0], args.dims[1])
+    target = DecomposedSpace(args.dims[2], args.dims[3])
+    rep = random_sp_channel(source, target, args.kraus, args.tp, args.seed)
     serialize.write_file(args.out, serialize.channel_to_obj(rep))
     print(f"wrote channel with {args.kraus} Kraus operators to {args.out}")
     return EXIT_OK
@@ -111,20 +112,13 @@ def cmd_verify(args) -> int:
     methods = VERIFY_METHODS if args.method == "all" else (args.method,)
     verdict = True
     for method in methods:
-        if method == "trace":
-            if not is_trace_preserving(rep, tol):
-                if args.method == "trace":
-                    _err("trace method requires a trace-preserving channel")
-                    return EXIT_USAGE
-                print("trace: skipped (channel is not trace preserving)")
-                continue
-            residual, label, _ = trace_violation(rep)
-        elif method == "definition":
-            residual, label = definition_violation(rep)
-        elif method == "blocks":
-            residual, label = kraus_blocks_violation(rep)
-        else:
-            residual, label = commutation_violation(rep)
+        if method == "trace" and not is_trace_preserving(rep, tol):
+            if args.method == "trace":
+                _err("trace method requires a trace-preserving channel")
+                return EXIT_USAGE
+            print("trace: skipped (channel is not trace preserving)")
+            continue
+        residual, label = VERIFIERS[method](rep)[:2]
         ok = residual <= tol
         verdict = verdict and ok
         status = "SP" if ok else "NOT SP"
@@ -143,11 +137,7 @@ def cmd_convert(args) -> int:
         pairs = orthonormal_kraus(rep)
         obj = serialize.orthonormal_to_obj(pairs, rep.source, rep.target)
     else:  # blocks
-        try:
-            obj = serialize.blocks_to_obj(blocks_from_sp(rep, args.tol))
-        except (NotSPError, ResidualOffBlockError) as exc:
-            _err(str(exc))
-            return EXIT_NEGATIVE
+        obj = serialize.blocks_to_obj(blocks_from_sp(rep, args.tol))
     serialize.write_file(args.out, obj)
     print(f"wrote {args.to} representation to {args.out}")
     return EXIT_OK
@@ -156,11 +146,7 @@ def cmd_convert(args) -> int:
 def cmd_compose(args) -> int:
     rep_a = _load_channel(args.file_a)
     rep_b = _load_channel(args.file_b)
-    try:
-        composed = compose(rep_b, rep_a)
-    except DimensionMismatchError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    composed = compose(rep_b, rep_a)
     serialize.write_file(args.out, serialize.channel_to_obj(composed))
     print(f"wrote composition (second after first) to {args.out}")
     return EXIT_OK
@@ -168,11 +154,7 @@ def cmd_compose(args) -> int:
 
 def cmd_dilate(args) -> int:
     rep = _load_channel(args.file)
-    try:
-        dil = build_dilation(rep, args.tol)
-    except (NotSPError, NotTracePreservingError, SourceTargetMismatchError) as exc:
-        _err(str(exc))
-        return EXIT_NEGATIVE
+    dil = build_dilation(rep, args.tol)
     if not verify_dilation(dil, rep, args.tol):
         _err("constructed dilation failed verification")
         return EXIT_NUMERIC
@@ -247,6 +229,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (NotSPError, NotTracePreservingError, SourceTargetMismatchError) as exc:
+        _err(str(exc))
+        return EXIT_NEGATIVE
+    except SingularMatrixError as exc:
+        _err(str(exc))
+        return EXIT_NUMERIC
     except SpcpmError as exc:
         _err(str(exc))
         return EXIT_USAGE

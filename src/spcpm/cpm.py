@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotPSDError,
-    NotUnitaryError,
-    ShapeMismatchError,
-    SizeMismatchError,
-)
+from .errors import SpcpmError
 from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
@@ -55,11 +49,11 @@ class KrausRep:
     def __post_init__(self) -> None:
         mats = tuple(frozen_matrix(op) for op in self.ops)
         if not mats:
-            raise ValueError("a Kraus representation needs at least one operator")
+            raise SpcpmError("a Kraus representation needs at least one operator")
         shape = (self.target.dim, self.source.dim)
         for op in mats:
             if op.shape != shape:
-                raise ShapeMismatchError(
+                raise SpcpmError(
                     f"Kraus operator has shape {op.shape}, expected {shape}"
                 )
         object.__setattr__(self, "ops", mats)
@@ -84,7 +78,7 @@ class ChoiRep:
         mat = frozen_matrix(self.matrix)
         m = self.source.dim * self.target.dim
         if mat.shape != (m, m):
-            raise ShapeMismatchError(
+            raise SpcpmError(
                 f"coefficient matrix has shape {mat.shape}, expected {(m, m)}"
             )
         object.__setattr__(self, "matrix", mat)
@@ -92,7 +86,7 @@ class ChoiRep:
 
 def _require_basis(rep: ChoiRep) -> None:
     if rep.basis_tag != MATRIX_UNIT_BASIS:
-        raise ValueError(f"unsupported basis tag: {rep.basis_tag!r}")
+        raise SpcpmError(f"unsupported basis tag: {rep.basis_tag!r}")
 
 
 def apply(rep: KrausRep, q) -> np.ndarray:
@@ -100,7 +94,7 @@ def apply(rep: KrausRep, q) -> np.ndarray:
     qa = as_matrix(q)
     d = rep.source.dim
     if qa.shape != (d, d):
-        raise ShapeMismatchError(f"input has shape {qa.shape}, expected {(d, d)}")
+        raise SpcpmError(f"input has shape {qa.shape}, expected {(d, d)}")
     out = np.zeros((rep.target.dim, rep.target.dim), dtype=np.complex128)
     for op in rep.ops:
         out += op @ qa @ op.conj().T
@@ -121,7 +115,7 @@ def apply_choi(rep: ChoiRep, q) -> np.ndarray:
     qa = as_matrix(q)
     ds, dt = rep.source.dim, rep.target.dim
     if qa.shape != (ds, ds):
-        raise ShapeMismatchError(f"input has shape {qa.shape}, expected {(ds, ds)}")
+        raise SpcpmError(f"input has shape {qa.shape}, expected {(ds, ds)}")
     coeff = rep.matrix.reshape(dt, ds, dt, ds)
     return np.einsum("ijkl,jl->ik", coeff, qa)
 
@@ -148,7 +142,7 @@ def choi_to_kraus(rep: ChoiRep, rtol: float = DEFAULT_RTOL) -> KrausRep:
     """
     _require_basis(rep)
     if not is_psd(rep.matrix, tol=rtol):
-        raise NotPSDError("coefficient matrix is not positive semi-definite")
+        raise SpcpmError("coefficient matrix is not positive semi-definite")
     w, v = hermitian_eig(rep.matrix, tol=rtol)
     cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
     ds, dt = rep.source.dim, rep.target.dim
@@ -183,11 +177,11 @@ def unitary_mix(rep: KrausRep, u) -> KrausRep:
     ua = as_matrix(u)
     k = len(rep.ops)
     if ua.shape != (k, k):
-        raise SizeMismatchError(
+        raise SpcpmError(
             f"mixing matrix has shape {ua.shape}, expected {(k, k)}"
         )
     if frobenius(ua.conj().T @ ua - np.eye(k)) > 1e-10:
-        raise NotUnitaryError("mixing matrix is not unitary within 1e-10")
+        raise SpcpmError("mixing matrix is not unitary within 1e-10")
     stacked = np.stack(rep.ops)
     mixed = np.tensordot(ua, stacked, axes=(1, 0))
     return KrausRep(rep.source, rep.target, tuple(mixed))
@@ -218,7 +212,7 @@ def orthonormal_kraus(
 def compose(b: KrausRep, a: KrausRep) -> KrausRep:
     """Channel composition b after a: all pairwise products W_l V_k."""
     if a.target.dim != b.source.dim:
-        raise DimensionMismatchError(
+        raise SpcpmError(
             f"cannot compose: inner dimensions {a.target.dim} and {b.source.dim} differ"
         )
     ops = tuple(w @ v for w in b.ops for v in a.ops)
@@ -231,7 +225,7 @@ def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     total = np.zeros((rep.source.dim, rep.source.dim), dtype=np.complex128)
     for op in rep.ops:
         total += op.conj().T @ op
-    return frobenius(total - np.eye(rep.source.dim)) <= tol
+    return bool(frobenius(total - np.eye(rep.source.dim)) <= tol)
 
 
 def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:
@@ -243,5 +237,6 @@ def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """
     check_tolerance(tol)
     if a.source.dim != b.source.dim or a.target.dim != b.target.dim:
-        raise DimensionMismatchError("channels act between different dimensions")
-    return frobenius(kraus_to_choi(a).matrix - kraus_to_choi(b).matrix) <= tol
+        raise SpcpmError("channels act between different dimensions")
+    diff = kraus_to_choi(a).matrix - kraus_to_choi(b).matrix
+    return bool(frobenius(diff) <= tol)

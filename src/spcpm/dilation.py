@@ -31,8 +31,8 @@ from .cpm import KrausRep, choi_to_kraus, is_trace_preserving, kraus_to_choi
 from .errors import (
     NotSPError,
     NotTracePreservingError,
-    ShapeMismatchError,
     SourceTargetMismatchError,
+    SpcpmError,
 )
 from .linalg import (
     DEFAULT_RTOL,
@@ -62,11 +62,11 @@ class UnitaryDilation:
 
     def __post_init__(self) -> None:
         if self.ancilla_dim < 1:
-            raise ValueError("ancilla must be at least one-dimensional")
+            raise SpcpmError("ancilla must be at least one-dimensional")
         n = self.space.dim * self.ancilla_dim
         arr = frozen_matrix(self.u)
         if arr.shape != (n, n):
-            raise ShapeMismatchError(f"u has shape {arr.shape}, expected {(n, n)}")
+            raise SpcpmError(f"u has shape {arr.shape}, expected {(n, n)}")
         object.__setattr__(self, "u", arr)
 
     @property
@@ -141,7 +141,7 @@ def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
     d = dil.space.dim
     qa = as_matrix(q)
     if qa.shape != (d, d):
-        raise ShapeMismatchError(f"input has shape {qa.shape}, expected {(d, d)}")
+        raise SpcpmError(f"input has shape {qa.shape}, expected {(d, d)}")
     cols = dil.u4[:, :, :, 0].transpose(1, 0, 2)
     return np.einsum("kij,klj->il", cols @ qa, cols.conj())
 

@@ -1,53 +1,23 @@
 """Exception types raised across the package.
 
-Everything derives from :class:`SpcpmError`, which itself is a ``ValueError``
-so that callers who do not care about the fine-grained distinctions can catch
-bad inputs the usual way.
+Every rejection the package makes is a :class:`SpcpmError`, which itself is
+a ``ValueError``: bad shapes, dimensions, tolerances, non-finite entries,
+malformed files and invalid block triples all raise it directly, with a
+message that names what was wrong.  Four subclasses mark the outcomes a
+caller acts on differently:
+
+* :class:`NotSPError` -- the channel is not subspace preserving;
+* :class:`NotTracePreservingError` -- the operation needs a trace-preserving
+  channel;
+* :class:`SourceTargetMismatchError` -- the dilation needs one
+  decomposition on both sides;
+* :class:`SingularMatrixError` -- a matrix that must be positive definite
+  is not (the random sampler retries on it, and gives up with it).
 """
 
 
 class SpcpmError(ValueError):
     """Base class for all errors raised by this package."""
-
-
-class NotSquareError(SpcpmError):
-    """A square matrix was required."""
-
-
-class NotHermitianError(SpcpmError):
-    """A Hermitian matrix was required."""
-
-
-class NotPSDError(SpcpmError):
-    """A positive semi-definite matrix was required."""
-
-
-class ShapeMismatchError(SpcpmError):
-    """Operands have incompatible shapes."""
-
-
-class DimensionMismatchError(SpcpmError):
-    """Operands live on spaces of incompatible dimensions."""
-
-
-class SizeMismatchError(SpcpmError):
-    """A mixing matrix does not match the number of operators."""
-
-
-class EmptySetError(SpcpmError):
-    """An operator set must be nonempty."""
-
-
-class SingularMatrixError(SpcpmError):
-    """A positive definite matrix was required."""
-
-
-class InvalidBlockError(SpcpmError):
-    """Block labels are 1 or 2."""
-
-
-class NotUnitaryError(SpcpmError):
-    """A unitary matrix was required."""
 
 
 class NotSPError(SpcpmError):
@@ -58,21 +28,9 @@ class NotTracePreservingError(SpcpmError):
     """The channel is not trace preserving."""
 
 
-class ResidualOffBlockError(SpcpmError):
-    """The coefficient matrix carries weight outside the two intra-block bases."""
-
-
-class ConditionsViolatedError(SpcpmError):
-    """A block coefficient triple violates a positivity condition."""
-
-
-class SingularNormalizerError(SpcpmError):
-    """The trace-preserving normalizer stayed singular across resampling attempts."""
-
-
 class SourceTargetMismatchError(SpcpmError):
     """Source and target decompositions must coincide."""
 
 
-class FormatError(SpcpmError):
-    """A JSON interchange file is malformed."""
+class SingularMatrixError(SpcpmError):
+    """A positive definite matrix was required."""

@@ -2,8 +2,7 @@
 
 Hermitian eigendecomposition, Moore-Penrose pseudo-inverse of Hermitian
 matrices, positivity predicates (including the Schur-complement test for
-2x2 block matrices), Gram matrices, Kronecker products and the partial
-trace over an ancilla factor.
+2x2 block matrices) and Gram matrices.
 
 All functions accept anything convertible to a 2-D complex array and return
 fresh ``complex128`` arrays.  Matrices here are small (dimension tens, not
@@ -22,15 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    NotHermitianError,
-    NotSquareError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    SpcpmError,
-)
+from .errors import SingularMatrixError, SpcpmError
 
 #: Default tolerance for positivity and residual checks.
 DEFAULT_TOL = 1e-9
@@ -57,9 +48,9 @@ def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a fresh 2-D complex128 array with finite entries."""
     arr = np.array(m, dtype=np.complex128)
     if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise SpcpmError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+        raise SpcpmError("matrix entries must be finite")
     return arr
 
 
@@ -77,7 +68,7 @@ def frobenius(m: np.ndarray) -> float:
 
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+        raise SpcpmError(f"expected a square matrix, got shape {m.shape}")
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -101,14 +92,14 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     The input is symmetrized as (M + M†)/2 before decomposition, which
     removes roundoff asymmetry without changing an input that is Hermitian
     in exact arithmetic.  Asymmetry beyond ``tol * max(1, ||M||_F)`` raises
-    :class:`NotHermitianError`.
+    :class:`SpcpmError`.
     """
     check_tolerance(tol)
     arr = as_matrix(m)
     _require_square(arr)
     asym = _asymmetry(arr)
     if asym > tol * max(1.0, frobenius(arr)):
-        raise NotHermitianError(
+        raise SpcpmError(
             f"matrix is not Hermitian within tol={tol:g} (asymmetry {asym:.3e})"
         )
     sym = (arr + arr.conj().T) / 2.0
@@ -168,9 +159,9 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     b = as_matrix(b)
     c = as_matrix(c)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise DimensionMismatchError("diagonal blocks must be square")
+        raise SpcpmError("diagonal blocks must be square")
     if c.shape != (a.shape[0], b.shape[0]):
-        raise DimensionMismatchError(
+        raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
     if not is_psd(a, tol):
@@ -203,33 +194,16 @@ def gram_matrix(ops: Sequence) -> np.ndarray:
     product.  Positive definite exactly when the operator set is linearly
     independent."""
     if len(ops) == 0:
-        raise EmptySetError("operator set is empty")
+        raise SpcpmError("operator set is empty")
     mats = [as_matrix(op) for op in ops]
     shape = mats[0].shape
     for mat in mats[1:]:
         if mat.shape != shape:
-            raise ShapeMismatchError(
+            raise SpcpmError(
                 f"operators have mixed shapes {shape} and {mat.shape}"
             )
     stacked = np.stack([mat.ravel() for mat in mats])
     return stacked.conj() @ stacked.T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product.  The left factor carries the slow (system) index,
-    the right factor the fast (ancilla) index."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace_ancilla(m, d_sys: int, d_anc: int) -> np.ndarray:
-    """Trace out the fast (ancilla) factor of an operator on system x ancilla."""
-    arr = as_matrix(m)
-    n = d_sys * d_anc
-    if arr.shape != (n, n):
-        raise DimensionMismatchError(
-            f"operator has shape {arr.shape}, expected {(n, n)} for dims ({d_sys}, {d_anc})"
-        )
-    return arr.reshape(d_sys, d_anc, d_sys, d_anc).trace(axis1=1, axis2=3)
 
 
 def inv_sqrt_psd(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:

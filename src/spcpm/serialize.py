@@ -5,7 +5,8 @@ Complex entries are stored as [re, im] pairs of IEEE-754 doubles; the
 encoder relies on Python's shortest-round-trip float formatting, so a write
 followed by a read reproduces every matrix bit-exactly.  Every file carries
 a ``format`` tag: files are written as ``spcpm/2`` (compact JSON; a
-dilation stores ``u`` only) and ``spcpm/1`` files are still read.
+dilation stores ``u`` only) and ``spcpm/1`` files are still read.  A
+malformed file raises :class:`SpcpmError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .cpm import ChoiRep, KrausRep
 from .dilation import UnitaryDilation
-from .errors import FormatError, SpcpmError
+from .errors import SpcpmError
 from .linalg import as_matrix
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace
@@ -35,25 +36,25 @@ def encode_matrix(m) -> dict:
 
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise FormatError("matrix object must be a JSON object")
+        raise SpcpmError("matrix object must be a JSON object")
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix object: {exc}") from exc
+        raise SpcpmError(f"bad matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
-        raise FormatError("matrix dimensions must be positive")
+        raise SpcpmError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise FormatError("matrix data length does not match rows * cols")
+        raise SpcpmError("matrix data length does not match rows * cols")
     try:
         pairs = np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad matrix entries: {exc}") from exc
+        raise SpcpmError(f"bad matrix entries: {exc}") from exc
     if pairs.shape != (rows * cols, 2):
-        raise FormatError("matrix entries must be [re, im] pairs")
+        raise SpcpmError("matrix entries must be [re, im] pairs")
     if not np.all(np.isfinite(pairs)):
-        raise FormatError("matrix entries must be finite")
+        raise SpcpmError("matrix entries must be finite")
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
@@ -68,16 +69,13 @@ def _decode_space(obj, key: str) -> DecomposedSpace:
         or len(dims) != 2
         or not all(isinstance(d, int) for d in dims)
     ):
-        raise FormatError(f"{key} must be a pair of integers")
-    try:
-        return DecomposedSpace(dims[0], dims[1])
-    except ValueError as exc:
-        raise FormatError(f"{key}: {exc}") from exc
+        raise SpcpmError(f"{key} must be a pair of integers")
+    return DecomposedSpace(dims[0], dims[1])
 
 
 def _expect_kind(obj, kind: str) -> None:
     if obj.get("kind") != kind:
-        raise FormatError(f"expected a {kind!r} file, got kind={obj.get('kind')!r}")
+        raise SpcpmError(f"expected a {kind!r} file, got kind={obj.get('kind')!r}")
 
 
 def channel_to_obj(rep: KrausRep) -> dict:
@@ -96,12 +94,8 @@ def channel_from_obj(obj) -> KrausRep:
     target = _decode_space(obj, "target_dims")
     raw_ops = obj.get("kraus")
     if not isinstance(raw_ops, list) or not raw_ops:
-        raise FormatError("kraus must be a nonempty list of matrices")
-    ops = tuple(decode_matrix(o) for o in raw_ops)
-    try:
-        return KrausRep(source, target, ops)
-    except SpcpmError as exc:
-        raise FormatError(str(exc)) from exc
+        raise SpcpmError("kraus must be a nonempty list of matrices")
+    return KrausRep(source, target, tuple(decode_matrix(o) for o in raw_ops))
 
 
 def choi_to_obj(rep: ChoiRep) -> dict:
@@ -121,11 +115,8 @@ def choi_from_obj(obj) -> ChoiRep:
     target = _decode_space(obj, "target_dims")
     basis = obj.get("basis")
     if not isinstance(basis, str):
-        raise FormatError("basis must be a string tag")
-    try:
-        return ChoiRep(source, target, decode_matrix(obj.get("matrix")), basis)
-    except SpcpmError as exc:
-        raise FormatError(str(exc)) from exc
+        raise SpcpmError("basis must be a string tag")
+    return ChoiRep(source, target, decode_matrix(obj.get("matrix")), basis)
 
 
 def blocks_to_obj(blocks: SPBlockRep) -> dict:
@@ -144,16 +135,13 @@ def blocks_from_obj(obj) -> SPBlockRep:
     _expect_kind(obj, "blocks")
     source = _decode_space(obj, "source_dims")
     target = _decode_space(obj, "target_dims")
-    try:
-        return SPBlockRep(
-            source,
-            target,
-            decode_matrix(obj.get("block1")),
-            decode_matrix(obj.get("block2")),
-            decode_matrix(obj.get("cross")),
-        )
-    except SpcpmError as exc:
-        raise FormatError(str(exc)) from exc
+    return SPBlockRep(
+        source,
+        target,
+        decode_matrix(obj.get("block1")),
+        decode_matrix(obj.get("block2")),
+        decode_matrix(obj.get("cross")),
+    )
 
 
 def orthonormal_to_obj(
@@ -188,15 +176,12 @@ def dilation_from_obj(obj) -> UnitaryDilation:
     space = _decode_space(obj, "dims")
     anc = obj.get("ancilla_dim")
     if not isinstance(anc, int) or anc < 1:
-        raise FormatError("ancilla_dim must be a positive integer")
-    try:
-        dil = UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
-    except SpcpmError as exc:
-        raise FormatError(str(exc)) from exc
+        raise SpcpmError("ancilla_dim must be a positive integer")
+    dil = UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
     if obj.get("format") == FORMAT_V1:
         for name in ("v1", "v2"):
             if not np.array_equal(decode_matrix(obj.get(name)), getattr(dil, name)):
-                raise FormatError(f"{name} is not the block of u it must be")
+                raise SpcpmError(f"{name} is not the block of u it must be")
     return dil
 
 
@@ -208,9 +193,9 @@ def read_file(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        raise SpcpmError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise FormatError("top-level JSON value must be an object")
+        raise SpcpmError("top-level JSON value must be an object")
     if obj.get("format") not in (FORMAT, FORMAT_V1):
-        raise FormatError(f"unsupported format tag: {obj.get('format')!r}")
+        raise SpcpmError(f"unsupported format tag: {obj.get('format')!r}")
     return obj

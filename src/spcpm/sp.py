@@ -27,20 +27,11 @@ import numpy as np
 from .cpm import (
     ChoiRep,
     KrausRep,
-    choi_to_kraus,
     is_trace_preserving,
     kraus_rank,
     kraus_to_choi,
 )
-from .errors import (
-    ConditionsViolatedError,
-    DimensionMismatchError,
-    NotSPError,
-    NotTracePreservingError,
-    ResidualOffBlockError,
-    SingularMatrixError,
-    SingularNormalizerError,
-)
+from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
@@ -77,7 +68,7 @@ class SPBlockRep:
         b2 = frozen_matrix(self.block2)
         cr = frozen_matrix(self.cross)
         if b1.shape != (k, k) or b2.shape != (l, l) or cr.shape != (k, l):
-            raise DimensionMismatchError(
+            raise SpcpmError(
                 f"blocks have shapes {b1.shape}/{b2.shape}/{cr.shape}, "
                 f"expected {(k, k)}/{(l, l)}/{(k, l)}"
             )
@@ -86,19 +77,32 @@ class SPBlockRep:
         object.__setattr__(self, "cross", cr)
 
 
+def _same_block(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray:
+    """same[i, a]: target index i lies in the block of source index a.
+
+    This is the one SP coefficient pattern: read row-major it marks the
+    intra-block matrix units |t_i><s_a|, and an SP map's coefficient matrix
+    is zero outside the rows and columns it marks.
+    """
+    same = np.zeros((target.dim, source.dim), dtype=bool)
+    for block in (1, 2):
+        same[target.block_slice(block), source.block_slice(block)] = True
+    return same
+
+
+def _off_pattern(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray:
+    """Entries T[i, a, j, b] of the coefficient tensor an SP map leaves zero."""
+    same = _same_block(source, target)
+    return ~np.logical_and.outer(same, same)
+
+
 def _block_indices(
     source: DecomposedSpace, target: DecomposedSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the two intra-block matrix-unit bases inside the full
     row-major matrix-unit basis of maps source -> target."""
-    ds = source.dim
-    idx1 = np.array(
-        [i * ds + j for i in range(target.d1) for j in range(source.d1)]
-    )
-    idx2 = np.array(
-        [i * ds + j for i in range(target.d1, target.dim) for j in range(source.d1, ds)]
-    )
-    return idx1, idx2
+    units = np.flatnonzero(_same_block(source, target))
+    return units[: source.d1 * target.d1], units[source.d1 * target.d1 :]
 
 
 def _image_tensor(rep: KrausRep) -> np.ndarray:
@@ -139,7 +143,7 @@ def definition_violation(rep: KrausRep) -> tuple[float, str]:
 def is_sp_definition(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Weight-leakage test straight from the defining conditions."""
     check_tolerance(tol)
-    return definition_violation(rep)[0] <= tol
+    return bool(definition_violation(rep)[0] <= tol)
 
 
 def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
@@ -176,7 +180,7 @@ def is_sp_kraus_blocks(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Kraus-operator test: every operator splits into two block-supported
     pieces, V_k = P_t1 V_k P_s1 + P_t2 V_k P_s2."""
     check_tolerance(tol)
-    return kraus_blocks_violation(rep)[0] <= tol
+    return bool(kraus_blocks_violation(rep)[0] <= tol)
 
 
 def split_kraus_blocks(
@@ -207,11 +211,7 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
     """
     source, target = rep.source, rep.target
     image = _image_tensor(rep)
-    # same[i, a]: target index i lies in the block of source index a
-    same = np.zeros((target.dim, source.dim), dtype=bool)
-    for block in (1, 2):
-        same[target.block_slice(block), source.block_slice(block)] = True
-    off = ~(same[:, :, None, None] & same[None, None, :, :])
+    off = _off_pattern(source, target)
     mass = np.sum(np.abs(image) ** 2, axis=(0, 2), where=off)
     a, b = np.unravel_index(np.argmax(mass), mass.shape)
     if mass[a, b] == 0.0:
@@ -227,7 +227,7 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
 def is_sp_commutation(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Block-commutation test over a spanning set of inputs."""
     check_tolerance(tol)
-    return commutation_violation(rep)[0] <= tol
+    return bool(commutation_violation(rep)[0] <= tol)
 
 
 def trace_violation(rep: KrausRep) -> tuple[float, str, float]:
@@ -260,7 +260,7 @@ def is_sp_trace(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
         raise NotTracePreservingError(
             "trace verifier requires a trace-preserving channel"
         )
-    return trace_violation(rep)[0] <= tol
+    return bool(trace_violation(rep)[0] <= tol)
 
 
 def sp_from_blocks(blocks: SPBlockRep, tol: float = DEFAULT_TOL) -> ChoiRep:
@@ -271,7 +271,7 @@ def sp_from_blocks(blocks: SPBlockRep, tol: float = DEFAULT_TOL) -> ChoiRep:
     """
     failure = block_psd_failure(blocks.block1, blocks.block2, blocks.cross, tol)
     if failure is not None:
-        raise ConditionsViolatedError(failure)
+        raise SpcpmError(failure)
     m = blocks.source.dim * blocks.target.dim
     full = np.zeros((m, m), dtype=np.complex128)
     idx1, idx2 = _block_indices(blocks.source, blocks.target)
@@ -285,26 +285,24 @@ def sp_from_blocks(blocks: SPBlockRep, tol: float = DEFAULT_TOL) -> ChoiRep:
 def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
     """Extract the block triple of an SP channel from its coefficient matrix.
 
-    Raises :class:`ResidualOffBlockError` if the matrix carries weight
-    outside the two intra-block bases beyond tolerance.
+    Raises :class:`NotSPError` if the Kraus operators have cross-block
+    components or the matrix carries weight outside the two intra-block
+    bases beyond tolerance.
     """
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("channel has cross-block Kraus components above tolerance")
+    source, target = rep.source, rep.target
     full = kraus_to_choi(rep).matrix
-    idx1, idx2 = _block_indices(rep.source, rep.target)
-    leak = np.array(full)
-    leak[np.ix_(idx1, idx1)] = 0.0
-    leak[np.ix_(idx1, idx2)] = 0.0
-    leak[np.ix_(idx2, idx1)] = 0.0
-    leak[np.ix_(idx2, idx2)] = 0.0
-    off_mass = frobenius(leak)
+    off = _off_pattern(source, target).reshape(full.shape)
+    off_mass = float(np.sqrt(np.sum(np.abs(full) ** 2, where=off)))
     if off_mass > tol * max(1.0, frobenius(full)):
-        raise ResidualOffBlockError(
+        raise NotSPError(
             f"off-block coefficient mass {off_mass:.3e} exceeds tolerance"
         )
+    idx1, idx2 = _block_indices(source, target)
     return SPBlockRep(
-        rep.source,
-        rep.target,
+        source,
+        target,
         full[np.ix_(idx1, idx1)],
         full[np.ix_(idx2, idx2)],
         full[np.ix_(idx1, idx2)],
@@ -327,10 +325,10 @@ def random_sp_channel(
     stays inside the SP set and makes the channel trace preserving.  If S
     stays numerically singular after 8 fresh draws (which happens when the
     block shapes cannot support a trace-preserving channel at this k), a
-    :class:`SingularNormalizerError` is raised.
+    :class:`SingularMatrixError` is raised.
     """
     if k < 1:
-        raise ValueError("need at least one Kraus operator")
+        raise SpcpmError("need at least one Kraus operator")
     check_tolerance(rtol, "rtol")
     rng = np.random.default_rng(seed)
 
@@ -356,7 +354,7 @@ def random_sp_channel(
         except SingularMatrixError:
             continue
         return KrausRep(source, target, tuple(op @ normalizer for op in ops))
-    raise SingularNormalizerError(
+    raise SingularMatrixError(
         "trace-preserving normalizer stayed singular after 8 attempts"
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlockError, ShapeMismatchError
+from .errors import SpcpmError
 from .linalg import as_matrix
 
 
@@ -25,7 +25,7 @@ class DecomposedSpace:
 
     def __post_init__(self) -> None:
         if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("both blocks must be at least one-dimensional")
+            raise SpcpmError("both blocks must be at least one-dimensional")
 
     @property
     def dim(self) -> int:
@@ -34,7 +34,7 @@ class DecomposedSpace:
 
     def _check_block(self, block: int) -> None:
         if block not in (1, 2):
-            raise InvalidBlockError(f"block must be 1 or 2, got {block!r}")
+            raise SpcpmError(f"block must be 1 or 2, got {block!r}")
 
     def block_dim(self, block: int) -> int:
         self._check_block(block)
@@ -67,25 +67,9 @@ def embed_block_operator(
     arr = as_matrix(x)
     expected = (tgt.block_dim(tgt_block), src.block_dim(src_block))
     if arr.shape != expected:
-        raise ShapeMismatchError(
+        raise SpcpmError(
             f"block operator has shape {arr.shape}, expected {expected}"
         )
     out = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
     out[tgt.block_slice(tgt_block), src.block_slice(src_block)] = arr
     return out
-
-
-def extract_block_operator(
-    y,
-    src: DecomposedSpace,
-    tgt: DecomposedSpace,
-    src_block: int,
-    tgt_block: int,
-) -> np.ndarray:
-    """Slice the named block back out of a full-space operator."""
-    arr = as_matrix(y)
-    if arr.shape != (tgt.dim, src.dim):
-        raise ShapeMismatchError(
-            f"operator has shape {arr.shape}, expected {(tgt.dim, src.dim)}"
-        )
-    return arr[tgt.block_slice(tgt_block), src.block_slice(src_block)].copy()

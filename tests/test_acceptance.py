@@ -24,7 +24,7 @@ from spcpm.cpm import (
     unitary_mix,
 )
 from spcpm.dilation import apply_dilation, build_dilation, verify_dilation
-from spcpm.linalg import block_psd_check, tensor
+from spcpm.linalg import block_psd_check
 from spcpm.sp import (
     SPBlockRep,
     _block_indices,
@@ -336,7 +336,7 @@ def test_criterion_7_unitary_dilation():
         eye_big = np.eye(n)
         worst = max(worst, float(np.linalg.norm(dil.u.conj().T @ dil.u - eye_big)))
         for block, v in ((1, dil.v1), (2, dil.v2)):
-            support = tensor(space.projector(block), np.eye(dil.ancilla_dim))
+            support = np.kron(space.projector(block), np.eye(dil.ancilla_dim))
             worst = max(worst, float(np.linalg.norm(v @ v.conj().T - support)))
             worst = max(worst, float(np.linalg.norm(v.conj().T @ v - support)))
             worst = max(worst, float(np.linalg.norm(support @ v @ support - v)))

@@ -1,0 +1,115 @@
+"""Tests of the package surface: the public names, the error classes, and
+the return types of the predicates."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import spcpm
+from spcpm import cpm, errors, sp
+from spcpm.cpm import ChoiRep, KrausRep
+from spcpm.dilation import UnitaryDilation
+from spcpm.errors import SpcpmError
+from spcpm.linalg import as_matrix
+from spcpm.spaces import DecomposedSpace
+
+C2 = DecomposedSpace(1, 1)
+IDENTITY = KrausRep(C2, C2, (np.eye(2),))
+SWAP = KrausRep(C2, C2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+
+PUBLIC_NAMES = {
+    "ChoiRep",
+    "DecomposedSpace",
+    "DEFAULT_RTOL",
+    "DEFAULT_TOL",
+    "KrausRep",
+    "SPBlockRep",
+    "SpcpmError",
+    "UnitaryDilation",
+    "apply",
+    "apply_choi",
+    "apply_dilation",
+    "block_psd_check",
+    "blocks_from_sp",
+    "build_dilation",
+    "channels_equal",
+    "choi_to_kraus",
+    "compose",
+    "is_sp_commutation",
+    "is_sp_definition",
+    "is_sp_kraus_blocks",
+    "is_sp_trace",
+    "is_trace_preserving",
+    "kraus_from_dilation",
+    "kraus_rank",
+    "kraus_to_choi",
+    "orthonormal_kraus",
+    "random_sp_channel",
+    "sp_from_blocks",
+    "sp_kraus_bound_holds",
+    "split_kraus_blocks",
+    "unitary_mix",
+    "verify_dilation",
+}
+
+
+def test_public_api_is_the_32_names():
+    assert len(spcpm.__all__) == 32
+    assert set(spcpm.__all__) == PUBLIC_NAMES
+    for name in spcpm.__all__:
+        assert getattr(spcpm, name) is not None
+
+
+def test_five_error_classes_all_spcpm_errors():
+    classes = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception)
+    }
+    assert classes == {
+        "SpcpmError",
+        "NotSPError",
+        "NotTracePreservingError",
+        "SourceTargetMismatchError",
+        "SingularMatrixError",
+    }
+    for name in classes:
+        assert issubclass(getattr(errors, name), SpcpmError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DecomposedSpace(0, 1), "at least one-dimensional"),
+        (lambda: KrausRep(C2, C2, ()), "at least one operator"),
+        (lambda: UnitaryDilation(C2, 0, np.eye(2)), "ancilla must be"),
+        (lambda: as_matrix([[np.inf]]), "must be finite"),
+        (lambda: cpm.apply_choi(ChoiRep(C2, C2, np.eye(4), "pauli"), np.eye(2)),
+         "unsupported basis tag"),
+        (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
+    ],
+    ids=["space", "kraus", "dilation", "as_matrix", "basis", "random_k"],
+)
+def test_rejections_are_spcpm_errors(call, message):
+    with pytest.raises(SpcpmError, match=message):
+        call()
+
+
+PREDICATES = {
+    "is_sp_definition": sp.is_sp_definition,
+    "is_sp_commutation": sp.is_sp_commutation,
+    "is_sp_kraus_blocks": sp.is_sp_kraus_blocks,
+    "is_sp_trace": sp.is_sp_trace,
+    "is_trace_preserving": cpm.is_trace_preserving,
+    "channels_equal": lambda rep, tol: cpm.channels_equal(rep, IDENTITY, tol),
+}
+
+
+@pytest.mark.parametrize("name", PREDICATES)
+@pytest.mark.parametrize("rep", [IDENTITY, SWAP], ids=["identity", "swap"])
+def test_predicates_return_python_bool(name, rep):
+    # a numpy tolerance must not turn the verdict into a numpy.bool_
+    result = PREDICATES[name](rep, np.float64(1e-9))
+    assert type(result) is bool
+    if rep is IDENTITY:
+        assert result is True

@@ -9,7 +9,7 @@ from spcpm import serialize
 from spcpm.cli import main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
 from spcpm.dilation import verify_dilation
-from spcpm.errors import FormatError
+from spcpm.errors import SpcpmError
 from spcpm.sp import sp_from_blocks
 from spcpm.spaces import DecomposedSpace
 
@@ -79,7 +79,7 @@ class TestFileFormat:
         obj["format"] = "spcpm/3"
         path = tmp_path / "future.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(FormatError, match="format tag"):
+        with pytest.raises(SpcpmError, match="format tag"):
             serialize.read_file(path)
 
     def test_signed_zeros_survive(self):
@@ -103,7 +103,7 @@ class TestFileFormat:
         ids=["short", "triple", "text", "object", "null", "inf", "huge", "flat"],
     )
     def test_bad_entries_are_format_errors(self, data):
-        with pytest.raises(FormatError):
+        with pytest.raises(SpcpmError, match="matrix entries"):
             serialize.decode_matrix({"rows": 1, "cols": 2, "data": data})
 
 
@@ -286,6 +286,15 @@ class TestDilate:
         write_channel(path, KrausRep(C2, C2, (np.eye(2) / 2,)))
         out = tmp_path / "never.json"
         assert main(["dilate", str(path), "--out", str(out)]) == 1
+
+    def test_different_decompositions_are_negative(self, tmp_path, capsys):
+        src = tmp_path / "chan.json"
+        assert main(["gen", "--dims", "1,2,2,1", "--kraus", "3", "--tp",
+                     "--seed", "42", "--out", str(src)]) == 0
+        out = tmp_path / "never.json"
+        assert main(["dilate", str(src), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "identical source and target" in capsys.readouterr().err
 
 
 class TestKrausRankCommand:

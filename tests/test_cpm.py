@@ -17,13 +17,7 @@ from spcpm.cpm import (
     orthonormal_kraus,
     unitary_mix,
 )
-from spcpm.errors import (
-    DimensionMismatchError,
-    NotPSDError,
-    NotUnitaryError,
-    ShapeMismatchError,
-    SizeMismatchError,
-)
+from spcpm.errors import SpcpmError
 from spcpm.linalg import gram_matrix
 from spcpm.spaces import DecomposedSpace
 
@@ -63,7 +57,7 @@ class TestKrausRep:
             KrausRep(C2, C2, ())
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SpcpmError, match="Kraus operator has shape"):
             KrausRep(C2, C2, (np.eye(3),))
 
     def test_rejects_non_finite(self):
@@ -99,7 +93,7 @@ class TestApply:
 
     def test_rejects_wrong_input_shape(self):
         rep = KrausRep(C2, C2, (np.eye(2),))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SpcpmError, match="input has shape"):
             apply(rep, np.eye(3))
 
 
@@ -172,7 +166,7 @@ class TestChoiToKraus:
         assert np.linalg.norm(back - mat) <= 1e-9
 
     def test_rejects_indefinite_matrix(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(SpcpmError, match="not positive semi-definite"):
             choi_to_kraus(ChoiRep(C2, C2, np.diag([1.0, -1.0, 0.0, 0.0])))
 
     def test_deterministic_gauge(self):
@@ -236,9 +230,9 @@ class TestUnitaryMix:
     def test_rejects_non_unitary_and_wrong_size(self):
         rng = np.random.default_rng(53)
         rep = random_rep(rng, C2, C2, 2)
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(SpcpmError, match="not unitary"):
             unitary_mix(rep, 2.0 * np.eye(2))
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(SpcpmError, match="mixing matrix has shape"):
             unitary_mix(rep, np.eye(3))
 
 
@@ -301,7 +295,7 @@ class TestCompose:
         rng = np.random.default_rng(58)
         a = random_rep(rng, C2, DecomposedSpace(2, 1), 1)
         b = random_rep(rng, C2, C2, 1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SpcpmError, match="cannot compose"):
             compose(b, a)
 
 
@@ -344,7 +338,7 @@ class TestChannelsEqual:
         rng = np.random.default_rng(62)
         a = random_rep(rng, C2, C2, 1)
         b = random_rep(rng, C2, DecomposedSpace(2, 1), 1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SpcpmError, match="different dimensions"):
             channels_equal(a, b, 1e-10)
 
 

@@ -22,12 +22,11 @@ from spcpm.dilation import (
     verify_dilation,
 )
 from spcpm.errors import (
-    FormatError,
     NotSPError,
     NotTracePreservingError,
     SourceTargetMismatchError,
+    SpcpmError,
 )
-from spcpm.linalg import tensor
 from spcpm.sp import is_sp_definition, random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace
 
@@ -68,13 +67,13 @@ def reference_dilation(rep):
     parts = []
     for block, pieces in ((1, split1), (2, split2)):
         proj = space.projector(block)
-        v = tensor(proj, np.eye(anc)) - tensor(proj, unit(anc, 0, 0))
+        v = np.kron(proj, np.eye(anc)) - np.kron(proj, unit(anc, 0, 0))
         for row, piece_r in enumerate(pieces, start=1):
             for col, piece_c in enumerate(pieces, start=1):
-                v -= tensor(piece_r @ piece_c.conj().T, unit(anc, row, col))
+                v -= np.kron(piece_r @ piece_c.conj().T, unit(anc, row, col))
         for k, piece in enumerate(pieces, start=1):
-            v += tensor(piece, unit(anc, k, 0))
-            v += tensor(piece.conj().T, unit(anc, 0, k))
+            v += np.kron(piece, unit(anc, k, 0))
+            v += np.kron(piece.conj().T, unit(anc, 0, k))
         parts.append(v)
     v1, v2 = parts
     return v1 + v2, v1, v2
@@ -100,7 +99,7 @@ class TestBuildDilation:
         assert np.linalg.norm(dil.u - (dil.v1 + dil.v2)) <= 1e-12
         assert np.linalg.norm(dil.u.conj().T @ dil.u - np.eye(n)) <= 1e-9
         for block, v in ((1, dil.v1), (2, dil.v2)):
-            support = tensor(C2.projector(block), np.eye(3))
+            support = np.kron(C2.projector(block), np.eye(3))
             assert np.linalg.norm(v @ v.conj().T - support) <= 1e-9
             assert np.linalg.norm(v.conj().T @ v - support) <= 1e-9
 
@@ -157,7 +156,7 @@ class TestApplyDilation:
         rep = random_sp_channel(DecomposedSpace(2, 2), DecomposedSpace(2, 2), 3, True, 903)
         dil = build_dilation(rep)
         for block, v in ((1, dil.v1), (2, dil.v2)):
-            support = tensor(dil.space.projector(block), np.eye(dil.ancilla_dim))
+            support = np.kron(dil.space.projector(block), np.eye(dil.ancilla_dim))
             assert np.linalg.norm(support @ v @ support - v) <= 1e-9
 
 
@@ -172,7 +171,7 @@ class TestVerifyDilation:
         dil = build_dilation(rep)
         # replace the unitary by one that moves weight between blocks
         swap_sys = np.array([[0.0, 1.0], [1.0, 0.0]])
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, tensor(swap_sys, np.eye(2)))
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, np.kron(swap_sys, np.eye(2)))
         assert not verify_dilation(tampered, rep)
 
     def test_rejects_perturbed_unitary(self):
@@ -302,11 +301,11 @@ class TestFirstFormatFiles:
         obj["v1"]["data"][0][0] += 1e-15
         path = tmp_path / "old.json"
         path.write_text(json.dumps(obj, indent=2) + "\n")
-        with pytest.raises(FormatError, match="v1"):
+        with pytest.raises(SpcpmError, match="v1 is not the block of u"):
             serialize.dilation_from_obj(serialize.read_file(path))
 
     def test_missing_v2_is_refused(self):
         obj = v1_dilation_obj(dephasing_channel(0.5))
         del obj["v2"]
-        with pytest.raises(FormatError):
+        with pytest.raises(SpcpmError, match="matrix object must be a JSON object"):
             serialize.dilation_from_obj(obj)

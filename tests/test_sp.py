@@ -17,10 +17,10 @@ from spcpm.cpm import (
     unitary_mix,
 )
 from spcpm.errors import (
-    ConditionsViolatedError,
     NotSPError,
     NotTracePreservingError,
-    SingularNormalizerError,
+    SingularMatrixError,
+    SpcpmError,
 )
 from spcpm.sp import (
     SPBlockRep,
@@ -254,12 +254,12 @@ class TestSpFromBlocks:
             assert is_sp_commutation(rep)
 
     def test_rejects_invalid_triple(self):
-        with pytest.raises(ConditionsViolatedError):
+        with pytest.raises(SpcpmError, match="Schur complement"):
             sp_from_blocks(SPBlockRep(C2, C2, np.eye(1), np.eye(1), 2 * np.eye(1)))
 
     def test_rejects_kernel_leak(self):
         # block1 = 0 forces cross = 0
-        with pytest.raises(ConditionsViolatedError):
+        with pytest.raises(SpcpmError, match="kernel of the upper-left block"):
             sp_from_blocks(SPBlockRep(C2, C2, np.zeros((1, 1)), np.eye(1), np.eye(1)))
 
 
@@ -291,6 +291,17 @@ class TestBlocksFromSp:
     def test_rejects_non_sp(self):
         with pytest.raises(NotSPError):
             blocks_from_sp(KrausRep(C2, C2, (SWAP,)))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (3, 2, 2, 3), (1, 3, 4, 1)])
+    def test_exactly_sp_has_exactly_zero_off_block_mass(self, dims):
+        # at the smallest positive tolerance the extraction succeeds only if
+        # the cross-block Kraus components and the off-block coefficient mass
+        # are both exactly zero, as they are for block-embedded operators
+        source, target = DecomposedSpace(*dims[:2]), DecomposedSpace(*dims[2:])
+        for seed in range(10):
+            rep = random_sp_channel(source, target, 3, False, 108 + seed)
+            blocks = blocks_from_sp(rep, tol=np.nextafter(0.0, 1.0))
+            assert channels_equal(rep, choi_to_kraus(sp_from_blocks(blocks)), 1e-9)
 
     def test_off_block_entries_vanish_for_sp(self):
         rep = random_sp_channel(DecomposedSpace(3, 2), DecomposedSpace(2, 3), 4, False, 107)
@@ -331,7 +342,7 @@ class TestRandomSpChannel:
     def test_structurally_singular_normalizer_raises(self):
         # one operator from a 2-dim block into a 1-dim block can never give a
         # full-rank normalizer
-        with pytest.raises(SingularNormalizerError):
+        with pytest.raises(SingularMatrixError, match="normalizer stayed singular"):
             random_sp_channel(DecomposedSpace(2, 1), DecomposedSpace(1, 1), 1, True, 111)
 
 

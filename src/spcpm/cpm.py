@@ -27,9 +27,9 @@ from .linalg import (
     check_tolerance,
     frobenius,
     frozen_matrix,
-    gram_matrix,
     hermitian_eig,
-    is_psd,
+    psd_eig,
+    rank_cutoff,
 )
 from .spaces import DecomposedSpace
 
@@ -120,16 +120,26 @@ def apply_choi(rep: ChoiRep, q) -> np.ndarray:
     return np.einsum("ijkl,jl->ik", coeff, qa)
 
 
-def _phase_normalized(vec: np.ndarray) -> np.ndarray:
-    """Fix the global phase so the first significant entry is real positive
-    (reproducible eigenvector gauge across runs)."""
-    mags = np.abs(vec)
-    top = float(mags.max())
-    if top == 0.0:
-        return vec
-    idx = int(np.argmax(mags > 1e-12 * top))
-    phase = vec[idx] / mags[idx]
-    return vec * np.conj(phase)
+def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the rank cutoff, ascending, and their eigenvectors
+    as (dt, ds) operators, all from one decomposition of the coefficient
+    matrix.
+
+    Each eigenvector's global phase is fixed so that its first entry above
+    1e-12 of its largest magnitude is real positive (a reproducible gauge).
+    """
+    _require_basis(rep)
+    eig = psd_eig(rep.matrix, tol=rtol)
+    if eig is None:
+        raise SpcpmError("coefficient matrix is not positive semi-definite")
+    w, v = eig
+    keep = w > rank_cutoff(w, rtol)
+    vecs = v[:, keep]
+    mags = np.abs(vecs)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    cols = np.arange(vecs.shape[1])
+    gauged = vecs * np.conj(vecs[first, cols] / mags[first, cols])
+    return w[keep], gauged.T.reshape(-1, rep.target.dim, rep.source.dim)
 
 
 def choi_to_kraus(rep: ChoiRep, rtol: float = DEFAULT_RTOL) -> KrausRep:
@@ -140,19 +150,10 @@ def choi_to_kraus(rep: ChoiRep, rtol: float = DEFAULT_RTOL) -> KrausRep:
     gauge, so the output is reproducible.  An all-zero matrix yields the zero
     channel as a single all-zero operator.
     """
-    _require_basis(rep)
-    if not is_psd(rep.matrix, tol=rtol):
-        raise SpcpmError("coefficient matrix is not positive semi-definite")
-    w, v = hermitian_eig(rep.matrix, tol=rtol)
-    cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
-    ds, dt = rep.source.dim, rep.target.dim
-    ops = []
-    for n in range(len(w)):
-        if w[n] > cutoff:
-            vec = _phase_normalized(v[:, n])
-            ops.append(np.sqrt(w[n]) * vec.reshape(dt, ds))
-    if not ops:
-        ops = [np.zeros((dt, ds), dtype=np.complex128)]
+    w, mats = _kept_eigenpairs(rep, rtol)
+    ops = np.sqrt(w)[:, None, None] * mats
+    if not len(ops):
+        ops = np.zeros((1, rep.target.dim, rep.source.dim))
     return KrausRep(rep.source, rep.target, tuple(ops))
 
 
@@ -164,8 +165,7 @@ def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
     """
     check_tolerance(rtol, "rtol")
     w = hermitian_eig(kraus_to_choi(rep).matrix, tol=DEFAULT_TOL).eigenvalues
-    cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
-    return int(np.count_nonzero(w > cutoff))
+    return int(np.count_nonzero(w > rank_cutoff(w, rtol)))
 
 
 def unitary_mix(rep: KrausRep, u) -> KrausRep:
@@ -196,17 +196,8 @@ def orthonormal_kraus(
     and the channel equal to Q -> sum_n r_n Y_n Q Y_n†.  The number of pairs
     equals the Kraus rank; for the zero channel the list is empty.
     """
-    lin = choi_to_kraus(kraus_to_choi(rep), rtol)
-    w, u = hermitian_eig(gram_matrix(lin.ops))
-    cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
-    stacked = np.stack(lin.ops)
-    pairs: list[tuple[float, np.ndarray]] = []
-    for n in range(len(w)):
-        if w[n] <= cutoff:
-            continue
-        mixed = np.tensordot(u[:, n], stacked, axes=(0, 0))
-        pairs.append((float(w[n]), mixed / np.sqrt(w[n])))
-    return pairs
+    w, mats = _kept_eigenpairs(kraus_to_choi(rep), rtol)
+    return [(float(r), y) for r, y in zip(w, mats)]
 
 
 def compose(b: KrausRep, a: KrausRep) -> KrausRep:

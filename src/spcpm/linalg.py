@@ -1,13 +1,18 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecomposition, Moore-Penrose pseudo-inverse of Hermitian
-matrices, positivity predicates (including the Schur-complement test for
-2x2 block matrices) and Gram matrices.
+Hermitian eigendecomposition, positivity predicates (including the
+Schur-complement test for 2x2 block matrices) and the inverse square root.
 
 All functions accept anything convertible to a 2-D complex array and return
 fresh ``complex128`` arrays.  Matrices here are small (dimension tens, not
 thousands), so everything is done by direct eigendecomposition; determinism
 for identical input bits matters more than speed.
+
+One cutoff rule decides ranks: an eigenvalue counts as zero when its
+magnitude is at most ``rtol * max(1, max|eigenvalue|)`` (:func:`rank_cutoff`),
+and a PSD matrix may have eigenvalues down to minus that cutoff.  A positivity
+verdict and the factors read from it come from the same decomposition
+(:func:`psd_eig`), so no matrix is decomposed twice.
 
 Every ``tol``/``rtol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -17,7 +22,7 @@ directly or in the first callee the value is handed to.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .errors import SingularMatrixError, SpcpmError
 
 #: Default tolerance for positivity and residual checks.
 DEFAULT_TOL = 1e-9
-#: Default relative cutoff for rank decisions (pseudo-inverse, Kraus rank).
+#: Default relative cutoff for rank decisions (Kraus rank, minimal Kraus lists).
 DEFAULT_RTOL = 1e-10
 
 
@@ -107,42 +112,35 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues, eigenvectors)
 
 
-def pseudo_inverse(b, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a Hermitian matrix.
-
-    Eigenvalues of magnitude at most ``rtol * max(1, max|eigenvalue|)`` are
-    treated as exact zeros; the remaining ones are inverted on their
-    eigenspaces.  Only Hermitian inputs are supported.
-    """
-    w, v = hermitian_eig(b, tol=rtol)
-    cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
-    inv = np.zeros_like(w)
-    keep = np.abs(w) > cutoff
-    inv[keep] = 1.0 / w[keep]
-    return (v * inv) @ v.conj().T
+def rank_cutoff(w: np.ndarray, rtol: float) -> float:
+    """Magnitude at or below which an eigenvalue of ``w`` counts as zero:
+    ``rtol * max(1, max|w|)``."""
+    return rtol * max(1.0, float(np.max(np.abs(w))))
 
 
-def zero_space_projector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Orthogonal projector onto the kernel of a Hermitian matrix: I - A A^+."""
-    arr = as_matrix(a)
-    _require_square(arr)
-    return np.eye(arr.shape[0], dtype=np.complex128) - arr @ pseudo_inverse(arr, rtol)
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``m`` is Hermitian and positive semi-definite within ``tol``.
+def psd_eig(m, tol: float = DEFAULT_TOL) -> Optional[HermitianEig]:
+    """Eigendecomposition of ``m`` if it is Hermitian and positive
+    semi-definite within ``tol``, else ``None``.
 
     Hermiticity requires ``||M - M†||_F <= tol * max(1, ||M||_F)``; the
-    eigenvalue floor is ``-tol * max(1, max|eigenvalue|)``.
+    eigenvalue floor is ``-rank_cutoff(w, tol)``.  The eigenpairs are those
+    of (M + M†)/2, as in :func:`hermitian_eig`.
     """
     check_tolerance(tol)
     arr = as_matrix(m)
     _require_square(arr)
     if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):
-        return False
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] >= -tol * scale)
+        return None
+    w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
+    if w[0] < -rank_cutoff(w, tol):
+        return None
+    return HermitianEig(w, v)
+
+
+def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``m`` is Hermitian and positive semi-definite within ``tol``
+    (the conditions of :func:`psd_eig`)."""
+    return psd_eig(m, tol) is not None
 
 
 def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
@@ -153,6 +151,9 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     inside the ranges of A and B, and the Schur complement A - C B^+ C†
     positive semi-definite.  The diagonal-block checks make the verdict
     match assembled-matrix positivity even for indefinite A or B.
+
+    A and B are decomposed once each: the kernel of each is spanned by its
+    eigenvectors at or below the rank cutoff, and B^+ inverts the others.
     """
     check_tolerance(tol)
     a = as_matrix(a)
@@ -164,16 +165,24 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
         raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
-    if not is_psd(a, tol):
+    eig_a = psd_eig(a, tol)
+    if eig_a is None:
         return "upper-left block is not positive semi-definite"
-    if not is_psd(b, tol):
+    eig_b = psd_eig(b, tol)
+    if eig_b is None:
         return "lower-right block is not positive semi-definite"
+    (wa, va), (wb, vb) = eig_a, eig_b
+    range_a = wa > rank_cutoff(wa, tol)
+    range_b = wb > rank_cutoff(wb, tol)
+    # ||P0 C||_F = ||K† C||_F for the kernel projector P0 = K K† of
+    # orthonormal kernel eigenvectors K
     scale = max(1.0, frobenius(c))
-    if frobenius(zero_space_projector(a, tol) @ c) > tol * scale:
+    if frobenius(va[:, ~range_a].conj().T @ c) > tol * scale:
         return "coupling block has support on the kernel of the upper-left block"
-    if frobenius(c @ zero_space_projector(b, tol)) > tol * scale:
+    if frobenius(c @ vb[:, ~range_b]) > tol * scale:
         return "coupling block has support on the kernel of the lower-right block"
-    schur = a - c @ pseudo_inverse(b, tol) @ c.conj().T
+    cv = c @ vb[:, range_b]
+    schur = a - (cv / wb[range_b]) @ cv.conj().T
     if not is_psd(schur, tol):
         return "Schur complement is not positive semi-definite"
     return None
@@ -187,23 +196,6 @@ def block_psd_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
     each other.
     """
     return block_psd_failure(a, b, c, tol) is None
-
-
-def gram_matrix(ops: Sequence) -> np.ndarray:
-    """Gram matrix G[m, m'] = Tr(V_m† V_m') under the Hilbert-Schmidt inner
-    product.  Positive definite exactly when the operator set is linearly
-    independent."""
-    if len(ops) == 0:
-        raise SpcpmError("operator set is empty")
-    mats = [as_matrix(op) for op in ops]
-    shape = mats[0].shape
-    for mat in mats[1:]:
-        if mat.shape != shape:
-            raise SpcpmError(
-                f"operators have mixed shapes {shape} and {mat.shape}"
-            )
-    stacked = np.stack([mat.ravel() for mat in mats])
-    return stacked.conj() @ stacked.T
 
 
 def inv_sqrt_psd(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:

@@ -4,9 +4,8 @@ dilations.
 Complex entries are stored as [re, im] pairs of IEEE-754 doubles; the
 encoder relies on Python's shortest-round-trip float formatting, so a write
 followed by a read reproduces every matrix bit-exactly.  Every file carries
-a ``format`` tag: files are written as ``spcpm/2`` (compact JSON; a
-dilation stores ``u`` only) and ``spcpm/1`` files are still read.  A
-malformed file raises :class:`SpcpmError`.
+the ``format`` tag ``spcpm/2`` (compact JSON; a dilation stores ``u`` only),
+and no other tag is read.  A malformed file raises :class:`SpcpmError`.
 """
 
 from __future__ import annotations
@@ -24,8 +23,11 @@ from .sp import SPBlockRep
 from .spaces import DecomposedSpace
 
 FORMAT = "spcpm/2"
-#: The first format, which also stored a dilation's ``v1`` and ``v2``.
-FORMAT_V1 = "spcpm/1"
+
+
+def _is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (``true`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def encode_matrix(m) -> dict:
@@ -38,11 +40,11 @@ def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise SpcpmError("matrix object must be a JSON object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
         raise SpcpmError(f"bad matrix object: {exc}") from exc
+    if not (_is_int(rows) and _is_int(cols)):
+        raise SpcpmError("matrix rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise SpcpmError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -67,7 +69,7 @@ def _decode_space(obj, key: str) -> DecomposedSpace:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) for d in dims)
+        or not all(_is_int(d) for d in dims)
     ):
         raise SpcpmError(f"{key} must be a pair of integers")
     return DecomposedSpace(dims[0], dims[1])
@@ -170,19 +172,12 @@ def dilation_to_obj(dil: UnitaryDilation) -> dict:
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
-    """Read a dilation.  An ``spcpm/1`` object also carries ``v1`` and
-    ``v2``; they must equal the diagonal blocks of ``u`` exactly."""
     _expect_kind(obj, "dilation")
     space = _decode_space(obj, "dims")
     anc = obj.get("ancilla_dim")
-    if not isinstance(anc, int) or anc < 1:
+    if not _is_int(anc) or anc < 1:
         raise SpcpmError("ancilla_dim must be a positive integer")
-    dil = UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
-    if obj.get("format") == FORMAT_V1:
-        for name in ("v1", "v2"):
-            if not np.array_equal(decode_matrix(obj.get(name)), getattr(dil, name)):
-                raise SpcpmError(f"{name} is not the block of u it must be")
-    return dil
+    return UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
 
 
 def write_file(path, obj: dict) -> None:
@@ -196,6 +191,6 @@ def read_file(path) -> dict:
         raise SpcpmError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpcpmError("top-level JSON value must be an object")
-    if obj.get("format") not in (FORMAT, FORMAT_V1):
+    if obj.get("format") != FORMAT:
         raise SpcpmError(f"unsupported format tag: {obj.get('format')!r}")
     return obj

@@ -8,7 +8,7 @@ import pytest
 from spcpm import serialize
 from spcpm.cli import main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
-from spcpm.dilation import verify_dilation
+from spcpm.dilation import build_dilation, verify_dilation
 from spcpm.errors import SpcpmError
 from spcpm.sp import sp_from_blocks
 from spcpm.spaces import DecomposedSpace
@@ -65,14 +65,14 @@ class TestFileFormat:
         assert text.count("\n") == 1 and text.endswith("}\n")
         assert json.loads(text)["format"] == "spcpm/2"
 
-    def test_first_format_channel_still_reads(self, tmp_path):
-        rep = KrausRep(C2, C2, (np.diag([1.0, -1.0]),))
-        obj = serialize.channel_to_obj(rep)
+    def test_first_format_is_refused(self, tmp_path):
+        obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
         obj["format"] = "spcpm/1"
         path = tmp_path / "old.json"
         path.write_text(json.dumps(obj, indent=2) + "\n")
-        back = serialize.channel_from_obj(serialize.read_file(path))
-        np.testing.assert_array_equal(back.ops[0], rep.ops[0])
+        with pytest.raises(SpcpmError, match="unsupported format tag: 'spcpm/1'"):
+            serialize.read_file(path)
+        assert main(["verify", str(path)]) == 2
 
     def test_unknown_format_tag_is_refused(self, tmp_path):
         obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
@@ -89,22 +89,46 @@ class TestFileFormat:
         assert back.tobytes() == mat.tobytes()
 
     @pytest.mark.parametrize(
-        "data",
+        "fields,match",
         [
-            [[1.0, 0.0], [1.0]],
-            [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-            [[1.0, 0.0], ["x", 0.0]],
-            [[1.0, 0.0], [{}, 0.0]],
-            [[1.0, 0.0], [None, 0.0]],
-            [[1.0, 0.0], [float("inf"), 0.0]],
-            [[1.0, 0.0], [10**400, 0.0]],
-            [1.0, 0.0],
+            ({"data": [[1.0, 0.0], [1.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0], ["x", 0.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0], [{}, 0.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0], [None, 0.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0], [float("inf"), 0.0]]}, "matrix entries"),
+            ({"data": [[1.0, 0.0], [10**400, 0.0]]}, "matrix entries"),
+            ({"data": [1.0, 0.0]}, "matrix entries"),
+            ({"rows": 1.9, "cols": True}, "rows and cols must be integers"),
+            ({"rows": "1"}, "rows and cols must be integers"),
         ],
-        ids=["short", "triple", "text", "object", "null", "inf", "huge", "flat"],
+        ids=["short", "triple", "text", "object", "null", "inf", "huge", "flat",
+             "float-and-bool-size", "text-size"],
     )
-    def test_bad_entries_are_format_errors(self, data):
-        with pytest.raises(SpcpmError, match="matrix entries"):
-            serialize.decode_matrix({"rows": 1, "cols": 2, "data": data})
+    def test_bad_entries_are_format_errors(self, fields, match):
+        obj = {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0]], **fields}
+        with pytest.raises(SpcpmError, match=match):
+            serialize.decode_matrix(obj)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("source_dims", [True, True]), ("rows", 1.9), ("cols", True), ("rows", "2")],
+    )
+    def test_non_integer_sizes_in_files_exit_2(self, tmp_path, key, value):
+        obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
+        (obj if key.endswith("_dims") else obj["kraus"][0])[key] = value
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SpcpmError, match="integers"):
+            serialize.channel_from_obj(serialize.read_file(path))
+        assert main(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_non_integer_ancilla_dim_is_refused(self, value):
+        obj = serialize.dilation_to_obj(build_dilation(KrausRep(C2, C2, (np.eye(2),))))
+        obj["ancilla_dim"] = value
+        with pytest.raises(SpcpmError, match="ancilla_dim must be a positive integer"):
+            serialize.dilation_from_obj(obj)
 
 
 class TestGen:

@@ -18,7 +18,6 @@ from spcpm.cpm import (
     unitary_mix,
 )
 from spcpm.errors import SpcpmError
-from spcpm.linalg import gram_matrix
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -257,7 +256,8 @@ class TestOrthonormalKraus:
         rep = random_rep(rng, DecomposedSpace(1, 2), DecomposedSpace(2, 1), 4)
         pairs = orthonormal_kraus(rep)
         assert len(pairs) == kraus_rank(rep)
-        g = gram_matrix([y for _, y in pairs])
+        stacked = np.stack([y.ravel() for _, y in pairs])
+        g = stacked.conj() @ stacked.T
         assert np.linalg.norm(g - np.eye(len(pairs))) <= 1e-9
         rebuilt = KrausRep(
             rep.source, rep.target, tuple(np.sqrt(r) * y for r, y in pairs)
@@ -373,5 +373,6 @@ class TestRankInvariance:
         rep = random_rep(rng, DecomposedSpace(2, 1), DecomposedSpace(1, 2), 4)
         minimal = choi_to_kraus(kraus_to_choi(rep))
         assert len(minimal.ops) == kraus_rank(rep)
-        w = np.linalg.eigvalsh(gram_matrix(minimal.ops))
+        stacked = np.stack([op.ravel() for op in minimal.ops])
+        w = np.linalg.eigvalsh(stacked.conj() @ stacked.T)
         assert w[0] > 1e-10 * w[-1]

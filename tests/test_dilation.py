@@ -1,7 +1,5 @@
 """Tests for the unitary dilation of trace-preserving SP channels."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,6 @@ from spcpm.errors import (
     NotSPError,
     NotTracePreservingError,
     SourceTargetMismatchError,
-    SpcpmError,
 )
 from spcpm.sp import is_sp_definition, random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace
@@ -267,45 +264,3 @@ class TestAuditBySlices:
         dil = build_dilation(dephasing_channel(0.5))
         with pytest.raises(ValueError, match="finite"):
             apply_dilation(dil, np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def v1_dilation_obj(rep):
-    """A dilation object as the first file format wrote it: u, v1 and v2."""
-    u, v1, v2 = reference_dilation(rep)
-    return {
-        "format": "spcpm/1",
-        "kind": "dilation",
-        "dims": [rep.source.d1, rep.source.d2],
-        "ancilla_dim": u.shape[0] // rep.source.dim,
-        "u": serialize.encode_matrix(u),
-        "v1": serialize.encode_matrix(v1),
-        "v2": serialize.encode_matrix(v2),
-    }
-
-
-class TestFirstFormatFiles:
-    def test_consistent_file_reads_back(self, tmp_path):
-        rep = full_rank_tp_channel(2, 2, 970)
-        obj = v1_dilation_obj(rep)
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(obj, indent=2) + "\n")
-        dil = serialize.dilation_from_obj(serialize.read_file(path))
-        u, v1, v2 = reference_dilation(rep)
-        assert dil.u.tobytes() == u.tobytes()
-        assert np.array_equal(dil.v1, v1) and np.array_equal(dil.v2, v2)
-        assert verify_dilation(dil, rep)
-
-    def test_tampered_v1_is_refused(self, tmp_path):
-        rep = full_rank_tp_channel(2, 2, 971)
-        obj = v1_dilation_obj(rep)
-        obj["v1"]["data"][0][0] += 1e-15
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(obj, indent=2) + "\n")
-        with pytest.raises(SpcpmError, match="v1 is not the block of u"):
-            serialize.dilation_from_obj(serialize.read_file(path))
-
-    def test_missing_v2_is_refused(self):
-        obj = v1_dilation_obj(dephasing_channel(0.5))
-        del obj["v2"]
-        with pytest.raises(SpcpmError, match="matrix object must be a JSON object"):
-            serialize.dilation_from_obj(obj)

@@ -85,68 +85,6 @@ class TestHermitianEig:
             linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_singular_diagonal(self):
-        pinv = linalg.pseudo_inverse(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(pinv, np.diag([0.5, 0.0]), atol=1e-12)
-
-    def test_rank2_psd(self):
-        # rank-2 PSD with known eigenstructure from a seeded unitary
-        rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(crandn(rng, 4, 4))
-        b = q @ np.diag([2.0, 1.0, 0.0, 0.0]) @ q.conj().T
-        pinv = linalg.pseudo_inverse(b)
-        assert np.linalg.norm(b @ pinv @ b - b) <= 1e-9
-        bp = b @ pinv
-        assert np.linalg.norm(bp @ bp - bp) <= 1e-9
-        # the range projector is known independently from the construction
-        range_proj = q[:, :2] @ q[:, :2].conj().T
-        assert np.linalg.norm(bp - range_proj) <= 1e-9
-
-    def test_moore_penrose_identities(self):
-        # all four identities, on an indefinite Hermitian input
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            q, _ = np.linalg.qr(crandn(rng, 5, 5))
-            eigs = rng.standard_normal(5)
-            eigs[rng.integers(0, 5)] = 0.0
-            b = q @ np.diag(eigs) @ q.conj().T
-            b = (b + b.conj().T) / 2
-            p = linalg.pseudo_inverse(b)
-            assert np.linalg.norm(b @ p @ b - b) <= 1e-9
-            assert np.linalg.norm(p @ b @ p - p) <= 1e-9
-            assert np.linalg.norm((b @ p).conj().T - b @ p) <= 1e-9
-            assert np.linalg.norm((p @ b).conj().T - p @ b) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SpcpmError, match="not Hermitian"):
-            linalg.pseudo_inverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestZeroSpaceProjector:
-    def test_full_rank_gives_zero(self):
-        p0 = linalg.zero_space_projector(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(p0, np.zeros((2, 2)), atol=1e-12)
-
-    def test_zero_matrix_gives_identity(self):
-        np.testing.assert_allclose(
-            linalg.zero_space_projector(np.zeros((2, 2))), np.eye(2), atol=1e-12
-        )
-
-    def test_rank1_psd(self):
-        rng = np.random.default_rng(13)
-        vec = crandn(rng, 3, 1)
-        a = vec @ vec.conj().T
-        p0 = linalg.zero_space_projector(a)
-        assert abs(np.trace(p0).real - 2.0) <= 1e-9
-        assert np.linalg.norm(p0 @ a) <= 1e-9
-        assert np.linalg.norm(p0 @ p0 - p0) <= 1e-9
-        assert np.linalg.norm(p0 - p0.conj().T) <= 1e-9
-
-
 class TestIsPsd:
     def test_identity(self):
         assert linalg.is_psd(np.eye(2))
@@ -157,8 +95,8 @@ class TestIsPsd:
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            ops = [crandn(rng, 3, 2) for _ in range(4)]
-            g = linalg.gram_matrix(ops)
+            stacked = crandn(rng, 4, 6)  # four 3x2 operators, flattened
+            g = stacked.conj() @ stacked.T
             assert linalg.is_psd(g)
             # oracle: eigenvalues directly
             assert psd_by_eigvals(g)
@@ -226,34 +164,6 @@ def test_psd_quadratic_form_cauchy_schwarz():
         lhs = abs(a.conj() @ d @ b) ** 2
         rhs = (a.conj() @ d @ a).real * (b.conj() @ d @ b).real
         assert lhs <= rhs * (1 + 1e-9) + 1e-12
-
-
-class TestGramMatrix:
-    def test_orthonormal_units(self):
-        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(linalg.gram_matrix([e11, e12]), np.eye(2), atol=1e-12)
-
-    def test_linearly_dependent_pair(self):
-        rng = np.random.default_rng(18)
-        v = crandn(rng, 2, 2)
-        t = np.trace(v.conj().T @ v)
-        g = linalg.gram_matrix([v, 2 * v])
-        np.testing.assert_allclose(g, np.array([[t, 2 * t], [2 * t, 4 * t]]), atol=1e-12)
-        w = np.linalg.eigvalsh(g)
-        assert np.count_nonzero(w > 1e-10 * w.max()) == 1
-
-    def test_random_basis_positive_definite(self):
-        rng = np.random.default_rng(19)
-        basis = [crandn(rng, 2, 2) for _ in range(4)]
-        w = np.linalg.eigvalsh(linalg.gram_matrix(basis))
-        assert w[0] > 1e-9
-
-    def test_rejects_empty_and_mixed_shapes(self):
-        with pytest.raises(SpcpmError, match="operator set is empty"):
-            linalg.gram_matrix([])
-        with pytest.raises(SpcpmError, match="mixed shapes"):
-            linalg.gram_matrix([np.eye(2), np.eye(3)])
 
 
 class TestInvSqrtPsd:

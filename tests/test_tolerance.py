@@ -28,8 +28,6 @@ def unit_triple():
 # one call per public tolerance parameter, each otherwise valid
 ENTRY_POINTS = {
     "linalg.hermitian_eig": lambda t: linalg.hermitian_eig(EYE, tol=t),
-    "linalg.pseudo_inverse": lambda t: linalg.pseudo_inverse(EYE, rtol=t),
-    "linalg.zero_space_projector": lambda t: linalg.zero_space_projector(EYE, rtol=t),
     "linalg.is_psd": lambda t: linalg.is_psd(EYE, tol=t),
     "linalg.block_psd_failure": lambda t: linalg.block_psd_failure(EYE, EYE, EYE, tol=t),
     "linalg.block_psd_check": lambda t: linalg.block_psd_check(EYE, EYE, EYE, tol=t),

@@ -33,46 +33,48 @@ from .linalg import (
 )
 from .spaces import DecomposedSpace
 
-#: Basis tag for the row-major matrix-unit basis: element m = i * d_S + j is
-#: the unit |t_i><s_j|.
-MATRIX_UNIT_BASIS = "matrix-units"
-
-
 @dataclass(frozen=True)
 class KrausRep:
-    """A CPM as a finite list of operators from source to target space."""
+    """A CPM as a finite list of operators from source to target space.
+
+    ``ops`` is one read-only ``complex128`` array of shape (K, dt, ds),
+    copied from the given sequence of equal-shape matrices or (K, dt, ds)
+    array; ``ops[k]`` is the k-th Kraus operator.
+    """
 
     source: DecomposedSpace
     target: DecomposedSpace
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self) -> None:
-        mats = tuple(frozen_matrix(op) for op in self.ops)
-        if not mats:
+        if len(self.ops) == 0:
             raise SpcpmError("a Kraus representation needs at least one operator")
         shape = (self.target.dim, self.source.dim)
-        for op in mats:
-            if op.shape != shape:
+        for op in self.ops:
+            if np.shape(op) != shape:
                 raise SpcpmError(
-                    f"Kraus operator has shape {op.shape}, expected {shape}"
+                    f"Kraus operator has shape {np.shape(op)}, expected {shape}"
                 )
-        object.__setattr__(self, "ops", mats)
+        ops = np.array(self.ops, dtype=np.complex128)
+        if not np.all(np.isfinite(ops)):
+            raise SpcpmError("matrix entries must be finite")
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
 
 
 @dataclass(frozen=True)
 class ChoiRep:
-    """A CPM as a coefficient matrix over an operator basis of maps
-    source -> target.
+    """A CPM as a coefficient matrix over the row-major matrix-unit basis of
+    maps source -> target, whose element m = i * d_S + j is |t_i><s_j|.
 
     The map is phi(Q) = sum_{m,m'} matrix[m, m'] E_m Q E_m'† over the basis
     {E_m}; it is completely positive exactly when the matrix is positive
-    semi-definite.  Only the ``matrix-units`` basis tag is implemented.
+    semi-definite.
     """
 
     source: DecomposedSpace
     target: DecomposedSpace
     matrix: np.ndarray
-    basis_tag: str = MATRIX_UNIT_BASIS
 
     def __post_init__(self) -> None:
         mat = frozen_matrix(self.matrix)
@@ -84,34 +86,25 @@ class ChoiRep:
         object.__setattr__(self, "matrix", mat)
 
 
-def _require_basis(rep: ChoiRep) -> None:
-    if rep.basis_tag != MATRIX_UNIT_BASIS:
-        raise SpcpmError(f"unsupported basis tag: {rep.basis_tag!r}")
-
-
 def apply(rep: KrausRep, q) -> np.ndarray:
     """Apply the channel: sum_k V_k Q V_k†."""
     qa = as_matrix(q)
     d = rep.source.dim
     if qa.shape != (d, d):
         raise SpcpmError(f"input has shape {qa.shape}, expected {(d, d)}")
-    out = np.zeros((rep.target.dim, rep.target.dim), dtype=np.complex128)
-    for op in rep.ops:
-        out += op @ qa @ op.conj().T
-    return out
+    return (rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_to_choi(rep: KrausRep) -> ChoiRep:
     """Coefficient matrix sum_k c_k c_k†, with c_k the row-major coefficient
     vector of the k-th Kraus operator in the matrix-unit basis."""
-    stacked = np.stack([op.ravel() for op in rep.ops])
+    stacked = rep.ops.reshape(len(rep.ops), -1)
     return ChoiRep(rep.source, rep.target, stacked.T @ stacked.conj())
 
 
 def apply_choi(rep: ChoiRep, q) -> np.ndarray:
     """Evaluate phi(Q) = sum_{m,m'} matrix[m, m'] E_m Q E_m'† over the
     matrix-unit basis."""
-    _require_basis(rep)
     qa = as_matrix(q)
     ds, dt = rep.source.dim, rep.target.dim
     if qa.shape != (ds, ds):
@@ -128,7 +121,6 @@ def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]
     Each eigenvector's global phase is fixed so that its first entry above
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
     """
-    _require_basis(rep)
     eig = psd_eig(rep.matrix, tol=rtol)
     if eig is None:
         raise SpcpmError("coefficient matrix is not positive semi-definite")
@@ -154,7 +146,7 @@ def choi_to_kraus(rep: ChoiRep, rtol: float = DEFAULT_RTOL) -> KrausRep:
     ops = np.sqrt(w)[:, None, None] * mats
     if not len(ops):
         ops = np.zeros((1, rep.target.dim, rep.source.dim))
-    return KrausRep(rep.source, rep.target, tuple(ops))
+    return KrausRep(rep.source, rep.target, ops)
 
 
 def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
@@ -182,9 +174,8 @@ def unitary_mix(rep: KrausRep, u) -> KrausRep:
         )
     if frobenius(ua.conj().T @ ua - np.eye(k)) > 1e-10:
         raise SpcpmError("mixing matrix is not unitary within 1e-10")
-    stacked = np.stack(rep.ops)
-    mixed = np.tensordot(ua, stacked, axes=(1, 0))
-    return KrausRep(rep.source, rep.target, tuple(mixed))
+    mixed = np.tensordot(ua, rep.ops, axes=(1, 0))
+    return KrausRep(rep.source, rep.target, mixed)
 
 
 def orthonormal_kraus(
@@ -201,21 +192,20 @@ def orthonormal_kraus(
 
 
 def compose(b: KrausRep, a: KrausRep) -> KrausRep:
-    """Channel composition b after a: all pairwise products W_l V_k."""
+    """Channel composition b after a: all pairwise products W_l V_k, with l
+    the slow index, from one broadcast matrix product."""
     if a.target.dim != b.source.dim:
         raise SpcpmError(
             f"cannot compose: inner dimensions {a.target.dim} and {b.source.dim} differ"
         )
-    ops = tuple(w @ v for w in b.ops for v in a.ops)
-    return KrausRep(a.source, b.target, ops)
+    ops = b.ops[:, None] @ a.ops[None]
+    return KrausRep(a.source, b.target, ops.reshape(-1, b.target.dim, a.source.dim))
 
 
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether sum_k V_k† V_k = I within ``tol`` (Frobenius)."""
     check_tolerance(tol)
-    total = np.zeros((rep.source.dim, rep.source.dim), dtype=np.complex128)
-    for op in rep.ops:
-        total += op.conj().T @ op
+    total = (rep.ops.conj().transpose(0, 2, 1) @ rep.ops).sum(axis=0)
     return bool(frobenius(total - np.eye(rep.source.dim)) <= tol)
 
 

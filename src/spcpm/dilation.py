@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpm import KrausRep, choi_to_kraus, is_trace_preserving, kraus_to_choi
+from .cpm import KrausRep, apply, choi_to_kraus, is_trace_preserving, kraus_to_choi
 from .errors import (
     NotSPError,
     NotTracePreservingError,
@@ -37,7 +37,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_RTOL,
     DEFAULT_TOL,
-    as_matrix,
     check_tolerance,
     frobenius,
     frozen_matrix,
@@ -119,7 +118,7 @@ def build_dilation(
         raise NotSPError("dilation requires a subspace-preserving channel")
     minimal = choi_to_kraus(kraus_to_choi(rep), rtol)
     split1, split2 = split_kraus_blocks(minimal, tol)
-    pieces = np.stack(split1) + np.stack(split2)
+    pieces = split1 + split2
     space = rep.source
     d, anc = space.dim, len(minimal.ops) + 1
     u4 = np.zeros((d, anc, d, anc), dtype=np.complex128)
@@ -135,23 +134,17 @@ def build_dilation(
 def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
     """Evolve Q x |0><0| by the unitary and trace out the ancilla.
 
-    Only the reference column of U acts: the result is sum_k A_k Q A_k†
-    with A_k = U[:, k, :, 0], so no system x ancilla state is formed.
+    Only the reference column of U acts: the result is the induced channel
+    of :func:`kraus_from_dilation` applied to Q, so no system x ancilla
+    state is formed.
     """
-    d = dil.space.dim
-    qa = as_matrix(q)
-    if qa.shape != (d, d):
-        raise SpcpmError(f"input has shape {qa.shape}, expected {(d, d)}")
-    cols = dil.u4[:, :, :, 0].transpose(1, 0, 2)
-    return np.einsum("kij,klj->il", cols @ qa, cols.conj())
+    return apply(kraus_from_dilation(dil), q)
 
 
 def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
     """Kraus operators of the induced channel, one per ancilla coordinate:
-    the ancilla blocks of the unitary against the reference column."""
-    u4 = dil.u4
-    ops = tuple(u4[:, k, :, 0] for k in range(dil.ancilla_dim))
-    return KrausRep(dil.space, dil.space, ops)
+    the ancilla blocks A_k = U[:, k, :, 0] against the reference column."""
+    return KrausRep(dil.space, dil.space, dil.u4[:, :, :, 0].transpose(1, 0, 2))
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:

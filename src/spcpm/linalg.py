@@ -50,10 +50,13 @@ def check_tolerance(value: float, name: str = "tol") -> float:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a fresh 2-D complex128 array with finite entries."""
+    """Coerce ``m`` to a fresh, nonempty 2-D complex128 array with finite
+    entries."""
     arr = np.array(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise SpcpmError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise SpcpmError(f"matrix must not be empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise SpcpmError("matrix entries must be finite")
     return arr

@@ -23,6 +23,8 @@ from .sp import SPBlockRep
 from .spaces import DecomposedSpace
 
 FORMAT = "spcpm/2"
+#: The one coefficient basis of choi files: the row-major matrix units.
+MATRIX_UNIT_BASIS = "matrix-units"
 
 
 def _is_int(value) -> bool:
@@ -106,7 +108,7 @@ def choi_to_obj(rep: ChoiRep) -> dict:
         "kind": "choi",
         "source_dims": _encode_space(rep.source),
         "target_dims": _encode_space(rep.target),
-        "basis": rep.basis_tag,
+        "basis": MATRIX_UNIT_BASIS,
         "matrix": encode_matrix(rep.matrix),
     }
 
@@ -115,10 +117,9 @@ def choi_from_obj(obj) -> ChoiRep:
     _expect_kind(obj, "choi")
     source = _decode_space(obj, "source_dims")
     target = _decode_space(obj, "target_dims")
-    basis = obj.get("basis")
-    if not isinstance(basis, str):
-        raise SpcpmError("basis must be a string tag")
-    return ChoiRep(source, target, decode_matrix(obj.get("matrix")), basis)
+    if obj.get("basis") != MATRIX_UNIT_BASIS:
+        raise SpcpmError(f"unsupported basis tag: {obj.get('basis')!r}")
+    return ChoiRep(source, target, decode_matrix(obj.get("matrix")))
 
 
 def blocks_to_obj(blocks: SPBlockRep) -> dict:

@@ -41,7 +41,7 @@ from .linalg import (
     frozen_matrix,
     inv_sqrt_psd,
 )
-from .spaces import DecomposedSpace, embed_block_operator
+from .spaces import DecomposedSpace
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,11 @@ def is_sp_definition(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
 def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
     """Worst relative cross-block component over the Kraus operators.
 
-    Reads the operators themselves, stacked as a (K, dt, ds) array: the two
+    Reads the (K, dt, ds) operator stack itself: the two
     cross-block slices of every operator are normed at once, each relative
     to max(1, ||V_k||_F).
     """
-    source, target = rep.source, rep.target
-    ops = np.stack(rep.ops)
+    source, target, ops = rep.source, rep.target, rep.ops
     pairs = ((2, 1), (1, 2))
     cross = np.stack(
         [
@@ -185,17 +184,18 @@ def is_sp_kraus_blocks(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
 
 def split_kraus_blocks(
     rep: KrausRep, tol: float = DEFAULT_TOL
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split each Kraus operator into its two block-supported pieces."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split each Kraus operator into its two block-supported pieces.
+
+    Returns two (K, dt, ds) stacks: P_t1 V_k P_s1 and P_t2 V_k P_s2.
+    """
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("channel has cross-block Kraus components above tolerance")
-    source, target = rep.source, rep.target
-
-    def piece(op: np.ndarray, block: int) -> np.ndarray:
-        inner = op[target.block_slice(block), source.block_slice(block)]
-        return embed_block_operator(inner, source, target, block, block)
-
-    return [piece(op, 1) for op in rep.ops], [piece(op, 2) for op in rep.ops]
+    first, second = np.zeros((2, *rep.ops.shape), dtype=np.complex128)
+    for block, piece in ((1, first), (2, second)):
+        tb, sb = rep.target.block_slice(block), rep.source.block_slice(block)
+        piece[:, tb, sb] = rep.ops[:, tb, sb]
+    return first, second
 
 
 def commutation_violation(rep: KrausRep) -> tuple[float, str]:
@@ -335,25 +335,21 @@ def random_sp_channel(
     def crandn(rows: int, cols: int) -> np.ndarray:
         return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
+    t1, t2 = target.block_slice(1), target.block_slice(2)
+    s1, s2 = source.block_slice(1), source.block_slice(2)
     for _ in range(8):
-        ops = []
-        for _ in range(k):
-            g1 = crandn(target.d1, source.d1)
-            g2 = crandn(target.d2, source.d2)
-            ops.append(
-                embed_block_operator(g1, source, target, 1, 1)
-                + embed_block_operator(g2, source, target, 2, 2)
-            )
+        ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
+        for op in ops:  # one draw per operator, block 1 first: the RNG order
+            op[t1, s1] = crandn(target.d1, source.d1)
+            op[t2, s2] = crandn(target.d2, source.d2)
         if not tp:
-            return KrausRep(source, target, tuple(ops))
-        s = np.zeros((source.dim, source.dim), dtype=np.complex128)
-        for op in ops:
-            s += op.conj().T @ op
+            return KrausRep(source, target, ops)
+        s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         try:
             normalizer = inv_sqrt_psd(s, rtol)
         except SingularMatrixError:
             continue
-        return KrausRep(source, target, tuple(op @ normalizer for op in ops))
+        return KrausRep(source, target, ops @ normalizer)
     raise SingularMatrixError(
         "trace-preserving normalizer stayed singular after 8 attempts"
     )

@@ -216,14 +216,9 @@ def test_criterion_4_kraus_rank_invariance():
         rank = kraus_rank(rep)
 
         mixed = unitary_mix(rep, haar_unitary(rng, len(rep.ops)))
-        padded = KrausRep(
-            rep.source,
-            rep.target,
-            rep.ops
-            + tuple(
-                np.zeros((target.dim, source.dim)) for _ in range(1 + i % 3)
-            ),
-        )
+        zeros = [np.zeros((target.dim, source.dim)) for _ in range(1 + i % 3)]
+        padded = KrausRep(rep.source, rep.target, (*rep.ops, *zeros))
+        assert len(padded.ops) == len(rep.ops) + len(zeros)
         m = source.dim * target.dim
         cong = crandn(rng, m, m)
         mat = cong @ kraus_to_choi(rep).matrix @ cong.conj().T

@@ -2,12 +2,14 @@
 the return types of the predicates."""
 
 import inspect
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spcpm
-from spcpm import cpm, errors, sp
+from spcpm import cpm, errors, serialize, sp
 from spcpm.cpm import ChoiRep, KrausRep
 from spcpm.dilation import UnitaryDilation
 from spcpm.errors import SpcpmError
@@ -77,6 +79,15 @@ def test_five_error_classes_all_spcpm_errors():
         assert issubclass(getattr(errors, name), SpcpmError)
 
 
+def read_choi_file_with_basis(basis):
+    obj = serialize.choi_to_obj(ChoiRep(C2, C2, np.eye(4)))
+    obj["basis"] = basis
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "choi.json"
+        serialize.write_file(path, obj)
+        return serialize.choi_from_obj(serialize.read_file(path))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -84,8 +95,7 @@ def test_five_error_classes_all_spcpm_errors():
         (lambda: KrausRep(C2, C2, ()), "at least one operator"),
         (lambda: UnitaryDilation(C2, 0, np.eye(2)), "ancilla must be"),
         (lambda: as_matrix([[np.inf]]), "must be finite"),
-        (lambda: cpm.apply_choi(ChoiRep(C2, C2, np.eye(4), "pauli"), np.eye(2)),
-         "unsupported basis tag"),
+        (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
     ],
     ids=["space", "kraus", "dilation", "as_matrix", "basis", "random_k"],

@@ -66,8 +66,39 @@ class TestKrausRep:
 
     def test_ops_are_read_only(self):
         rep = KrausRep(C2, C2, (np.eye(2),))
+        assert not rep.ops.flags.writeable
         with pytest.raises(ValueError):
             rep.ops[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            rep.ops[0] = np.zeros((2, 2))
+
+    def test_ops_are_one_complex_stack(self):
+        rep = KrausRep(C2, DecomposedSpace(2, 1), [np.ones((3, 2)), np.zeros((3, 2))])
+        assert isinstance(rep.ops, np.ndarray)
+        assert rep.ops.dtype == np.complex128
+        assert rep.ops.shape == (2, 3, 2)
+
+    def test_accepts_a_stack(self):
+        rng = np.random.default_rng(30)
+        stack = crandn(rng, 3, 2, 2)
+        from_stack = KrausRep(C2, C2, stack)
+        from_tuple = KrausRep(C2, C2, tuple(stack))
+        assert np.array_equal(from_stack.ops, stack)
+        assert np.array_equal(from_tuple.ops, stack)
+
+    def test_rejects_a_stack_of_wrong_shape(self):
+        with pytest.raises(SpcpmError, match="Kraus operator has shape"):
+            KrausRep(C2, C2, np.zeros((2, 3, 2)))
+
+    def test_caller_writes_do_not_reach_the_rep(self):
+        stack = np.ones((2, 2, 2), dtype=np.complex128)
+        op = np.eye(2, dtype=np.complex128)
+        from_stack = KrausRep(C2, C2, stack)
+        from_tuple = KrausRep(C2, C2, (op,))
+        stack[:] = 5.0
+        op[:] = 7.0
+        assert np.array_equal(from_stack.ops, np.ones((2, 2, 2)))
+        assert np.array_equal(from_tuple.ops, np.eye(2)[None])
 
 
 class TestApply:
@@ -331,7 +362,8 @@ class TestChannelsEqual:
     def test_appending_zero_operator(self):
         rng = np.random.default_rng(61)
         rep = random_rep(rng, C2, C2, 2)
-        padded = KrausRep(C2, C2, rep.ops + (np.zeros((2, 2)),))
+        padded = KrausRep(C2, C2, (*rep.ops, np.zeros((2, 2))))
+        assert len(padded.ops) == len(rep.ops) + 1
         assert channels_equal(rep, padded, 1e-12)
 
     def test_rejects_mismatched_dims(self):
@@ -357,7 +389,9 @@ class TestRankInvariance:
             zeros = tuple(
                 np.zeros((tgt.dim, src.dim)) for _ in range(int(rng.integers(1, 4)))
             )
-            assert kraus_rank(KrausRep(src, tgt, rep.ops + zeros)) == rank
+            padded = KrausRep(src, tgt, (*rep.ops, *zeros))
+            assert len(padded.ops) == len(rep.ops) + len(zeros)
+            assert kraus_rank(padded) == rank
 
             # change of operator basis acts on the coefficient matrix by
             # congruence, which preserves the number of nonzero eigenvalues

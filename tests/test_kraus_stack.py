@@ -1,0 +1,138 @@
+"""One Kraus stack: the library reads ``KrausRep.ops`` as a single
+(K, dt, ds) array.
+
+The references below are the per-operator loop forms the library used
+before: a running sum of sandwiches for ``apply``, a running sum of V_k† V_k
+for ``is_trace_preserving`` and the sampler's normalizer, a list of pairwise
+products for ``compose``, and one ``embed_block_operator`` per operator and
+block for ``split_kraus_blocks`` and the sampler.  The stacked forms do the
+same arithmetic in the same order, so every result must be bit-identical;
+this also pins the README promise that ``gen`` writes the same files for the
+same seed.
+"""
+
+import numpy as np
+import pytest
+
+from spcpm.cpm import apply, compose, is_trace_preserving
+from spcpm.errors import SingularMatrixError
+from spcpm.linalg import inv_sqrt_psd
+from spcpm.sp import random_sp_channel, split_kraus_blocks
+from spcpm.spaces import DecomposedSpace, embed_block_operator
+from test_sp import ORACLE_CASES
+
+ORACLE_IDS = [c[0] for c in ORACLE_CASES]
+
+
+def loop_apply(rep, q):
+    out = np.zeros((rep.target.dim, rep.target.dim), dtype=np.complex128)
+    for op in rep.ops:
+        out += op @ q @ op.conj().T
+    return out
+
+
+def loop_gram_sum(ops, dim):
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for op in ops:
+        total += op.conj().T @ op
+    return total
+
+
+def loop_compose(b, a):
+    return np.stack([w @ v for w in b.ops for v in a.ops])
+
+
+def loop_split(rep):
+    source, target = rep.source, rep.target
+
+    def piece(op, block):
+        inner = op[target.block_slice(block), source.block_slice(block)]
+        return embed_block_operator(inner, source, target, block, block)
+
+    return (
+        np.stack([piece(op, 1) for op in rep.ops]),
+        np.stack([piece(op, 2) for op in rep.ops]),
+    )
+
+
+def loop_random_sp_channel(source, target, k, tp, seed, rtol=1e-10):
+    """The sampler with a list of embedded draws and a per-operator
+    normalizer; returns the operator stack."""
+    rng = np.random.default_rng(seed)
+
+    def crandn(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    for _ in range(8):
+        ops = []
+        for _ in range(k):
+            g1 = crandn(target.d1, source.d1)
+            g2 = crandn(target.d2, source.d2)
+            ops.append(
+                embed_block_operator(g1, source, target, 1, 1)
+                + embed_block_operator(g2, source, target, 2, 2)
+            )
+        if not tp:
+            return np.stack(ops)
+        try:
+            normalizer = inv_sqrt_psd(loop_gram_sum(ops, source.dim), rtol)
+        except SingularMatrixError:
+            continue
+        return np.stack([op @ normalizer for op in ops])
+    raise AssertionError("reference normalizer stayed singular")
+
+
+@pytest.mark.parametrize("name,rep", ORACLE_CASES, ids=ORACLE_IDS)
+class TestStackedFormsMatchLoops:
+    def test_apply(self, name, rep):
+        rng = np.random.default_rng(7000)
+        d = rep.source.dim
+        q = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.array_equal(apply(rep, q), loop_apply(rep, q))
+
+    def test_trace_preservation_defect(self, name, rep):
+        # the verdict flips exactly at the reference defect, so the stacked
+        # sum of V_k† V_k must equal the running sum to the last bit
+        total = loop_gram_sum(rep.ops, rep.source.dim)
+        defect = float(np.linalg.norm(total - np.eye(rep.source.dim)))
+        assert defect > 0.0
+        assert is_trace_preserving(rep, defect)
+        assert not is_trace_preserving(rep, float(np.nextafter(defect, 0.0)))
+
+    def test_compose(self, name, rep):
+        inner = random_sp_channel(rep.source, rep.source, 3, False, 7100)
+        assert np.array_equal(compose(rep, inner).ops, loop_compose(rep, inner))
+        outer = random_sp_channel(rep.target, rep.target, 2, True, 7200)
+        assert np.array_equal(compose(outer, rep).ops, loop_compose(outer, rep))
+
+    def test_split_kraus_blocks(self, name, rep):
+        if name.startswith("sp "):
+            first, second = split_kraus_blocks(rep)
+        else:
+            first, second = split_kraus_blocks(rep, tol=1.0)
+        want_first, want_second = loop_split(rep)
+        assert first.shape == second.shape == rep.ops.shape
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(second, want_second)
+
+
+SAMPLER_SPLITS = [(1, 3), (3, 1), (2, 2), (6, 6)]
+
+
+@pytest.mark.parametrize("tp", [True, False], ids=["tp", "non-tp"])
+@pytest.mark.parametrize(
+    "d1,d2", SAMPLER_SPLITS, ids=[f"{a}+{b}" for a, b in SAMPLER_SPLITS]
+)
+def test_sampler_is_bit_identical_to_loop_form(d1, d2, tp):
+    space = DecomposedSpace(d1, d2)
+    k = d1 * d1 + d2 * d2
+    for seed in (0, 1, 2):
+        got = random_sp_channel(space, space, k, tp, seed).ops
+        assert np.array_equal(got, loop_random_sp_channel(space, space, k, tp, seed))
+
+
+def test_sampler_on_unequal_splits_is_bit_identical():
+    source, target = DecomposedSpace(2, 3), DecomposedSpace(3, 1)
+    for tp in (True, False):
+        got = random_sp_channel(source, target, 9, tp, 11).ops
+        assert np.array_equal(got, loop_random_sp_channel(source, target, 9, tp, 11))

@@ -185,3 +185,18 @@ class TestInvSqrtPsd:
         with pytest.raises(SingularMatrixError):
             linalg.inv_sqrt_psd(np.diag([1.0, 0.0]))
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        linalg.is_psd,
+        linalg.psd_eig,
+        lambda m: linalg.block_psd_check(m, m, m),
+        linalg.inv_sqrt_psd,
+    ],
+    ids=["is_psd", "psd_eig", "block_psd_check", "inv_sqrt_psd"],
+)
+def test_empty_matrices_are_refused(call):
+    with pytest.raises(SpcpmError, match="must not be empty"):
+        call(np.zeros((0, 0)))

@@ -122,8 +122,9 @@ class TestKrausBlocksVerifier:
             padded = KrausRep(
                 rep.source,
                 rep.target,
-                rep.ops + (np.zeros((rep.target.dim, rep.source.dim)),),
+                (*rep.ops, np.zeros((rep.target.dim, rep.source.dim))),
             )
+            assert len(padded.ops) == len(rep.ops) + 1
             mixed = unitary_mix(padded, haar_unitary(rng, len(padded.ops)))
             assert channels_equal(rep, mixed, 1e-10)
             assert is_sp_kraus_blocks(mixed)

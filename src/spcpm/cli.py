@@ -11,7 +11,9 @@ Exit codes, decided in :func:`main` from the error class:
 * 1 -- domain-negative: ``verify`` finds the channel not SP, or a
   :class:`NotSPError`, :class:`NotTracePreservingError` or
   :class:`SourceTargetMismatchError` is raised;
-* 2 -- usage or format error: any other :class:`SpcpmError`;
+* 2 -- usage or format error: any other :class:`SpcpmError`, including an
+  input file that cannot be read or parsed and an ``--out`` path that
+  cannot be written;
 * 3 -- numeric failure: :class:`SingularMatrixError` (the sampler's
   normalizer stayed singular) or a dilation that fails its own audit.
 """

@@ -1,15 +1,22 @@
 """JSON interchange for channels, coefficient matrices, block triples and
 dilations.
 
-Complex entries are stored as [re, im] pairs of IEEE-754 doubles; the
-encoder relies on Python's shortest-round-trip float formatting, so a write
-followed by a read reproduces every matrix bit-exactly.  Every file carries
-the ``format`` tag ``spcpm/2`` (compact JSON; a dilation stores ``u`` only),
-and no other tag is read.  A malformed file raises :class:`SpcpmError`.
+Every file is compact JSON tagged ``"format": "spcpm/3"`` (a dilation
+stores ``u`` only).  A matrix is ``{"rows": R, "cols": C, "data": <base64>}``
+where ``data`` is the standard (RFC 4648) base64 of the row-major matrix as
+little-endian ``complex128`` bytes, 16 per entry, so a write followed by a
+read reproduces every matrix bit-exactly, signed zeros included.
+
+Files tagged ``spcpm/2``, whose matrices hold ``[re, im]`` pairs of decimal
+doubles in ``data``, are still read but never written; the decoder picks the
+form by the JSON type of ``data``, and both forms get the same checks.  Any
+other tag, an unreadable path and a malformed file raise
+:class:`SpcpmError`, and so does a path that cannot be written.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -22,7 +29,9 @@ from .linalg import as_matrix
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace
 
-FORMAT = "spcpm/2"
+FORMAT = "spcpm/3"
+#: The tags read_file accepts: the written one and the [re, im] form before it.
+_READ_FORMATS = (FORMAT, "spcpm/2")
 #: The one coefficient basis of choi files: the row-major matrix units.
 MATRIX_UNIT_BASIS = "matrix-units"
 
@@ -34,8 +43,35 @@ def _is_int(value) -> bool:
 
 def encode_matrix(m) -> dict:
     arr = as_matrix(m)
-    data = arr.view(np.float64).reshape(-1, 2).tolist()
-    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "data": data}
+    data = base64.b64encode(arr.astype("<c16", copy=False).tobytes())
+    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
+            "data": data.decode("ascii")}
+
+
+def _raw_entries(data: str, n: int) -> np.ndarray:
+    """The n entries of a base64 string of little-endian complex128 bytes."""
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise SpcpmError(f"matrix data is not strict base64: {exc}") from exc
+    if len(raw) != 16 * n:
+        raise SpcpmError(
+            f"matrix data holds {len(raw)} bytes, expected 16 * rows * cols"
+        )
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+
+
+def _pair_entries(data: list, n: int) -> np.ndarray:
+    """The n entries of a list of [re, im] pairs (the spcpm/2 form)."""
+    if len(data) != n:
+        raise SpcpmError("matrix data length does not match rows * cols")
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpcpmError(f"bad matrix entries: {exc}") from exc
+    if pairs.shape != (n, 2):
+        raise SpcpmError("matrix entries must be [re, im] pairs")
+    return pairs.view(np.complex128)
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -49,17 +85,15 @@ def decode_matrix(obj) -> np.ndarray:
         raise SpcpmError("matrix rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise SpcpmError("matrix dimensions must be positive")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise SpcpmError("matrix data length does not match rows * cols")
-    try:
-        pairs = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpcpmError(f"bad matrix entries: {exc}") from exc
-    if pairs.shape != (rows * cols, 2):
-        raise SpcpmError("matrix entries must be [re, im] pairs")
-    if not np.all(np.isfinite(pairs)):
+    if isinstance(data, str):
+        entries = _raw_entries(data, rows * cols)
+    elif isinstance(data, list):
+        entries = _pair_entries(data, rows * cols)
+    else:
+        raise SpcpmError("matrix data must be a base64 string or a list of pairs")
+    if not np.all(np.isfinite(entries)):
         raise SpcpmError("matrix entries must be finite")
-    return pairs.view(np.complex128).reshape(rows, cols)
+    return entries.reshape(rows, cols)
 
 
 def _encode_space(space: DecomposedSpace) -> list[int]:
@@ -182,16 +216,22 @@ def dilation_from_obj(obj) -> UnitaryDilation:
 
 
 def write_file(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj) + "\n")
+    text = json.dumps(obj) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpcpmError(f"cannot write {path}: {exc}") from exc
 
 
 def read_file(path) -> dict:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # Python's digit limit; RecursionError covers nesting too deep to parse
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpcpmError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpcpmError("top-level JSON value must be an object")
-    if obj.get("format") != FORMAT:
+    if obj.get("format") not in _READ_FORMATS:
         raise SpcpmError(f"unsupported format tag: {obj.get('format')!r}")
     return obj

@@ -58,12 +58,12 @@ class TestMatrixRoundTrip:
 
 
 class TestFileFormat:
-    def test_files_are_compact_and_tagged_2(self, tmp_path):
+    def test_files_are_compact_and_tagged_3(self, tmp_path):
         path = tmp_path / "chan.json"
         write_channel(path, KrausRep(C2, C2, (np.eye(2),)))
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("}\n")
-        assert json.loads(text)["format"] == "spcpm/2"
+        assert json.loads(text)["format"] == "spcpm/3"
 
     def test_first_format_is_refused(self, tmp_path):
         obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
@@ -76,7 +76,7 @@ class TestFileFormat:
 
     def test_unknown_format_tag_is_refused(self, tmp_path):
         obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
-        obj["format"] = "spcpm/3"
+        obj["format"] = "spcpm/4"
         path = tmp_path / "future.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(SpcpmError, match="format tag"):
@@ -155,6 +155,14 @@ class TestGen:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing-dir/x.json", "."],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, out, capsys):
+        args = ["gen", "--dims", "1,1,1,1", "--kraus", "1", "--seed", "1",
+                "--out", str(tmp_path / out)]
+        assert main(args) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_singular_normalizer_exit_code(self, tmp_path):
         out = tmp_path / "never.json"
         code = main(["gen", "--dims", "2,1,1,1", "--kraus", "1", "--tp",
@@ -198,6 +206,17 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"format": "\xff"}', b"[" * 200_000, b'{"rows": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, content, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConvert:

@@ -7,7 +7,7 @@ unitary evolution from a fixed reference ancilla state:
     phi(Q) = Tr_anc(U (Q x |0><0|) U†),
 
 where the unitary splits as U = V1 + V2 into two partial isometries, each
-supported on one block:
+supported on one block, and is stored and audited as those two blocks alone:
 
     V_i V_i† = V_i† V_i = P_i x I_anc.
 
@@ -34,64 +34,62 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import (
-    DEFAULT_RTOL,
-    DEFAULT_TOL,
-    check_tolerance,
-    frobenius,
-    frozen_matrix,
-)
-from .sp import is_sp_definition, is_sp_kraus_blocks, split_kraus_blocks
-from .spaces import DecomposedSpace
+from .linalg import DEFAULT_RTOL, DEFAULT_TOL, check_tolerance, frobenius, frozen_matrix
+from .sp import is_sp_definition, is_sp_kraus_blocks
+from .spaces import DecomposedSpace, is_integer
 
 
 @dataclass(frozen=True)
 class UnitaryDilation:
-    """A unitary on system x ancilla, block diagonal over the system blocks.
+    """A unitary U = V1 + V2 on system x ancilla, stored as its two blocks.
 
-    The reference ancilla state is coordinate 0; ancilla coordinate k pairs
-    with the k-th Kraus operator, so ``ancilla_dim`` is one more than the
-    Kraus rank of the realized channel.  Only ``u`` is stored: the partial
-    isometries ``v1`` and ``v2`` are its two diagonal blocks, sliced out.
+    With the system index slow and the ancilla index fast, U = diag(u1, u2):
+    ``u_i`` is V_i restricted to its support P_i x I_anc, a (d_i·anc)-square
+    unitary.  ``u``, ``v1`` and ``v2`` are derived.  The reference ancilla
+    state is coordinate 0; ancilla coordinate k pairs with the k-th Kraus
+    operator, so ``ancilla_dim`` is one more than the Kraus rank of the
+    realized channel.
     """
 
     space: DecomposedSpace
     ancilla_dim: int
-    u: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ancilla_dim < 1:
-            raise SpcpmError("ancilla must be at least one-dimensional")
-        n = self.space.dim * self.ancilla_dim
-        arr = frozen_matrix(self.u)
-        if arr.shape != (n, n):
-            raise SpcpmError(f"u has shape {arr.shape}, expected {(n, n)}")
-        object.__setattr__(self, "u", arr)
+        anc = self.ancilla_dim
+        if not is_integer(anc) or anc < 1:
+            raise SpcpmError(
+                f"ancilla must be a positive integer dimension, got {anc!r}"
+            )
+        object.__setattr__(self, "ancilla_dim", int(anc))
+        for name, db in (("u1", self.space.d1), ("u2", self.space.d2)):
+            arr, n = frozen_matrix(getattr(self, name)), db * self.ancilla_dim
+            if arr.shape != (n, n):
+                raise SpcpmError(f"{name} has shape {arr.shape}, expected {(n, n)}")
+            object.__setattr__(self, name, arr)
 
     @property
-    def u4(self) -> np.ndarray:
-        """``u`` as a (d, anc, d, anc) view: system index slow, ancilla fast."""
-        d, anc = self.space.dim, self.ancilla_dim
-        return self.u.reshape(d, anc, d, anc)
-
-    def _block(self, block: int) -> np.ndarray:
-        """V_i = (P_i x I) U (P_i x I); exact, as P_i is a 0/1 diagonal."""
-        sb = self.space.block_slice(block)
-        v = np.zeros_like(self.u4)
-        v[sb, :, sb, :] = self.u4[sb, :, sb, :]
-        v = v.reshape(self.u.shape)
-        v.setflags(write=False)
-        return v
+    def u(self) -> np.ndarray:
+        """The full unitary diag(u1, u2) (read-only copy)."""
+        return _block_diag(self.u1, self.u2)
 
     @property
     def v1(self) -> np.ndarray:
-        """The partial isometry supported on block 1 (read-only copy)."""
-        return self._block(1)
+        """The partial isometry diag(u1, 0) on block 1 (read-only copy)."""
+        return _block_diag(self.u1, np.zeros_like(self.u2))
 
     @property
     def v2(self) -> np.ndarray:
-        """The partial isometry supported on block 2 (read-only copy)."""
-        return self._block(2)
+        """The partial isometry diag(0, u2) on block 2 (read-only copy)."""
+        return _block_diag(np.zeros_like(self.u1), self.u2)
+
+
+def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    zero = np.zeros((first.shape[0], second.shape[0]), dtype=np.complex128)
+    out = np.block([[first, zero], [zero.T, second]])
+    out.setflags(write=False)
+    return out
 
 
 def build_dilation(
@@ -101,11 +99,11 @@ def build_dilation(
 
     The Kraus list is first reduced to a linearly independent one, so the
     ancilla dimension is the minimal K + 1 for this construction.  Each
-    ancilla block of the (d, anc, d, anc) view of U is written directly;
-    with P_k = V_{1,k} + V_{2,k} the block-diagonal part of V_k:
+    ancilla block of the (d_i, anc, d_i, anc) view of u_i is written from
+    the in-block pieces P_k = V_{i,k} of the minimal list:
 
-        U[:, k, :, k'] = delta_kk' I - P_k P_k'†   (k, k' >= 1)
-        U[:, k, :, 0]  = P_k,   U[:, 0, :, k] = P_k†,   U[:, 0, :, 0] = 0.
+        u_i[:, k, :, k'] = delta_kk' I - P_k P_k'†   (k, k' >= 1)
+        u_i[:, k, :, 0]  = P_k,   u_i[:, 0, :, k] = P_k†,   u_i[:, 0, :, 0] = 0.
     """
     check_tolerance(rtol, "rtol")
     if rep.source != rep.target:
@@ -117,18 +115,22 @@ def build_dilation(
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("dilation requires a subspace-preserving channel")
     minimal = choi_to_kraus(kraus_to_choi(rep), rtol)
-    split1, split2 = split_kraus_blocks(minimal, tol)
-    pieces = split1 + split2
-    space = rep.source
-    d, anc = space.dim, len(minimal.ops) + 1
-    u4 = np.zeros((d, anc, d, anc), dtype=np.complex128)
-    u4[:, 1:, :, 1:] = -np.einsum(
-        "rij,clj->irlc", pieces, pieces.conj(), optimize=True
-    )
-    np.einsum("iaia->ia", u4)[:, 1:] += 1.0  # a writable view of the diagonal
-    u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
-    u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
-    return UnitaryDilation(space, anc, u4.reshape(d * anc, d * anc))
+    if not is_sp_kraus_blocks(minimal, tol):
+        raise NotSPError("channel has cross-block Kraus components above tolerance")
+    space, anc = rep.source, len(minimal.ops) + 1
+    blocks = []
+    for block in (1, 2):
+        sb, db = space.block_slice(block), space.block_dim(block)
+        pieces = minimal.ops[:, sb, sb]
+        u4 = np.zeros((db, anc, db, anc), dtype=np.complex128)
+        u4[:, 1:, :, 1:] = -np.einsum(
+            "rij,clj->irlc", pieces, pieces.conj(), optimize=True
+        )
+        np.einsum("iaia->ia", u4)[:, 1:] += 1.0  # a writable view of the diagonal
+        u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
+        u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
+        blocks.append(u4.reshape(db * anc, db * anc))
+    return UnitaryDilation(space, anc, *blocks)
 
 
 def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
@@ -143,8 +145,14 @@ def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
 
 def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
     """Kraus operators of the induced channel, one per ancilla coordinate:
-    the ancilla blocks A_k = U[:, k, :, 0] against the reference column."""
-    return KrausRep(dil.space, dil.space, dil.u4[:, :, :, 0].transpose(1, 0, 2))
+    the ancilla blocks A_k = U[:, k, :, 0] against the reference column,
+    block diagonal with A_k[s_i, s_i] = u_i[:, k, :, 0]."""
+    space, anc = dil.space, dil.ancilla_dim
+    ops = np.zeros((anc, space.dim, space.dim), dtype=np.complex128)
+    for block, u_i in ((1, dil.u1), (2, dil.u2)):
+        sb, db = space.block_slice(block), space.block_dim(block)
+        ops[:, sb, sb] = u_i.reshape(db, anc, db, anc)[:, :, :, 0].transpose(1, 0, 2)
+    return KrausRep(space, space, ops)
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
@@ -160,13 +168,11 @@ def verify_dilation(
 ) -> bool:
     """Full audit of a dilation against the channel it claims to realize.
 
-    Every condition is checked on slices of the (d, anc, d, anc) view of U:
+    U = u1 ⊕ u2 by representation, so no off-block part is left to check:
 
-    * the off-block part of U (system block 1 <-> block 2) vanishes, normed
-      directly on its slices, so U = V1 + V2;
-    * each diagonal block V_i is unitary on its support (the
-      partial-isometry conditions V_i V_i† = V_i† V_i = P_i x I), and so
-      is U;
+    * U is unitary: its defects ||U†U - I||_F and ||UU† - I||_F are exactly
+      the ``hypot`` of the blocks' defects, and each block being unitary is
+      the partial-isometry condition V_i V_i† = V_i† V_i = P_i x I;
     * the induced channel agrees with ``rep`` on every source matrix unit:
       the worst Frobenius norm over units (a, b) of the difference of the
       images, read from the reshaped coefficient matrices;
@@ -177,18 +183,10 @@ def verify_dilation(
     check_tolerance(tol)
     if rep.source != dil.space or rep.target != dil.space:
         return False
-    space, u4 = dil.space, dil.u4
-    d, anc = space.dim, dil.ancilla_dim
-    s1, s2 = space.block_slice(1), space.block_slice(2)
-    off = np.hypot(frobenius(u4[s1, :, s2, :]), frobenius(u4[s2, :, s1, :]))
-    if off > tol:
+    defects = np.hypot(_unitarity_defects(dil.u1), _unitarity_defects(dil.u2))
+    if defects.max() > tol:
         return False
-    for sb, db in ((s1, space.d1), (s2, space.d2)):
-        block = u4[sb, :, sb, :].reshape(db * anc, db * anc)
-        if _unitarity_defects(block).max() > tol:
-            return False
-    if _unitarity_defects(dil.u).max() > tol:
-        return False
+    d = dil.space.dim
     induced = kraus_from_dilation(dil)
     diff = kraus_to_choi(induced).matrix - kraus_to_choi(rep).matrix
     per_unit = np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2))

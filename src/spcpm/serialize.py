@@ -2,16 +2,20 @@
 dilations.
 
 Every file is compact JSON tagged ``"format": "spcpm/3"`` (a dilation
-stores ``u`` only).  A matrix is ``{"rows": R, "cols": C, "data": <base64>}``
-where ``data`` is the standard (RFC 4648) base64 of the row-major matrix as
-little-endian ``complex128`` bytes, 16 per entry, so a write followed by a
-read reproduces every matrix bit-exactly, signed zeros included.
+stores its two diagonal blocks ``u1`` and ``u2`` only).  A matrix is
+``{"rows": R, "cols": C, "data": <base64>}`` where ``data`` is the standard
+(RFC 4648) base64 of the row-major matrix as little-endian ``complex128``
+bytes, 16 per entry, so a write followed by a read reproduces every matrix
+bit-exactly, signed zeros included.
 
 Files tagged ``spcpm/2``, whose matrices hold ``[re, im]`` pairs of decimal
 doubles in ``data``, are still read but never written; the decoder picks the
-form by the JSON type of ``data``, and both forms get the same checks.  Any
-other tag, an unreadable path and a malformed file raise
-:class:`SpcpmError`, and so does a path that cannot be written.
+form by the JSON type of ``data``, and both forms get the same checks.  A
+dilation that holds the full ``u`` instead of its blocks (every ``spcpm/2``
+one and the earliest ``spcpm/3`` ones) is read by slicing the blocks out,
+and refused if any entry off them is nonzero.  Any other tag, an unreadable
+path and a malformed file raise :class:`SpcpmError`, and so does a path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -27,18 +31,13 @@ from .dilation import UnitaryDilation
 from .errors import SpcpmError
 from .linalg import as_matrix
 from .sp import SPBlockRep
-from .spaces import DecomposedSpace
+from .spaces import DecomposedSpace, is_integer
 
 FORMAT = "spcpm/3"
 #: The tags read_file accepts: the written one and the [re, im] form before it.
 _READ_FORMATS = (FORMAT, "spcpm/2")
 #: The one coefficient basis of choi files: the row-major matrix units.
 MATRIX_UNIT_BASIS = "matrix-units"
-
-
-def _is_int(value) -> bool:
-    """Whether a decoded JSON value is an integer (``true`` is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def encode_matrix(m) -> dict:
@@ -58,7 +57,7 @@ def _raw_entries(data: str, n: int) -> np.ndarray:
         raise SpcpmError(
             f"matrix data holds {len(raw)} bytes, expected 16 * rows * cols"
         )
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
 
 
 def _pair_entries(data: list, n: int) -> np.ndarray:
@@ -81,7 +80,7 @@ def decode_matrix(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise SpcpmError(f"bad matrix object: {exc}") from exc
-    if not (_is_int(rows) and _is_int(cols)):
+    if not (is_integer(rows) and is_integer(cols)):
         raise SpcpmError("matrix rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise SpcpmError("matrix dimensions must be positive")
@@ -105,7 +104,7 @@ def _decode_space(obj, key: str) -> DecomposedSpace:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(_is_int(d) for d in dims)
+        or not all(is_integer(d) for d in dims)
     ):
         raise SpcpmError(f"{key} must be a pair of integers")
     return DecomposedSpace(dims[0], dims[1])
@@ -202,17 +201,34 @@ def dilation_to_obj(dil: UnitaryDilation) -> dict:
         "kind": "dilation",
         "dims": _encode_space(dil.space),
         "ancilla_dim": dil.ancilla_dim,
-        "u": encode_matrix(dil.u),
+        "u1": encode_matrix(dil.u1),
+        "u2": encode_matrix(dil.u2),
     }
+
+
+def _legacy_blocks(obj, space: DecomposedSpace, anc: int) -> tuple:
+    """The two diagonal blocks of a full ``u``; refused if it has any entry
+    off them (a signed zero is zero)."""
+    u, n, n1 = decode_matrix(obj), space.dim * anc, space.d1 * anc
+    if u.shape != (n, n):
+        raise SpcpmError(f"u has shape {u.shape}, expected {(n, n)}")
+    if np.any(u[:n1, n1:]) or np.any(u[n1:, :n1]):
+        raise SpcpmError("u has nonzero entries off its two diagonal blocks")
+    return u[:n1, :n1], u[n1:, n1:]
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
     _expect_kind(obj, "dilation")
     space = _decode_space(obj, "dims")
     anc = obj.get("ancilla_dim")
-    if not _is_int(anc) or anc < 1:
+    if not is_integer(anc) or anc < 1:
         raise SpcpmError("ancilla_dim must be a positive integer")
-    return UnitaryDilation(space, anc, decode_matrix(obj.get("u")))
+    if ("u" in obj) == ("u1" in obj or "u2" in obj):
+        raise SpcpmError("a dilation holds either u1 and u2 or a legacy u")
+    if "u" in obj:
+        return UnitaryDilation(space, anc, *_legacy_blocks(obj["u"], space, anc))
+    u1, u2 = decode_matrix(obj.get("u1")), decode_matrix(obj.get("u2"))
+    return UnitaryDilation(space, anc, u1, u2)
 
 
 def write_file(path, obj: dict) -> None:

@@ -16,6 +16,11 @@ from .errors import SpcpmError
 from .linalg import as_matrix
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a ``bool`` is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DecomposedSpace:
     """A Hilbert space dimension split d = d1 + d2, both blocks nonempty."""
@@ -24,8 +29,14 @@ class DecomposedSpace:
     d2: int
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.d1) and is_integer(self.d2)):
+            raise SpcpmError(
+                f"block dimensions must be integers, got {self.d1!r}, {self.d2!r}"
+            )
         if self.d1 < 1 or self.d2 < 1:
             raise SpcpmError("both blocks must be at least one-dimensional")
+        object.__setattr__(self, "d1", int(self.d1))
+        object.__setattr__(self, "d2", int(self.d2))
 
     @property
     def dim(self) -> int:

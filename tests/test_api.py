@@ -2,6 +2,7 @@
 the return types of the predicates."""
 
 import inspect
+import json
 import tempfile
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def read_choi_file_with_basis(basis):
     [
         (lambda: DecomposedSpace(0, 1), "at least one-dimensional"),
         (lambda: KrausRep(C2, C2, ()), "at least one operator"),
-        (lambda: UnitaryDilation(C2, 0, np.eye(2)), "ancilla must be"),
+        (lambda: UnitaryDilation(C2, 0, np.eye(1), np.eye(1)), "ancilla must be"),
         (lambda: as_matrix([[np.inf]]), "must be finite"),
         (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
@@ -123,3 +124,34 @@ def test_predicates_return_python_bool(name, rep):
     assert type(result) is bool
     if rep is IDENTITY:
         assert result is True
+
+
+@pytest.mark.parametrize("d1", [1.5, 2.0, True, np.float64(2.0)], ids=repr)
+def test_space_refuses_non_integer_dims(d1):
+    with pytest.raises(SpcpmError, match="block dimensions must be integers"):
+        DecomposedSpace(d1, 2)
+    with pytest.raises(SpcpmError, match="block dimensions must be integers"):
+        DecomposedSpace(2, d1)
+
+
+@pytest.mark.parametrize("d1", [2, np.int64(2), np.uint8(2)], ids=repr)
+def test_space_accepts_python_and_numpy_integers(d1):
+    space = DecomposedSpace(d1, np.int32(1))
+    assert space == DecomposedSpace(2, 1) and space.dim == 3
+    assert type(space.d1) is int and type(space.d2) is int
+
+
+@pytest.mark.parametrize("anc", [2.0, True, np.float64(2.0), "2", -1], ids=repr)
+def test_dilation_refuses_a_non_integer_or_non_positive_ancilla(anc):
+    with pytest.raises(SpcpmError, match="ancilla must be a positive integer"):
+        UnitaryDilation(C2, anc, np.eye(2), np.eye(2))
+
+
+def test_dilation_accepts_a_numpy_ancilla_and_checks_block_shapes():
+    dil = UnitaryDilation(C2, np.int64(2), np.eye(2), np.eye(2))
+    assert type(dil.ancilla_dim) is int
+    json.dumps(serialize.dilation_to_obj(dil))  # a numpy integer would not dump
+    with pytest.raises(SpcpmError, match=r"u2 has shape \(3, 3\), expected \(2, 2\)"):
+        UnitaryDilation(C2, 2, np.eye(2), np.eye(3))
+    with pytest.raises(SpcpmError, match=r"u1 has shape \(4, 4\), expected \(2, 2\)"):
+        UnitaryDilation(C2, 2, np.eye(4), np.eye(2))

@@ -306,9 +306,9 @@ class TestDilate:
         assert dil.ancilla_dim == 2
         rep = serialize.channel_from_obj(serialize.read_file(src))
         assert verify_dilation(dil, rep)
-        # the file stores u alone; v1 and v2 are its blocks
+        # the file stores the two diagonal blocks; u, v1 and v2 are derived
         obj = serialize.read_file(out)
-        assert set(obj) == {"format", "kind", "dims", "ancilla_dim", "u"}
+        assert set(obj) == {"format", "kind", "dims", "ancilla_dim", "u1", "u2"}
 
     def test_generated_channel(self, tmp_path):
         src = tmp_path / "chan.json"

@@ -14,6 +14,7 @@ from spcpm.cpm import (
 )
 from spcpm.dilation import (
     UnitaryDilation,
+    _unitarity_defects,
     apply_dilation,
     build_dilation,
     kraus_from_dilation,
@@ -23,6 +24,7 @@ from spcpm.errors import (
     NotSPError,
     NotTracePreservingError,
     SourceTargetMismatchError,
+    SpcpmError,
 )
 from spcpm.sp import is_sp_definition, random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace
@@ -48,6 +50,25 @@ def unit(d, i, j):
 def full_rank_tp_channel(d1, d2, seed):
     space = DecomposedSpace(d1, d2)
     return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
+
+
+def legacy_obj(dil, u):
+    """A dilation object in the legacy layout: the full ``u`` instead of the
+    two blocks ``u1`` and ``u2``."""
+    obj = serialize.dilation_to_obj(dil)
+    del obj["u1"], obj["u2"]
+    obj["u"] = serialize.encode_matrix(u)
+    return obj
+
+
+def with_off_block_entry(dil, value, lower=False):
+    """``dil.u`` with one entry of its off-block part set to ``value``."""
+    u, n1 = dil.u.copy(), dil.u1.shape[0]
+    u[(n1, 0) if lower else (0, n1)] = value
+    return u
+
+
+OFF_BLOCK = "nonzero entries off its two diagonal blocks"
 
 
 def reference_dilation(rep):
@@ -164,20 +185,24 @@ class TestVerifyDilation:
         assert verify_dilation(dil, rep)
 
     def test_rejects_block_mixing_unitary(self):
-        rep = KrausRep(C2, C2, (np.eye(2),))
-        dil = build_dilation(rep)
-        # replace the unitary by one that moves weight between blocks
+        # a unitary that moves weight between blocks has no two-block form:
+        # only a legacy full-u file can hold one, and its reader refuses it
+        dil = build_dilation(KrausRep(C2, C2, (np.eye(2),)))
         swap_sys = np.array([[0.0, 1.0], [1.0, 0.0]])
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, np.kron(swap_sys, np.eye(2)))
-        assert not verify_dilation(tampered, rep)
+        for u in (np.kron(swap_sys, np.eye(2)), with_off_block_entry(dil, 1.0)):
+            with pytest.raises(SpcpmError, match=OFF_BLOCK):
+                serialize.dilation_from_obj(legacy_obj(dil, u))
 
     def test_rejects_perturbed_unitary(self):
         rng = np.random.default_rng(203)
         rep = dephasing_channel(0.5)
         dil = build_dilation(rep)
-        noise = 1e-3 * crandn(rng, *dil.u.shape)
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u + noise)
+        noisy = [u_i + 1e-3 * crandn(rng, *u_i.shape) for u_i in (dil.u1, dil.u2)]
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, *noisy)
         assert not verify_dilation(tampered, rep, 1e-9)
+        # noise off the blocks can only come from a legacy full-u file
+        with pytest.raises(SpcpmError, match=OFF_BLOCK):
+            serialize.dilation_from_obj(legacy_obj(dil, with_off_block_entry(dil, 1e-3j)))
 
     def test_rejects_wrong_channel(self):
         rep = KrausRep(C2, C2, (np.eye(2),))
@@ -208,7 +233,76 @@ def test_blocks_are_exact_slices_of_u():
     dil = build_dilation(full_rank_tp_channel(2, 3, 960))
     # no off-block entry at all, so the two blocks add up to u bit-exactly
     assert np.array_equal(dil.v1 + dil.v2, dil.u)
-    assert not dil.v1.flags.writeable and not dil.v2.flags.writeable
+    n1 = dil.u1.shape[0]
+    assert dil.u[:n1, :n1].tobytes() == dil.u1.tobytes()
+    assert dil.u[n1:, n1:].tobytes() == dil.u2.tobytes()
+    for m in (dil.u, dil.v1, dil.v2, dil.u1, dil.u2):
+        assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1), (2, 2)])
+def test_block_defects_give_the_full_size_defects(d1, d2):
+    # U = u1 (+) u2, so the defects of the full-size U†U and UU† are the
+    # hypot of the blocks' defects; the full-size products are the reference
+    rep = full_rank_tp_channel(d1, d2, 970 + 10 * d1 + d2)
+    dil = build_dilation(rep)
+    rng = np.random.default_rng(971)
+    tampered = [
+        UnitaryDilation(dil.space, dil.ancilla_dim, u1, u2)
+        for u1, u2 in (
+            (dil.u1 + 1e-3 * crandn(rng, *dil.u1.shape), dil.u2),
+            (dil.u1, (1 + 1e-6) * dil.u2),
+            (dil.u1 @ dil.u1, 0.5 * dil.u2),
+        )
+    ]
+    for case in (dil, *tampered):
+        full = _unitarity_defects(case.u)
+        blocks = np.hypot(_unitarity_defects(case.u1), _unitarity_defects(case.u2))
+        assert np.max(np.abs(full - blocks)) <= 1e-12
+    assert all(_unitarity_defects(t.u).max() > 1e-6 for t in tampered)
+    assert verify_dilation(dil, rep)
+    assert not any(verify_dilation(t, rep) for t in tampered)
+
+
+def test_new_files_hold_the_two_blocks_bit_exactly(tmp_path):
+    dil = build_dilation(full_rank_tp_channel(2, 3, 972))
+    path = tmp_path / "dil.json"
+    serialize.write_file(path, serialize.dilation_to_obj(dil))
+    obj = serialize.read_file(path)
+    assert obj["format"] == "spcpm/3"
+    assert set(obj) == {"format", "kind", "dims", "ancilla_dim", "u1", "u2"}
+    anc = dil.ancilla_dim
+    assert [obj["u1"]["rows"], obj["u2"]["rows"]] == [2 * anc, 3 * anc]
+    back = serialize.dilation_from_obj(obj)
+    assert back.u1.tobytes() == dil.u1.tobytes()
+    assert back.u2.tobytes() == dil.u2.tobytes()
+
+
+class TestLegacyReader:
+    def test_reads_the_blocks_of_a_full_u(self):
+        dil = build_dilation(full_rank_tp_channel(1, 2, 973))
+        # signed zeros off the blocks count as zero
+        u = with_off_block_entry(dil, complex(-0.0, -0.0), lower=True)
+        back = serialize.dilation_from_obj(legacy_obj(dil, u))
+        assert back.u1.tobytes() == dil.u1.tobytes()
+        assert back.u2.tobytes() == dil.u2.tobytes()
+
+    @pytest.mark.parametrize(
+        "keys", [("u", "u1", "u2"), ("u", "u1"), ("u", "u2"), ()], ids=repr
+    )
+    def test_refuses_both_layouts_or_neither(self, keys):
+        dil = build_dilation(dephasing_channel(0.5))
+        full = legacy_obj(dil, dil.u)
+        obj = {**full, **serialize.dilation_to_obj(dil)}
+        for key in {"u", "u1", "u2"} - set(keys):
+            del obj[key]
+        with pytest.raises(SpcpmError, match="either u1 and u2 or a legacy u"):
+            serialize.dilation_from_obj(obj)
+
+    def test_refuses_a_full_u_of_the_wrong_size(self):
+        dil = build_dilation(dephasing_channel(0.5))
+        with pytest.raises(SpcpmError, match=r"u has shape \(4, 4\), expected \(6, 6\)"):
+            serialize.dilation_from_obj(legacy_obj(dil, np.eye(4)))
 
 
 def test_six_plus_six_full_rank(tmp_path):
@@ -225,24 +319,37 @@ def test_six_plus_six_full_rank(tmp_path):
 
 class TestAuditBySlices:
     def test_rejects_off_block_noise(self):
-        rep = full_rank_tp_channel(2, 2, 962)
-        dil = build_dilation(rep)
-        rng = np.random.default_rng(963)
-        noise = 1e-7 * crandn(rng, *dil.u4.shape)
-        s1, s2 = dil.space.block_slice(1), dil.space.block_slice(2)
-        off = np.zeros_like(noise)
-        off[s1, :, s2, :] = noise[s1, :, s2, :]
-        off[s2, :, s1, :] = noise[s2, :, s1, :]
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u + off.reshape(dil.u.shape))
-        assert verify_dilation(dil, rep)
-        assert not verify_dilation(tampered, rep)
+        # the off-block part is zero by representation; a legacy full-u file
+        # with any nonzero entry there, however small, is refused on reading
+        dil = build_dilation(full_rank_tp_channel(2, 2, 962))
+        for value in (1e-7, 1e-7j, 5e-324):
+            for lower in (False, True):
+                u = with_off_block_entry(dil, value, lower)
+                with pytest.raises(SpcpmError, match=OFF_BLOCK):
+                    serialize.dilation_from_obj(legacy_obj(dil, u))
 
     def test_rejects_non_unitary_block(self):
         rep = dephasing_channel(0.5)
         dil = build_dilation(rep)
-        # scale block 2 only: the off-block part stays exactly zero
-        scaled = dil.v1 + (1 + 1e-6) * dil.v2
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, scaled)
+        # scale block 2 only
+        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u1, (1 + 1e-6) * dil.u2)
+        assert verify_dilation(dil, rep)
+        assert not verify_dilation(tampered, rep)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_rejects_a_non_unitary_block_that_induces_the_same_channel(self, block):
+        # only the reference column of U reaches the channel: scaling the
+        # ancilla blocks k, k' >= 1 of one u_i leaves the induced channel
+        # unchanged, so only the unitarity check can see it
+        rep = full_rank_tp_channel(2, 1, 966)
+        dil = build_dilation(rep)
+        anc = dil.ancilla_dim
+        blocks = [dil.u1.copy(), dil.u2.copy()]
+        db = blocks[block - 1].shape[0] // anc
+        blocks[block - 1].reshape(db, anc, db, anc)[:, 1:, :, 1:] *= 1 + 1e-6
+        tampered = UnitaryDilation(dil.space, anc, *blocks)
+        assert channels_equal(kraus_from_dilation(tampered), rep, 1e-12)
+        assert verify_dilation(dil, rep)
         assert not verify_dilation(tampered, rep)
 
     def test_agreement_matches_unit_by_unit_loop(self):

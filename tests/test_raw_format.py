@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from spcpm import serialize
 from spcpm.cli import main
 from spcpm.cpm import KrausRep, kraus_to_choi
-from spcpm.dilation import build_dilation
+from spcpm.dilation import UnitaryDilation, build_dilation
 from spcpm.errors import SpcpmError
 from spcpm.sp import blocks_from_sp, random_sp_channel
 from spcpm.spaces import DecomposedSpace
@@ -132,7 +132,8 @@ def test_nan_bits_in_a_file_exit_2(tmp_path, capsys):
 #
 # The fixtures were written by the spcpm/2 serializer from the objects the
 # builders below return; the regeneration goes through the same numpy and
-# LAPACK calls, so on the platform that wrote them it is bit-exact.
+# LAPACK calls, so on the platform that wrote them it is bit-exact.  The
+# dilation is the exception: see _fixture_dilation.
 
 
 def _channel() -> KrausRep:
@@ -144,6 +145,22 @@ def _dilation():
     return build_dilation(random_sp_channel(space, space, 2, True, 8102))
 
 
+def _fixture_u() -> np.ndarray:
+    return serialize.decode_matrix(serialize.read_file(DATA / "dilation_v2.json")["u"])
+
+
+def _fixture_dilation():
+    """The fixture's own ``u``, cut into its two blocks by hand.
+
+    The fixture was written when the builder contracted zero-padded d x d
+    Kraus pieces; it now contracts the d_i x d_i blocks, which rounds some
+    entries differently in the last bit, so a rebuild is compared within
+    1e-15 (test_v2_dilation_fixture_matches_a_rebuild) and the bit-exact
+    read against the file's own entries."""
+    u, anc = _fixture_u(), 3
+    return UnitaryDilation(DecomposedSpace(1, 2), anc, u[:anc, :anc], u[anc:, anc:])
+
+
 #: kind -> (regenerate, read, write, the object's matrices)
 V2_KINDS = {
     "channel": (_channel, serialize.channel_from_obj, serialize.channel_to_obj,
@@ -152,8 +169,8 @@ V2_KINDS = {
              serialize.choi_to_obj, lambda r: (r.matrix,)),
     "blocks": (lambda: blocks_from_sp(_channel()), serialize.blocks_from_obj,
                serialize.blocks_to_obj, lambda r: (r.block1, r.block2, r.cross)),
-    "dilation": (_dilation, serialize.dilation_from_obj, serialize.dilation_to_obj,
-                 lambda r: (r.u,)),
+    "dilation": (_fixture_dilation, serialize.dilation_from_obj,
+                 serialize.dilation_to_obj, lambda r: (r.u1, r.u2, r.u)),
 }
 
 
@@ -175,6 +192,25 @@ def test_v2_fixture_reads_bit_exactly_and_rewrites_as_v3(kind, tmp_path):
     rewritten = serialize.read_file(path)
     assert rewritten["format"] == "spcpm/3"
     assert _bits(matrices(from_obj(rewritten))) == _bits(matrices(back))
+
+
+def test_v2_dilation_fixture_reads_with_the_same_u_bits():
+    raw = _fixture_u()
+    dil = serialize.dilation_from_obj(serialize.read_file(DATA / "dilation_v2.json"))
+    n1 = dil.u1.shape[0]
+    # every entry on the two blocks keeps its bits; the file's off-block
+    # entries are all zeros, some of them -0.0, which read as +0.0
+    assert dil.u1.tobytes() == raw[:n1, :n1].tobytes()
+    assert dil.u2.tobytes() == raw[n1:, n1:].tobytes()
+    assert np.array_equal(dil.u, raw)
+    assert np.any(np.signbit(raw[:n1, n1:].view(np.float64)))
+
+
+def test_v2_dilation_fixture_matches_a_rebuild():
+    dil = serialize.dilation_from_obj(serialize.read_file(DATA / "dilation_v2.json"))
+    rebuilt = _dilation()
+    assert rebuilt.ancilla_dim == dil.ancilla_dim
+    assert np.max(np.abs(rebuilt.u - dil.u)) <= 1e-15
 
 
 def test_v2_dilation_fixture_keeps_signed_zeros():

@@ -113,15 +113,36 @@ def apply_choi(rep: ChoiRep, q) -> np.ndarray:
     return np.einsum("ijkl,jl->ik", coeff, qa)
 
 
+def _live_units(m: np.ndarray) -> np.ndarray:
+    """Mask of the matrix units whose row or column of ``m`` holds a nonzero
+    entry.
+
+    Every nonzero entry of ``m`` and of ``m†`` lies in the live-by-live
+    submatrix, so a non-Hermitian input stays non-Hermitian there; the other
+    units only add exact zero eigenvalues.  An SP channel is live only on its
+    intra-block units.
+    """
+    nonzero = m != 0
+    return nonzero.any(axis=0) | nonzero.any(axis=1)
+
+
 def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above the rank cutoff, ascending, and their eigenvectors
     as (dt, ds) operators, all from one decomposition of the coefficient
-    matrix.
+    matrix restricted to its live units.
 
+    The units outside the live set (:func:`_live_units`) contribute only zero
+    eigenvalues, so the PSD verdict, the cutoff and the kept set are those of
+    the whole matrix, and the kept eigenvectors are zero on those units.
     Each eigenvector's global phase is fixed so that its first entry above
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
     """
-    eig = psd_eig(rep.matrix, tol=rtol)
+    check_tolerance(rtol, "rtol")
+    m = rep.matrix
+    live = _live_units(m)
+    if not live.any():
+        return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
+    eig = psd_eig(m[np.ix_(live, live)], tol=rtol)
     if eig is None:
         raise SpcpmError("coefficient matrix is not positive semi-definite")
     w, v = eig
@@ -130,7 +151,8 @@ def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     cols = np.arange(vecs.shape[1])
-    gauged = vecs * np.conj(vecs[first, cols] / mags[first, cols])
+    gauged = np.zeros((len(m), len(cols)), dtype=np.complex128)
+    gauged[live] = vecs * np.conj(vecs[first, cols] / mags[first, cols])
     return w[keep], gauged.T.reshape(-1, rep.target.dim, rep.source.dim)
 
 
@@ -153,10 +175,15 @@ def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
     """Minimal number of Kraus operators needed to represent the channel.
 
     Equals the rank of the coefficient matrix at the relative eigenvalue
-    cutoff; never exceeds source.dim * target.dim.
+    cutoff, read from the eigenvalues of its live units (see
+    :func:`_live_units`); never exceeds source.dim * target.dim.
     """
     check_tolerance(rtol, "rtol")
-    w = hermitian_eig(kraus_to_choi(rep).matrix, tol=DEFAULT_TOL).eigenvalues
+    m = kraus_to_choi(rep).matrix
+    live = _live_units(m)
+    if not live.any():
+        return 0
+    w = hermitian_eig(m[np.ix_(live, live)], tol=DEFAULT_TOL).eigenvalues
     return int(np.count_nonzero(w > rank_cutoff(w, rtol)))
 
 

@@ -49,10 +49,9 @@ def check_tolerance(value: float, name: str = "tol") -> float:
     return value
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a fresh, nonempty 2-D complex128 array with finite
-    entries."""
-    arr = np.array(m, dtype=np.complex128)
+def check_matrix(arr: np.ndarray) -> np.ndarray:
+    """Return ``arr`` itself, uncopied, if it is a nonempty 2-D array with
+    finite entries; else raise SpcpmError."""
     if arr.ndim != 2:
         raise SpcpmError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if 0 in arr.shape:
@@ -60,6 +59,12 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SpcpmError("matrix entries must be finite")
     return arr
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce ``m`` to a fresh, nonempty 2-D complex128 array with finite
+    entries."""
+    return check_matrix(np.array(m, dtype=np.complex128))
 
 
 def frozen_matrix(m) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from .cpm import ChoiRep, KrausRep
 from .dilation import UnitaryDilation
 from .errors import SpcpmError
-from .linalg import as_matrix
+from .linalg import check_matrix
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace, is_integer
 
@@ -41,8 +41,9 @@ MATRIX_UNIT_BASIS = "matrix-units"
 
 
 def encode_matrix(m) -> dict:
-    arr = as_matrix(m)
-    data = base64.b64encode(arr.astype("<c16", copy=False).tobytes())
+    # checked in place: tobytes makes the one copy of a complex128 input
+    arr = check_matrix(np.asarray(m, dtype="<c16"))
+    data = base64.b64encode(arr.tobytes())
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
             "data": data.decode("ascii")}
 

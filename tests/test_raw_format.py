@@ -73,8 +73,31 @@ def test_data_is_row_major_and_sixteen_bytes_per_entry():
     assert struct.unpack("<12d", raw)[2:4] == (1.0, -1.0)  # entry [0, 1]
 
 
+def test_views_and_real_inputs_encode_as_their_complex128_copies():
+    mat = np.arange(12).reshape(3, 4) * (1 - 2j)
+    for view in (mat.T, mat[::2, 1:], mat.real):
+        want = np.array(view, dtype=np.complex128)
+        assert serialize.encode_matrix(view) == serialize.encode_matrix(want)
+
+
 # ---------------------------------------------------------------------------
 # refusals: every malformed raw matrix is an SpcpmError
+
+
+@pytest.mark.parametrize(
+    "mat,match",
+    [
+        (np.array([[1.0, np.nan]]), "finite"),
+        (np.array([[1.0], [complex(0.0, np.inf)]]), "finite"),
+        (np.zeros((0, 3)), "empty"),
+        (np.zeros((2, 2, 2)), "2-D"),
+        (np.zeros(3), "2-D"),
+    ],
+    ids=["nan", "inf", "empty", "3-d", "1-d"],
+)
+def test_encode_refuses_what_no_file_may_hold(mat, match):
+    with pytest.raises(SpcpmError, match=match):
+        serialize.encode_matrix(mat)
 
 GOOD = struct.pack("<4d", 1.0, 0.0, 0.0, -1.0)  # rows=1, cols=2
 NAN_BITS = struct.pack("<4d", 1.0, float("nan"), 0.0, 0.0)

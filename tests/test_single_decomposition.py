@@ -5,7 +5,10 @@ PSD verdict, the kept eigenpairs and the kernel projectors from a single
 ``eigh``: a positivity test with ``eigvalsh`` followed by a second ``eigh``,
 a per-vector phase gauge, a Gram-matrix diagonalization for the orthonormal
 form, and ``I - A A^+`` / ``B^+`` built from separate pseudo-inverses.  They
-are written in plain numpy and share no code with the library.
+are written in plain numpy and share no code with the library.  Like the
+library, the Choi references decompose only the units whose row or column
+holds a nonzero entry; ``test_live_units.py`` compares against the whole
+matrix.
 """
 
 import numpy as np
@@ -44,21 +47,25 @@ def reference_is_psd(m, tol):
 
 
 def reference_choi_to_kraus(rep, rtol=RTOL):
-    """PSD test, then a second decomposition, then the gauge vector by vector."""
-    m = rep.matrix
-    if not reference_is_psd(m, rtol):
-        raise SpcpmError("coefficient matrix is not positive semi-definite")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
+    """PSD test, then a second decomposition, then the gauge vector by vector,
+    all on the units whose row or column holds a nonzero entry."""
     ds, dt = rep.source.dim, rep.target.dim
+    live = [i for i in range(ds * dt) if rep.matrix[i].any() or rep.matrix[:, i].any()]
     ops = []
-    for n in range(len(w)):
-        if w[n] > cutoff:
-            vec = v[:, n]
-            mags = np.abs(vec)
-            idx = int(np.argmax(mags > 1e-12 * float(mags.max())))
-            vec = vec * np.conj(vec[idx] / mags[idx])
-            ops.append(np.sqrt(w[n]) * vec.reshape(dt, ds))
+    if live:
+        m = rep.matrix[np.ix_(live, live)]
+        if not reference_is_psd(m, rtol):
+            raise SpcpmError("coefficient matrix is not positive semi-definite")
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        cutoff = rtol * max(1.0, float(np.max(np.abs(w))))
+        for n in range(len(w)):
+            if w[n] > cutoff:
+                vec = np.zeros(ds * dt, dtype=np.complex128)
+                vec[live] = v[:, n]
+                mags = np.abs(vec)
+                idx = int(np.argmax(mags > 1e-12 * float(mags.max())))
+                vec = vec * np.conj(vec[idx] / mags[idx])
+                ops.append(np.sqrt(w[n]) * vec.reshape(dt, ds))
     if not ops:
         ops = [np.zeros((dt, ds), dtype=np.complex128)]
     return KrausRep(rep.source, rep.target, tuple(ops))
@@ -193,14 +200,16 @@ def test_block_psd_failure_matches_pseudo_inverse_route():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Count the calls of numpy's Hermitian eigensolvers."""
-    count = {"n": 0}
+    """Count the calls of numpy's Hermitian eigensolvers and record the shape
+    of each input."""
+    count = {"n": 0, "shapes": []}
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _solver=solver, **kwargs):
+        def counted(a, *args, _solver=solver, **kwargs):
             count["n"] += 1
-            return _solver(*args, **kwargs)
+            count["shapes"].append(np.shape(a))
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return count
@@ -216,8 +225,11 @@ def test_one_decomposition_per_matrix(decompositions):
         lambda: kraus_rank(rep),
     ):
         decompositions["n"] = 0
+        decompositions["shapes"] = []
         call()
         assert decompositions["n"] == 1
+        # the 8 intra-block units of the 16, not the whole 16 x 16 matrix
+        assert decompositions["shapes"] == [(8, 8)]
     g = crandn(np.random.default_rng(994), 5, 3)
     f = g @ g.conj().T
     decompositions["n"] = 0

@@ -11,11 +11,21 @@ The conversions are mutually inverse; the rank of the coefficient matrix is
 the minimal number of Kraus operators and is invariant under everything that
 leaves the channel itself unchanged (unitary mixing, padding with zero
 operators, change of operator basis).
+
+A :class:`KrausRep` builds its coefficient matrix once, on first use, and
+:func:`kraus_to_choi` returns that same read-only :class:`ChoiRep` to every
+reader: the SP verifiers, the rank, the orthonormal form, the block
+extraction, channel equality and the dilation.  The memo is derived data,
+not a field: it takes no part in equality or ``repr`` and is never
+serialized.  The Kraus rank is read from eigenvalues alone
+(``eigvalsh``); only the factorizations that return operators compute
+eigenvectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +37,6 @@ from .linalg import (
     check_tolerance,
     frobenius,
     frozen_matrix,
-    hermitian_eig,
     psd_eig,
     rank_cutoff,
 )
@@ -39,7 +48,10 @@ class KrausRep:
 
     ``ops`` is one read-only ``complex128`` array of shape (K, dt, ds),
     copied from the given sequence of equal-shape matrices or (K, dt, ds)
-    array; ``ops[k]`` is the k-th Kraus operator.
+    array; ``ops[k]`` is the k-th Kraus operator.  It is a view of a copy
+    held in immutable ``bytes``, so neither it nor its base can be made
+    writeable again and the memoized coefficient matrix
+    (:func:`kraus_to_choi`) cannot go stale.
     """
 
     source: DecomposedSpace
@@ -55,11 +67,17 @@ class KrausRep:
                 raise SpcpmError(
                     f"Kraus operator has shape {np.shape(op)}, expected {shape}"
                 )
-        ops = np.array(self.ops, dtype=np.complex128)
+        ops = np.asarray(self.ops, dtype=np.complex128)
         if not np.all(np.isfinite(ops)):
             raise SpcpmError("matrix entries must be finite")
-        ops.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
+        frozen = np.frombuffer(ops.tobytes(), dtype=np.complex128).reshape(ops.shape)
+        object.__setattr__(self, "ops", frozen)
+
+    @cached_property
+    def _choi(self) -> ChoiRep:
+        """The coefficient matrix, built on first use (see :func:`kraus_to_choi`)."""
+        stacked = self.ops.reshape(len(self.ops), -1)
+        return ChoiRep(self.source, self.target, stacked.T @ stacked.conj())
 
 
 @dataclass(frozen=True)
@@ -97,9 +115,11 @@ def apply(rep: KrausRep, q) -> np.ndarray:
 
 def kraus_to_choi(rep: KrausRep) -> ChoiRep:
     """Coefficient matrix sum_k c_k c_k†, with c_k the row-major coefficient
-    vector of the k-th Kraus operator in the matrix-unit basis."""
-    stacked = rep.ops.reshape(len(rep.ops), -1)
-    return ChoiRep(rep.source, rep.target, stacked.T @ stacked.conj())
+    vector of the k-th Kraus operator in the matrix-unit basis.
+
+    Built once per ``rep``: every call returns the same read-only object.
+    """
+    return rep._choi
 
 
 def apply_choi(rep: ChoiRep, q) -> np.ndarray:
@@ -175,7 +195,7 @@ def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
     """Minimal number of Kraus operators needed to represent the channel.
 
     Equals the rank of the coefficient matrix at the relative eigenvalue
-    cutoff, read from the eigenvalues of its live units (see
+    cutoff, read from the eigenvalues alone of its live units (see
     :func:`_live_units`); never exceeds source.dim * target.dim.
     """
     check_tolerance(rtol, "rtol")
@@ -183,7 +203,8 @@ def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
     live = _live_units(m)
     if not live.any():
         return 0
-    w = hermitian_eig(m[np.ix_(live, live)], tol=DEFAULT_TOL).eigenvalues
+    # sum_k c_k c_k† is Hermitian by construction; eigvalsh reads one triangle
+    w = np.linalg.eigvalsh(m[np.ix_(live, live)])
     return int(np.count_nonzero(w > rank_cutoff(w, rtol)))
 
 

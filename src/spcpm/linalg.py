@@ -68,10 +68,11 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frozen_matrix(m) -> np.ndarray:
-    """Like :func:`as_matrix`, but the result is marked read-only."""
-    arr = as_matrix(m)
-    arr.setflags(write=False)
-    return arr
+    """Like :func:`as_matrix`, but read-only for good: the result is a view
+    of a copy held in immutable ``bytes``, so neither it nor its base can be
+    made writeable again."""
+    arr = check_matrix(np.asarray(m, dtype=np.complex128))
+    return np.frombuffer(arr.tobytes(), dtype=np.complex128).reshape(arr.shape)
 
 
 def frobenius(m: np.ndarray) -> float:

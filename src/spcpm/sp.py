@@ -41,7 +41,7 @@ from .linalg import (
     frozen_matrix,
     inv_sqrt_psd,
 )
-from .spaces import DecomposedSpace
+from .spaces import DecomposedSpace, is_integer
 
 
 @dataclass(frozen=True)
@@ -320,28 +320,31 @@ def random_sp_channel(
     """Draw a random SP channel with k Kraus operators; deterministic per seed.
 
     Each operator is a sum of two block-embedded matrices with independent
-    complex-Gaussian entries.  With ``tp`` the list is right-normalized by
+    complex-Gaussian entries, all read from one standard-normal draw of
+    shape (k, 2 (n1 + n2)), n_i = d_ti d_si: row k holds the real then the
+    imaginary parts of operator k's block 1, then those of its block 2, in
+    row-major order.  With ``tp`` the list is right-normalized by
     S^(-1/2) where S = sum_k V_k† V_k; S is block diagonal, so normalization
     stays inside the SP set and makes the channel trace preserving.  If S
     stays numerically singular after 8 fresh draws (which happens when the
     block shapes cannot support a trace-preserving channel at this k), a
     :class:`SingularMatrixError` is raised.
     """
+    if not is_integer(k):
+        raise SpcpmError(f"number of Kraus operators must be an integer, got {k!r}")
     if k < 1:
         raise SpcpmError("need at least one Kraus operator")
     check_tolerance(rtol, "rtol")
     rng = np.random.default_rng(seed)
-
-    def crandn(rows: int, cols: int) -> np.ndarray:
-        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
     t1, t2 = target.block_slice(1), target.block_slice(2)
     s1, s2 = source.block_slice(1), source.block_slice(2)
+    n1, n2 = target.d1 * source.d1, target.d2 * source.d2
     for _ in range(8):
+        draw = rng.standard_normal((k, 2 * (n1 + n2)))
+        re1, im1, re2, im2 = np.split(draw, [n1, 2 * n1, 2 * n1 + n2], axis=1)
         ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
-        for op in ops:  # one draw per operator, block 1 first: the RNG order
-            op[t1, s1] = crandn(target.d1, source.d1)
-            op[t2, s2] = crandn(target.d2, source.d2)
+        ops[:, t1, s1] = (re1 + 1j * im1).reshape(k, target.d1, source.d1)
+        ops[:, t2, s2] = (re2 + 1j * im2).reshape(k, target.d2, source.d2)
         if not tp:
             return KrausRep(source, target, ops)
         s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)

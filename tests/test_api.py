@@ -98,12 +98,23 @@ def read_choi_file_with_basis(basis):
         (lambda: as_matrix([[np.inf]]), "must be finite"),
         (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
+        (lambda: sp.random_sp_channel(C2, C2, 2.5, False, 1), "must be an integer"),
+        (lambda: sp.random_sp_channel(C2, C2, True, False, 1), "must be an integer"),
+        (lambda: sp.random_sp_channel(C2, C2, "3", False, 1), "must be an integer"),
     ],
-    ids=["space", "kraus", "dilation", "as_matrix", "basis", "random_k"],
+    ids=[
+        "space", "kraus", "dilation", "as_matrix", "basis", "random_k",
+        "random_k_float", "random_k_bool", "random_k_str",
+    ],
 )
 def test_rejections_are_spcpm_errors(call, message):
     with pytest.raises(SpcpmError, match=message):
         call()
+
+
+def test_random_sp_channel_accepts_a_numpy_integer_k():
+    got = sp.random_sp_channel(C2, C2, np.int64(3), True, 5)
+    assert np.array_equal(got.ops, sp.random_sp_channel(C2, C2, 3, True, 5).ops)
 
 
 PREDICATES = {

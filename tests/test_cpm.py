@@ -90,6 +90,11 @@ class TestKrausRep:
         with pytest.raises(SpcpmError, match="Kraus operator has shape"):
             KrausRep(C2, C2, np.zeros((2, 3, 2)))
 
+    def test_rejects_a_single_matrix_given_as_the_stack(self):
+        # a 2-D array is read as a stack of its rows
+        with pytest.raises(SpcpmError, match=r"Kraus operator has shape \(2,\)"):
+            KrausRep(C2, C2, np.eye(2))
+
     def test_caller_writes_do_not_reach_the_rep(self):
         stack = np.ones((2, 2, 2), dtype=np.complex128)
         op = np.eye(2, dtype=np.complex128)

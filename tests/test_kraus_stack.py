@@ -8,11 +8,14 @@ products for ``compose``, and one ``embed_block_operator`` per operator and
 block for ``split_kraus_blocks`` and the sampler.  The stacked forms do the
 same arithmetic in the same order, so every result must be bit-identical;
 this also pins the README promise that ``gen`` writes the same files for the
-same seed.
+same seed.  The sampler reads all of an attempt's entries from one
+standard-normal draw; the per-operator reference draws them operator by
+operator, block 1 before block 2, real before imaginary parts.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spcpm.cpm import apply, compose, is_trace_preserving
 from spcpm.errors import SingularMatrixError
@@ -79,7 +82,7 @@ def loop_random_sp_channel(source, target, k, tp, seed, rtol=1e-10):
         except SingularMatrixError:
             continue
         return np.stack([op @ normalizer for op in ops])
-    raise AssertionError("reference normalizer stayed singular")
+    raise SingularMatrixError("reference normalizer stayed singular")
 
 
 @pytest.mark.parametrize("name,rep", ORACLE_CASES, ids=ORACLE_IDS)
@@ -136,3 +139,35 @@ def test_sampler_on_unequal_splits_is_bit_identical():
     for tp in (True, False):
         got = random_sp_channel(source, target, 9, tp, 11).ops
         assert np.array_equal(got, loop_random_sp_channel(source, target, 9, tp, 11))
+
+
+DRAW_SPLITS = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (4, 1), (1, 4), (8, 8)]
+
+
+def sampled_or_singular(sampler, source, target, k, tp, seed):
+    try:
+        return sampler(source, target, k, tp, seed)
+    except SingularMatrixError:
+        return "singular"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(DRAW_SPLITS),
+    st.sampled_from(DRAW_SPLITS),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+# 3+1 -> 1+1 at k=1: S has rank 1 on the 3-dim source block on every draw
+@example((3, 1), (1, 1), 1, True, 0)
+def test_one_draw_per_attempt_matches_per_operator_draws(src, tgt, k, tp, seed):
+    source, target = DecomposedSpace(*src), DecomposedSpace(*tgt)
+    want = sampled_or_singular(loop_random_sp_channel, source, target, k, tp, seed)
+    got = sampled_or_singular(
+        lambda *args: random_sp_channel(*args).ops, source, target, k, tp, seed
+    )
+    if isinstance(want, str):
+        assert isinstance(got, str)
+    else:
+        assert np.array_equal(got, want)

@@ -200,15 +200,16 @@ def test_block_psd_failure_matches_pseudo_inverse_route():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Count the calls of numpy's Hermitian eigensolvers and record the shape
-    of each input."""
-    count = {"n": 0, "shapes": []}
+    """Count the calls of numpy's Hermitian eigensolvers and record the name
+    of the solver and the shape of each input."""
+    count = {"n": 0, "shapes": [], "solvers": []}
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
-        def counted(a, *args, _solver=solver, **kwargs):
+        def counted(a, *args, _solver=solver, _name=name, **kwargs):
             count["n"] += 1
             count["shapes"].append(np.shape(a))
+            count["solvers"].append(_name)
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -235,3 +236,13 @@ def test_one_decomposition_per_matrix(decompositions):
     decompositions["n"] = 0
     assert block_psd_check(f[:2, :2], f[2:, 2:], f[:2, 2:])
     assert decompositions["n"] <= 3
+
+
+def test_kraus_rank_reads_eigenvalues_only(decompositions):
+    rep = full_rank_tp_channel(2, 2, 995)
+    assert len(rep.ops) == 8
+    decompositions["solvers"].clear()  # the sampler's normalizer is not counted
+    decompositions["shapes"].clear()
+    assert kraus_rank(rep) == 8
+    assert decompositions["solvers"] == ["eigvalsh"]
+    assert decompositions["shapes"] == [(8, 8)]

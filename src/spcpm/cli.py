@@ -33,7 +33,7 @@ from .cpm import (
     kraus_to_choi,
     orthonormal_kraus,
 )
-from .dilation import build_dilation, verify_dilation
+from .dilation import _dilation_failure, build_dilation
 from .errors import (
     NotSPError,
     NotTracePreservingError,
@@ -157,8 +157,13 @@ def cmd_compose(args) -> int:
 def cmd_dilate(args) -> int:
     rep = _load_channel(args.file)
     dil = build_dilation(rep, args.tol)
-    if not verify_dilation(dil, rep, args.tol):
-        _err("constructed dilation failed verification")
+    failure = _dilation_failure(dil, rep, args.tol)
+    if failure is not None:
+        condition, residual = failure
+        _err(
+            f"constructed dilation failed verification: {condition} residual "
+            f"{residual:.3e} exceeds tol {args.tol:.1e}"
+        )
         return EXIT_NUMERIC
     serialize.write_file(args.out, serialize.dilation_to_obj(dil))
     print(f"wrote dilation with ancilla dimension {dil.ancilla_dim} to {args.out}")

@@ -36,6 +36,7 @@ from .linalg import (
     as_matrix,
     check_tolerance,
     frobenius,
+    frozen_copy,
     frozen_matrix,
     psd_eig,
     rank_cutoff,
@@ -70,8 +71,7 @@ class KrausRep:
         ops = np.asarray(self.ops, dtype=np.complex128)
         if not np.all(np.isfinite(ops)):
             raise SpcpmError("matrix entries must be finite")
-        frozen = np.frombuffer(ops.tobytes(), dtype=np.complex128).reshape(ops.shape)
-        object.__setattr__(self, "ops", frozen)
+        object.__setattr__(self, "ops", frozen_copy(ops))
 
     @cached_property
     def _choi(self) -> ChoiRep:

@@ -7,7 +7,7 @@ unitary evolution from a fixed reference ancilla state:
     phi(Q) = Tr_anc(U (Q x |0><0|) U†),
 
 where the unitary splits as U = V1 + V2 into two partial isometries, each
-supported on one block, and is stored and audited as those two blocks alone:
+supported on one block:
 
     V_i V_i† = V_i† V_i = P_i x I_anc.
 
@@ -17,13 +17,28 @@ V_{i,k}, each partial isometry is built on an ancilla of dimension K + 1 as
     V_i = P_i x I - P_i x |0><0| - sum_{k,k'} V_{i,k} V_{i,k'}† x |k><k'|
           + sum_k V_{i,k} x |k><0| + sum_k V_{i,k}† x |0><k|.
 
-Trace preservation of the split list gives sum_k V_{1,k}† V_{1,k} = P_1 and
-sum_k V_{2,k}† V_{2,k} = P_2, which is what makes the construction unitary.
+So V_i is fixed by the stack A_i = [V_{i,1}; ...; V_{i,K}] (K·d_i x d_i)
+alone, and that stack is all a :class:`UnitaryDilation` stores.  Up to the
+permutation that makes the ancilla index slow and puts the reference
+coordinate first, V_i on its support P_i x I_anc is
+
+    u_i = [[0, A_i†], [A_i, I - A_i A_i†]],
+
+a Hermitian matrix, so U†U = UU† = U².  With G_i = A_i† A_i and
+E_i = G_i - I (both d_i x d_i), the blocks of u_i² - I are E_i, -E_i A_i†,
+-A_i E_i and A_i E_i A_i†, whence
+
+    ||u_i² - I||_F² = tr(E²) + 2 tr(E G E) + tr(E G E G) = ||E (E + 2I)||_F².
+
+U is unitary exactly when each A_i is an isometry, which is the trace
+preservation of the split list: sum_k V_{i,k}† V_{i,k} = P_i.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,40 +49,74 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import DEFAULT_RTOL, DEFAULT_TOL, check_tolerance, frobenius, frozen_matrix
-from .sp import is_sp_definition, is_sp_kraus_blocks
-from .spaces import DecomposedSpace, is_integer
+from .linalg import DEFAULT_RTOL, DEFAULT_TOL, check_tolerance, frobenius, frozen_copy
+from .sp import definition_violation, is_sp_kraus_blocks
+from .spaces import DecomposedSpace
 
 
 @dataclass(frozen=True)
 class UnitaryDilation:
-    """A unitary U = V1 + V2 on system x ancilla, stored as its two blocks.
+    """A unitary U = V1 + V2 on system x ancilla, stored as its two stacks
+    of in-block Kraus pieces.
 
-    With the system index slow and the ancilla index fast, U = diag(u1, u2):
-    ``u_i`` is V_i restricted to its support P_i x I_anc, a (d_i·anc)-square
-    unitary.  ``u``, ``v1`` and ``v2`` are derived.  The reference ancilla
-    state is coordinate 0; ancilla coordinate k pairs with the k-th Kraus
-    operator, so ``ancilla_dim`` is one more than the Kraus rank of the
-    realized channel.
+    ``a1`` is a read-only (K, d1, d1) stack and ``a2`` a (K, d2, d2) one:
+    ``a_i[k - 1]`` is the piece V_{i,k} that ancilla coordinate k pairs with,
+    and coordinate 0 is the reference state, so ``ancilla_dim`` is K + 1.
+    K is at most d1² + d2², the largest rank of a block-diagonal Kraus list
+    (a minimal list from :func:`build_dilation` never exceeds it), which
+    bounds the derived (d_i·(K+1))-square blocks.  Everything else is
+    derived: with the system index slow and the ancilla index fast,
+    U = diag(u1, u2), ``u_i`` being V_i restricted to its support
+    P_i x I_anc, a (d_i·anc)-square unitary; ``u``, ``v1`` and ``v2`` are
+    built from the two blocks.  Each derived array is a fresh read-only copy.
     """
 
     space: DecomposedSpace
-    ancilla_dim: int
-    u1: np.ndarray
-    u2: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
 
     def __post_init__(self) -> None:
-        anc = self.ancilla_dim
-        if not is_integer(anc) or anc < 1:
+        for name, db in (("a1", self.space.d1), ("a2", self.space.d2)):
+            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            if arr.ndim != 3:
+                raise SpcpmError(
+                    f"{name} must be a 3-D stack of pieces, got ndim={arr.ndim}"
+                )
+            if arr.shape[1:] != (db, db):
+                raise SpcpmError(
+                    f"{name} holds pieces of shape {arr.shape[1:]}, expected {(db, db)}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise SpcpmError("matrix entries must be finite")
+            object.__setattr__(self, name, frozen_copy(arr))
+        if len(self.a1) != len(self.a2):
             raise SpcpmError(
-                f"ancilla must be a positive integer dimension, got {anc!r}"
+                f"a1 and a2 hold {len(self.a1)} and {len(self.a2)} pieces, "
+                "expected the same number"
             )
-        object.__setattr__(self, "ancilla_dim", int(anc))
-        for name, db in (("u1", self.space.d1), ("u2", self.space.d2)):
-            arr, n = frozen_matrix(getattr(self, name)), db * self.ancilla_dim
-            if arr.shape != (n, n):
-                raise SpcpmError(f"{name} has shape {arr.shape}, expected {(n, n)}")
-            object.__setattr__(self, name, arr)
+        if len(self.a1) == 0:
+            raise SpcpmError("a dilation needs at least one Kraus piece per block")
+        most = self.space.d1 ** 2 + self.space.d2 ** 2
+        if len(self.a1) > most:
+            raise SpcpmError(
+                f"a dilation holds {len(self.a1)} pieces per block, more than "
+                f"d1² + d2² = {most}, the largest minimal Kraus rank"
+            )
+
+    @property
+    def ancilla_dim(self) -> int:
+        """K + 1: the reference coordinate and one per Kraus piece."""
+        return len(self.a1) + 1
+
+    @property
+    def u1(self) -> np.ndarray:
+        """V1 on its support P1 x I_anc (read-only copy)."""
+        return _unitary_block(self.a1)
+
+    @property
+    def u2(self) -> np.ndarray:
+        """V2 on its support P2 x I_anc (read-only copy)."""
+        return _unitary_block(self.a2)
 
     @property
     def u(self) -> np.ndarray:
@@ -77,19 +126,34 @@ class UnitaryDilation:
     @property
     def v1(self) -> np.ndarray:
         """The partial isometry diag(u1, 0) on block 1 (read-only copy)."""
-        return _block_diag(self.u1, np.zeros_like(self.u2))
+        return _block_diag(self.u1, np.zeros((self.space.d2 * self.ancilla_dim,) * 2))
 
     @property
     def v2(self) -> np.ndarray:
         """The partial isometry diag(0, u2) on block 2 (read-only copy)."""
-        return _block_diag(np.zeros_like(self.u1), self.u2)
+        return _block_diag(np.zeros((self.space.d1 * self.ancilla_dim,) * 2), self.u2)
+
+
+def _unitary_block(pieces: np.ndarray) -> np.ndarray:
+    """u_i from its (K, d_i, d_i) piece stack, written ancilla block by
+    ancilla block into the (d_i, K+1, d_i, K+1) view:
+
+        u_i[:, k, :, k'] = delta_kk' I - P_k P_k'†   (k, k' >= 1)
+        u_i[:, k, :, 0]  = P_k,   u_i[:, 0, :, k] = P_k†,   u_i[:, 0, :, 0] = 0.
+    """
+    k, db = pieces.shape[:2]
+    anc = k + 1
+    u4 = np.zeros((db, anc, db, anc), dtype=np.complex128)
+    u4[:, 1:, :, 1:] = -np.einsum("rij,clj->irlc", pieces, pieces.conj(), optimize=True)
+    np.einsum("iaia->ia", u4)[:, 1:] += 1.0  # a writable view of the diagonal
+    u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
+    u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
+    return frozen_copy(u4.reshape(db * anc, db * anc))
 
 
 def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     zero = np.zeros((first.shape[0], second.shape[0]), dtype=np.complex128)
-    out = np.block([[first, zero], [zero.T, second]])
-    out.setflags(write=False)
-    return out
+    return frozen_copy(np.block([[first, zero], [zero.T, second]]))
 
 
 def build_dilation(
@@ -98,12 +162,8 @@ def build_dilation(
     """Construct the unitary dilation of a trace-preserving SP channel.
 
     The Kraus list is first reduced to a linearly independent one, so the
-    ancilla dimension is the minimal K + 1 for this construction.  Each
-    ancilla block of the (d_i, anc, d_i, anc) view of u_i is written from
-    the in-block pieces P_k = V_{i,k} of the minimal list:
-
-        u_i[:, k, :, k'] = delta_kk' I - P_k P_k'†   (k, k' >= 1)
-        u_i[:, k, :, 0]  = P_k,   u_i[:, 0, :, k] = P_k†,   u_i[:, 0, :, 0] = 0.
+    ancilla dimension is the minimal K + 1 for this construction; the
+    dilation is its two stacks of in-block pieces.
     """
     check_tolerance(rtol, "rtol")
     if rep.source != rep.target:
@@ -117,20 +177,8 @@ def build_dilation(
     minimal = choi_to_kraus(kraus_to_choi(rep), rtol)
     if not is_sp_kraus_blocks(minimal, tol):
         raise NotSPError("channel has cross-block Kraus components above tolerance")
-    space, anc = rep.source, len(minimal.ops) + 1
-    blocks = []
-    for block in (1, 2):
-        sb, db = space.block_slice(block), space.block_dim(block)
-        pieces = minimal.ops[:, sb, sb]
-        u4 = np.zeros((db, anc, db, anc), dtype=np.complex128)
-        u4[:, 1:, :, 1:] = -np.einsum(
-            "rij,clj->irlc", pieces, pieces.conj(), optimize=True
-        )
-        np.einsum("iaia->ia", u4)[:, 1:] += 1.0  # a writable view of the diagonal
-        u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
-        u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
-        blocks.append(u4.reshape(db * anc, db * anc))
-    return UnitaryDilation(space, anc, *blocks)
+    s1, s2 = rep.source.block_slice(1), rep.source.block_slice(2)
+    return UnitaryDilation(rep.source, minimal.ops[:, s1, s1], minimal.ops[:, s2, s2])
 
 
 def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
@@ -145,22 +193,49 @@ def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
 
 def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
     """Kraus operators of the induced channel, one per ancilla coordinate:
-    the ancilla blocks A_k = U[:, k, :, 0] against the reference column,
-    block diagonal with A_k[s_i, s_i] = u_i[:, k, :, 0]."""
-    space, anc = dil.space, dil.ancilla_dim
-    ops = np.zeros((anc, space.dim, space.dim), dtype=np.complex128)
-    for block, u_i in ((1, dil.u1), (2, dil.u2)):
-        sb, db = space.block_slice(block), space.block_dim(block)
-        ops[:, sb, sb] = u_i.reshape(db, anc, db, anc)[:, :, :, 0].transpose(1, 0, 2)
+    the ancilla blocks U[:, k, :, 0] against the reference column, zero for
+    k = 0 and block diagonal with the stored pieces a_i[k - 1] for k >= 1."""
+    space = dil.space
+    ops = np.zeros((dil.ancilla_dim, space.dim, space.dim), dtype=np.complex128)
+    for block, pieces in ((1, dil.a1), (2, dil.a2)):
+        sb = space.block_slice(block)
+        ops[1:, sb, sb] = pieces
     return KrausRep(space, space, ops)
 
 
-def _unitarity_defects(m: np.ndarray) -> np.ndarray:
-    """(||M†M - I||_F, ||MM† - I||_F)."""
-    eye = np.eye(m.shape[0])
-    return np.array(
-        [frobenius(m.conj().T @ m - eye), frobenius(m @ m.conj().T - eye)]
-    )
+def _isometry_defect(pieces: np.ndarray) -> float:
+    """||u_i² - I||_F = ||E (E + 2I)||_F with E = A_i† A_i - I, from
+    d_i x d_i matrices only (see the module docstring)."""
+    stacked = pieces.reshape(-1, pieces.shape[-1])
+    e = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    return frobenius(e @ e + 2 * e)
+
+
+def _dilation_failure(
+    dil: UnitaryDilation, rep: KrausRep, tol: float
+) -> Optional[tuple[str, float]]:
+    """The first audit condition that fails, as ``(condition, residual)``,
+    or ``None`` when all three hold (see :func:`verify_dilation`).
+
+    ``condition`` is ``"isometry"``, ``"agreement"`` (``inf`` when the
+    channel lives on other spaces) or ``"sp"``.
+    """
+    check_tolerance(tol)
+    if rep.source != dil.space or rep.target != dil.space:
+        return "agreement", math.inf
+    defect = math.hypot(_isometry_defect(dil.a1), _isometry_defect(dil.a2))
+    if defect > tol:
+        return "isometry", defect
+    d = dil.space.dim
+    induced = kraus_from_dilation(dil)
+    diff = kraus_to_choi(induced).matrix - kraus_to_choi(rep).matrix
+    worst = float(np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2)).max())
+    if worst > tol:
+        return "agreement", worst
+    leak = float(definition_violation(induced)[0])
+    if leak > tol:
+        return "sp", leak
+    return None
 
 
 def verify_dilation(
@@ -170,9 +245,10 @@ def verify_dilation(
 
     U = u1 ⊕ u2 by representation, so no off-block part is left to check:
 
-    * U is unitary: its defects ||U†U - I||_F and ||UU† - I||_F are exactly
-      the ``hypot`` of the blocks' defects, and each block being unitary is
-      the partial-isometry condition V_i V_i† = V_i† V_i = P_i x I;
+    * U is unitary: its defect ||U†U - I||_F = ||UU† - I||_F is the ``hypot``
+      of the blocks' defects ||u_i² - I||_F, each read from the d_i x d_i
+      Gram matrix of its stack; each block being unitary is the
+      partial-isometry condition V_i V_i† = V_i† V_i = P_i x I;
     * the induced channel agrees with ``rep`` on every source matrix unit:
       the worst Frobenius norm over units (a, b) of the difference of the
       images, read from the reshaped coefficient matrices;
@@ -180,16 +256,4 @@ def verify_dilation(
       pair satisfying the conditions realizes an SP channel, so a valid
       dilation must too).
     """
-    check_tolerance(tol)
-    if rep.source != dil.space or rep.target != dil.space:
-        return False
-    defects = np.hypot(_unitarity_defects(dil.u1), _unitarity_defects(dil.u2))
-    if defects.max() > tol:
-        return False
-    d = dil.space.dim
-    induced = kraus_from_dilation(dil)
-    diff = kraus_to_choi(induced).matrix - kraus_to_choi(rep).matrix
-    per_unit = np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2))
-    if per_unit.max() > tol:
-        return False
-    return bool(is_sp_definition(induced, tol))
+    return _dilation_failure(dil, rep, tol) is None

@@ -67,12 +67,16 @@ def as_matrix(m) -> np.ndarray:
     return check_matrix(np.array(m, dtype=np.complex128))
 
 
-def frozen_matrix(m) -> np.ndarray:
-    """Like :func:`as_matrix`, but read-only for good: the result is a view
-    of a copy held in immutable ``bytes``, so neither it nor its base can be
-    made writeable again."""
-    arr = check_matrix(np.asarray(m, dtype=np.complex128))
+def frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of a ``complex128`` array of any shape: a view of a
+    copy held in immutable ``bytes``, so neither it nor its base can be made
+    writeable again."""
     return np.frombuffer(arr.tobytes(), dtype=np.complex128).reshape(arr.shape)
+
+
+def frozen_matrix(m) -> np.ndarray:
+    """Like :func:`as_matrix`, but read-only for good (:func:`frozen_copy`)."""
+    return frozen_copy(check_matrix(np.asarray(m, dtype=np.complex128)))
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -1,21 +1,18 @@
 """JSON interchange for channels, coefficient matrices, block triples and
 dilations.
 
-Every file is compact JSON tagged ``"format": "spcpm/3"`` (a dilation
-stores its two diagonal blocks ``u1`` and ``u2`` only).  A matrix is
+Every file is compact JSON tagged ``"format": "spcpm/4"``.  A matrix is
 ``{"rows": R, "cols": C, "data": <base64>}`` where ``data`` is the standard
 (RFC 4648) base64 of the row-major matrix as little-endian ``complex128``
 bytes, 16 per entry, so a write followed by a read reproduces every matrix
-bit-exactly, signed zeros included.
+bit-exactly, signed zeros included.  A dilation stores its two stacks of
+in-block Kraus pieces ``a1`` and ``a2``, each as a ``(K·d_i) x d_i`` matrix
+of the K pieces one below the other; its unitary and ancilla dimension are
+derived.
 
-Files tagged ``spcpm/2``, whose matrices hold ``[re, im]`` pairs of decimal
-doubles in ``data``, are still read but never written; the decoder picks the
-form by the JSON type of ``data``, and both forms get the same checks.  A
-dilation that holds the full ``u`` instead of its blocks (every ``spcpm/2``
-one and the earliest ``spcpm/3`` ones) is read by slicing the blocks out,
-and refused if any entry off them is nonzero.  Any other tag, an unreadable
-path and a malformed file raise :class:`SpcpmError`, and so does a path that
-cannot be written.
+Only ``spcpm/4`` is read: any other tag (the earlier ``spcpm/1`` to
+``spcpm/3`` included), an unreadable path and a malformed file raise
+:class:`SpcpmError`, and so does a path that cannot be written.
 """
 
 from __future__ import annotations
@@ -33,9 +30,7 @@ from .linalg import check_matrix
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace, is_integer
 
-FORMAT = "spcpm/3"
-#: The tags read_file accepts: the written one and the [re, im] form before it.
-_READ_FORMATS = (FORMAT, "spcpm/2")
+FORMAT = "spcpm/4"
 #: The one coefficient basis of choi files: the row-major matrix units.
 MATRIX_UNIT_BASIS = "matrix-units"
 
@@ -61,19 +56,6 @@ def _raw_entries(data: str, n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
 
 
-def _pair_entries(data: list, n: int) -> np.ndarray:
-    """The n entries of a list of [re, im] pairs (the spcpm/2 form)."""
-    if len(data) != n:
-        raise SpcpmError("matrix data length does not match rows * cols")
-    try:
-        pairs = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpcpmError(f"bad matrix entries: {exc}") from exc
-    if pairs.shape != (n, 2):
-        raise SpcpmError("matrix entries must be [re, im] pairs")
-    return pairs.view(np.complex128)
-
-
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise SpcpmError("matrix object must be a JSON object")
@@ -85,12 +67,9 @@ def decode_matrix(obj) -> np.ndarray:
         raise SpcpmError("matrix rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise SpcpmError("matrix dimensions must be positive")
-    if isinstance(data, str):
-        entries = _raw_entries(data, rows * cols)
-    elif isinstance(data, list):
-        entries = _pair_entries(data, rows * cols)
-    else:
-        raise SpcpmError("matrix data must be a base64 string or a list of pairs")
+    if not isinstance(data, str):
+        raise SpcpmError("matrix data must be a base64 string")
+    entries = _raw_entries(data, rows * cols)
     if not np.all(np.isfinite(entries)):
         raise SpcpmError("matrix entries must be finite")
     return entries.reshape(rows, cols)
@@ -201,35 +180,27 @@ def dilation_to_obj(dil: UnitaryDilation) -> dict:
         "format": FORMAT,
         "kind": "dilation",
         "dims": _encode_space(dil.space),
-        "ancilla_dim": dil.ancilla_dim,
-        "u1": encode_matrix(dil.u1),
-        "u2": encode_matrix(dil.u2),
+        "a1": encode_matrix(dil.a1.reshape(-1, dil.space.d1)),
+        "a2": encode_matrix(dil.a2.reshape(-1, dil.space.d2)),
     }
 
 
-def _legacy_blocks(obj, space: DecomposedSpace, anc: int) -> tuple:
-    """The two diagonal blocks of a full ``u``; refused if it has any entry
-    off them (a signed zero is zero)."""
-    u, n, n1 = decode_matrix(obj), space.dim * anc, space.d1 * anc
-    if u.shape != (n, n):
-        raise SpcpmError(f"u has shape {u.shape}, expected {(n, n)}")
-    if np.any(u[:n1, n1:]) or np.any(u[n1:, :n1]):
-        raise SpcpmError("u has nonzero entries off its two diagonal blocks")
-    return u[:n1, :n1], u[n1:, n1:]
+def _decode_stack(obj, name: str, db: int) -> np.ndarray:
+    """The (K, d_i, d_i) stack of a ``(K·d_i) x d_i`` matrix, K >= 1."""
+    if name not in obj:
+        raise SpcpmError(f"dilation needs {name}, a (K·{db}) x {db} stack of Kraus pieces")
+    m = decode_matrix(obj[name])
+    if m.shape[1] != db or m.shape[0] % db:
+        raise SpcpmError(f"{name} has shape {m.shape}, expected (K·{db}, {db})")
+    return m.reshape(-1, db, db)
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
     _expect_kind(obj, "dilation")
     space = _decode_space(obj, "dims")
-    anc = obj.get("ancilla_dim")
-    if not is_integer(anc) or anc < 1:
-        raise SpcpmError("ancilla_dim must be a positive integer")
-    if ("u" in obj) == ("u1" in obj or "u2" in obj):
-        raise SpcpmError("a dilation holds either u1 and u2 or a legacy u")
-    if "u" in obj:
-        return UnitaryDilation(space, anc, *_legacy_blocks(obj["u"], space, anc))
-    u1, u2 = decode_matrix(obj.get("u1")), decode_matrix(obj.get("u2"))
-    return UnitaryDilation(space, anc, u1, u2)
+    return UnitaryDilation(
+        space, _decode_stack(obj, "a1", space.d1), _decode_stack(obj, "a2", space.d2)
+    )
 
 
 def write_file(path, obj: dict) -> None:
@@ -249,6 +220,6 @@ def read_file(path) -> dict:
         raise SpcpmError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpcpmError("top-level JSON value must be an object")
-    if obj.get("format") not in _READ_FORMATS:
+    if obj.get("format") != FORMAT:
         raise SpcpmError(f"unsupported format tag: {obj.get('format')!r}")
     return obj

@@ -94,7 +94,8 @@ def read_choi_file_with_basis(basis):
     [
         (lambda: DecomposedSpace(0, 1), "at least one-dimensional"),
         (lambda: KrausRep(C2, C2, ()), "at least one operator"),
-        (lambda: UnitaryDilation(C2, 0, np.eye(1), np.eye(1)), "ancilla must be"),
+        (lambda: UnitaryDilation(C2, np.ones((0, 1, 1)), np.ones((0, 1, 1))),
+         "at least one Kraus piece"),
         (lambda: as_matrix([[np.inf]]), "must be finite"),
         (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
@@ -152,17 +153,33 @@ def test_space_accepts_python_and_numpy_integers(d1):
     assert type(space.d1) is int and type(space.d2) is int
 
 
-@pytest.mark.parametrize("anc", [2.0, True, np.float64(2.0), "2", -1], ids=repr)
-def test_dilation_refuses_a_non_integer_or_non_positive_ancilla(anc):
-    with pytest.raises(SpcpmError, match="ancilla must be a positive integer"):
-        UnitaryDilation(C2, anc, np.eye(2), np.eye(2))
+def read_dilation_file_with_stacks(a1, a2):
+    """A 1+1 dilation file whose stacks are the given matrices."""
+    obj = serialize.dilation_to_obj(UnitaryDilation(C2, np.ones((2, 1, 1)), np.ones((2, 1, 1))))
+    obj["a1"], obj["a2"] = serialize.encode_matrix(a1), serialize.encode_matrix(a2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dilation.json"
+        serialize.write_file(path, obj)
+        return serialize.dilation_from_obj(serialize.read_file(path))
 
 
-def test_dilation_accepts_a_numpy_ancilla_and_checks_block_shapes():
-    dil = UnitaryDilation(C2, np.int64(2), np.eye(2), np.eye(2))
-    assert type(dil.ancilla_dim) is int
-    json.dumps(serialize.dilation_to_obj(dil))  # a numpy integer would not dump
-    with pytest.raises(SpcpmError, match=r"u2 has shape \(3, 3\), expected \(2, 2\)"):
-        UnitaryDilation(C2, 2, np.eye(2), np.eye(3))
-    with pytest.raises(SpcpmError, match=r"u1 has shape \(4, 4\), expected \(2, 2\)"):
-        UnitaryDilation(C2, 2, np.eye(4), np.eye(2))
+@pytest.mark.parametrize(
+    "a1, a2, match",
+    [
+        (np.ones((2, 1)), np.ones((3, 1)), "a1 and a2 hold 2 and 3 pieces"),
+        (np.ones((2, 2)), np.ones((2, 1)), r"a1 has shape \(2, 2\), expected \(K·1, 1\)"),
+        (np.ones((2, 1)), np.ones((1, 2)), r"a2 has shape \(1, 2\), expected \(K·1, 1\)"),
+    ],
+    ids=["lengths", "a1-cols", "a2-cols"],
+)
+def test_dilation_file_refuses_stacks_that_fix_no_ancilla(a1, a2, match):
+    # the ancilla dimension is derived from the stacks, so a file whose
+    # stacks give no common K >= 1 is refused on reading
+    with pytest.raises(SpcpmError, match=match):
+        read_dilation_file_with_stacks(a1, a2)
+
+
+def test_dilation_file_derives_a_python_int_ancilla():
+    dil = read_dilation_file_with_stacks(np.ones((2, 1)), np.zeros((2, 1)))
+    assert dil.ancilla_dim == 3 and type(dil.ancilla_dim) is int
+    json.dumps(serialize.dilation_to_obj(dil))

@@ -59,8 +59,14 @@ def test_frozen_arrays_cannot_be_made_writeable():
         "SPBlockRep.block1": blocks.block1,
         "SPBlockRep.block2": blocks.block2,
         "SPBlockRep.cross": blocks.cross,
+        "UnitaryDilation.a1": dil.a1,
+        "UnitaryDilation.a2": dil.a2,
+        # derived: fresh copies, held in bytes all the same
         "UnitaryDilation.u1": dil.u1,
         "UnitaryDilation.u2": dil.u2,
+        "UnitaryDilation.u": dil.u,
+        "UnitaryDilation.v1": dil.v1,
+        "UnitaryDilation.v2": dil.v2,
     }
     for name, arr in frozen.items():
         chain = []

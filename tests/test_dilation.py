@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spcpm import serialize
+from spcpm import dilation, serialize
+from spcpm.cli import main
 from spcpm.cpm import (
     KrausRep,
     apply,
@@ -14,7 +16,8 @@ from spcpm.cpm import (
 )
 from spcpm.dilation import (
     UnitaryDilation,
-    _unitarity_defects,
+    _dilation_failure,
+    _isometry_defect,
     apply_dilation,
     build_dilation,
     kraus_from_dilation,
@@ -52,23 +55,48 @@ def full_rank_tp_channel(d1, d2, seed):
     return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
 
 
-def legacy_obj(dil, u):
-    """A dilation object in the legacy layout: the full ``u`` instead of the
-    two blocks ``u1`` and ``u2``."""
-    obj = serialize.dilation_to_obj(dil)
-    del obj["u1"], obj["u2"]
-    obj["u"] = serialize.encode_matrix(u)
-    return obj
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    """(||M†M - I||_F, ||MM† - I||_F), from the full-size products."""
+    eye = np.eye(m.shape[0])
+    return np.array(
+        [np.linalg.norm(m.conj().T @ m - eye), np.linalg.norm(m @ m.conj().T - eye)]
+    )
 
 
-def with_off_block_entry(dil, value, lower=False):
-    """``dil.u`` with one entry of its off-block part set to ``value``."""
-    u, n1 = dil.u.copy(), dil.u1.shape[0]
-    u[(n1, 0) if lower else (0, n1)] = value
-    return u
+def full_size_defect(dil):
+    """U's unitarity defect from the full-size products of the derived blocks."""
+    return np.hypot(_unitarity_defects(dil.u1), _unitarity_defects(dil.u2)).max()
 
 
-OFF_BLOCK = "nonzero entries off its two diagonal blocks"
+def stack_defect(dil):
+    return np.hypot(_isometry_defect(dil.a1), _isometry_defect(dil.a2))
+
+
+def tampered(dil, a1=None, a2=None):
+    """``dil`` with one or both piece stacks replaced."""
+    return UnitaryDilation(
+        dil.space, dil.a1 if a1 is None else a1, dil.a2 if a2 is None else a2
+    )
+
+
+def parent_blocks(rep):
+    """u1 and u2 as the builder wrote them when it stored the blocks
+    themselves: the same slice writes, from views of the minimal list."""
+    minimal = choi_to_kraus(kraus_to_choi(rep))
+    space, anc = rep.source, len(minimal.ops) + 1
+    blocks = []
+    for block in (1, 2):
+        sb, db = space.block_slice(block), space.block_dim(block)
+        pieces = minimal.ops[:, sb, sb]
+        u4 = np.zeros((db, anc, db, anc), dtype=np.complex128)
+        u4[:, 1:, :, 1:] = -np.einsum(
+            "rij,clj->irlc", pieces, pieces.conj(), optimize=True
+        )
+        np.einsum("iaia->ia", u4)[:, 1:] += 1.0
+        u4[:, 1:, :, 0] = pieces.transpose(1, 0, 2)
+        u4[:, 0, :, 1:] = pieces.conj().transpose(2, 1, 0)
+        blocks.append(u4.reshape(db * anc, db * anc))
+    return blocks
 
 
 def reference_dilation(rep):
@@ -184,25 +212,13 @@ class TestVerifyDilation:
         dil = build_dilation(rep)
         assert verify_dilation(dil, rep)
 
-    def test_rejects_block_mixing_unitary(self):
-        # a unitary that moves weight between blocks has no two-block form:
-        # only a legacy full-u file can hold one, and its reader refuses it
-        dil = build_dilation(KrausRep(C2, C2, (np.eye(2),)))
-        swap_sys = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for u in (np.kron(swap_sys, np.eye(2)), with_off_block_entry(dil, 1.0)):
-            with pytest.raises(SpcpmError, match=OFF_BLOCK):
-                serialize.dilation_from_obj(legacy_obj(dil, u))
-
     def test_rejects_perturbed_unitary(self):
         rng = np.random.default_rng(203)
         rep = dephasing_channel(0.5)
         dil = build_dilation(rep)
-        noisy = [u_i + 1e-3 * crandn(rng, *u_i.shape) for u_i in (dil.u1, dil.u2)]
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, *noisy)
-        assert not verify_dilation(tampered, rep, 1e-9)
-        # noise off the blocks can only come from a legacy full-u file
-        with pytest.raises(SpcpmError, match=OFF_BLOCK):
-            serialize.dilation_from_obj(legacy_obj(dil, with_off_block_entry(dil, 1e-3j)))
+        noisy = [a + 1e-3 * crandn(rng, *a.shape) for a in (dil.a1, dil.a2)]
+        assert verify_dilation(dil, rep, 1e-9)
+        assert not verify_dilation(tampered(dil, *noisy), rep, 1e-9)
 
     def test_rejects_wrong_channel(self):
         rep = KrausRep(C2, C2, (np.eye(2),))
@@ -242,67 +258,118 @@ def test_blocks_are_exact_slices_of_u():
 
 @pytest.mark.parametrize("d1,d2", [(1, 3), (3, 1), (2, 2)])
 def test_block_defects_give_the_full_size_defects(d1, d2):
-    # U = u1 (+) u2, so the defects of the full-size U†U and UU† are the
-    # hypot of the blocks' defects; the full-size products are the reference
+    # the defect read from the d_i x d_i Gram matrices is the one of the
+    # full-size U†U and UU†; the full-size products are the reference
     rep = full_rank_tp_channel(d1, d2, 970 + 10 * d1 + d2)
     dil = build_dilation(rep)
     rng = np.random.default_rng(971)
-    tampered = [
-        UnitaryDilation(dil.space, dil.ancilla_dim, u1, u2)
-        for u1, u2 in (
-            (dil.u1 + 1e-3 * crandn(rng, *dil.u1.shape), dil.u2),
-            (dil.u1, (1 + 1e-6) * dil.u2),
-            (dil.u1 @ dil.u1, 0.5 * dil.u2),
-        )
+    bad = [
+        tampered(dil, a1=dil.a1 + 1e-3 * crandn(rng, *dil.a1.shape)),
+        tampered(dil, a2=(1 + 1e-6) * dil.a2),
+        tampered(dil, a1=2 * dil.a1, a2=0.5 * dil.a2),
     ]
-    for case in (dil, *tampered):
+    for case in (dil, *bad):
         full = _unitarity_defects(case.u)
-        blocks = np.hypot(_unitarity_defects(case.u1), _unitarity_defects(case.u2))
-        assert np.max(np.abs(full - blocks)) <= 1e-12
-    assert all(_unitarity_defects(t.u).max() > 1e-6 for t in tampered)
+        assert np.max(np.abs(full - stack_defect(case))) <= 1e-12 * max(1, full.max())
+    assert all(stack_defect(t) > 1e-6 for t in bad)
     assert verify_dilation(dil, rep)
-    assert not any(verify_dilation(t, rep) for t in tampered)
+    assert not any(verify_dilation(t, rep) for t in bad)
 
 
-def test_new_files_hold_the_two_blocks_bit_exactly(tmp_path):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    split=st.sampled_from([(1, 7), (7, 1), (3, 3)]),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(-6, 0.5),
+    noise=st.floats(-9, -1),
+)
+def test_stack_defect_equals_the_full_size_defect(split, seed, scale, noise):
+    # a scaled and perturbed stack, from far below to far above the
+    # tolerance: the d_i-size identity against the full-size products
+    d1, d2 = split
+    space = DecomposedSpace(d1, d2)
+    dil = build_dilation(random_sp_channel(space, space, 3, True, seed))
+    rng = np.random.default_rng(seed)
+    a1 = (1 + 10.0**scale) * dil.a1
+    a2 = dil.a2 + 10.0**noise * crandn(rng, *dil.a2.shape)
+    for case in (dil, tampered(dil, a1=a1), tampered(dil, a2=a2), tampered(dil, a1, a2)):
+        full = full_size_defect(case)
+        assert abs(stack_defect(case) - full) <= 1e-12 * max(1, full)
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 3), (1, 3), (6, 6)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_derived_blocks_are_bit_identical_to_stored_blocks(d1, d2, seed):
+    # the blocks rebuilt from the stacks carry the bits the builder wrote
+    # when it stored them, and the rest of the unitary follows from them
+    rep = full_rank_tp_channel(d1, d2, seed)
+    dil = build_dilation(rep)
+    u1, u2 = parent_blocks(rep)
+    assert dil.u1.tobytes() == u1.tobytes()
+    assert dil.u2.tobytes() == u2.tobytes()
+    zero = np.zeros((u1.shape[0], u2.shape[0]))
+    assert dil.u.tobytes() == np.block([[u1, zero], [zero.T, u2]]).tobytes()
+
+
+def test_new_files_hold_the_two_stacks_bit_exactly(tmp_path):
     dil = build_dilation(full_rank_tp_channel(2, 3, 972))
     path = tmp_path / "dil.json"
     serialize.write_file(path, serialize.dilation_to_obj(dil))
     obj = serialize.read_file(path)
-    assert obj["format"] == "spcpm/3"
-    assert set(obj) == {"format", "kind", "dims", "ancilla_dim", "u1", "u2"}
-    anc = dil.ancilla_dim
-    assert [obj["u1"]["rows"], obj["u2"]["rows"]] == [2 * anc, 3 * anc]
+    assert obj["format"] == "spcpm/4"
+    assert set(obj) == {"format", "kind", "dims", "a1", "a2"}
+    k = dil.ancilla_dim - 1
+    assert [(obj[a]["rows"], obj[a]["cols"]) for a in ("a1", "a2")] == [(2 * k, 2), (3 * k, 3)]
     back = serialize.dilation_from_obj(obj)
-    assert back.u1.tobytes() == dil.u1.tobytes()
-    assert back.u2.tobytes() == dil.u2.tobytes()
+    assert back.a1.tobytes() == dil.a1.tobytes()
+    assert back.a2.tobytes() == dil.a2.tobytes()
+    assert back.u.tobytes() == dil.u.tobytes()
 
 
-class TestLegacyReader:
-    def test_reads_the_blocks_of_a_full_u(self):
-        dil = build_dilation(full_rank_tp_channel(1, 2, 973))
-        # signed zeros off the blocks count as zero
-        u = with_off_block_entry(dil, complex(-0.0, -0.0), lower=True)
-        back = serialize.dilation_from_obj(legacy_obj(dil, u))
-        assert back.u1.tobytes() == dil.u1.tobytes()
-        assert back.u2.tobytes() == dil.u2.tobytes()
+def test_induced_operators_are_the_stacks_after_a_zero_reference_operator():
+    dil = build_dilation(full_rank_tp_channel(2, 3, 974))
+    ops = kraus_from_dilation(dil).ops
+    assert len(ops) == dil.ancilla_dim and not np.any(ops[0])
+    assert ops[1:, :2, :2].tobytes() == dil.a1.tobytes()
+    assert ops[1:, 2:, 2:].tobytes() == dil.a2.tobytes()
+    assert not np.any(ops[:, :2, 2:]) and not np.any(ops[:, 2:, :2])
 
+
+class TestStackReader:
     @pytest.mark.parametrize(
-        "keys", [("u", "u1", "u2"), ("u", "u1"), ("u", "u2"), ()], ids=repr
+        "a1,a2,match",
+        [
+            (np.zeros((3, 2)), np.zeros((2, 1)), r"a1 has shape \(3, 2\), expected \(K·2, 2\)"),
+            (np.zeros((4, 1)), np.zeros((2, 1)), r"a1 has shape \(4, 1\), expected \(K·2, 2\)"),
+            (np.zeros((4, 2)), np.zeros((2, 2)), r"a2 has shape \(2, 2\), expected \(K·1, 1\)"),
+            (np.zeros((4, 2)), np.zeros((3, 1)), "a1 and a2 hold 2 and 3 pieces"),
+            # more pieces than any minimal list: refused before a
+            # (d_i·(K+1))-square block can be derived
+            (np.zeros((12, 2)), np.zeros((6, 1)), r"holds 6 pieces per block, more than d1² \+ d2² = 5"),
+        ],
+        ids=["rows", "cols-a1", "cols-a2", "lengths", "too-many"],
     )
-    def test_refuses_both_layouts_or_neither(self, keys):
-        dil = build_dilation(dephasing_channel(0.5))
-        full = legacy_obj(dil, dil.u)
-        obj = {**full, **serialize.dilation_to_obj(dil)}
-        for key in {"u", "u1", "u2"} - set(keys):
-            del obj[key]
-        with pytest.raises(SpcpmError, match="either u1 and u2 or a legacy u"):
+    def test_refuses_stacks_of_the_wrong_shape(self, a1, a2, match):
+        obj = serialize.dilation_to_obj(build_dilation(full_rank_tp_channel(2, 1, 973)))
+        obj["a1"], obj["a2"] = serialize.encode_matrix(a1), serialize.encode_matrix(a2)
+        with pytest.raises(SpcpmError, match=match):
             serialize.dilation_from_obj(obj)
 
-    def test_refuses_a_full_u_of_the_wrong_size(self):
+    @pytest.mark.parametrize(
+        "drop, old_keys",
+        [(("a1",), ()), (("a2",), ()), (("a1", "a2"), ("u",)), (("a1", "a2"), ("u1", "u2"))],
+        ids=["a1", "a2", "full-u", "u1-u2"],
+    )
+    def test_refuses_a_missing_stack(self, drop, old_keys):
+        # an object in an older layout (a full u, or the blocks u1 and u2)
+        # lacks the stacks and is refused by the name of the first one
         dil = build_dilation(dephasing_channel(0.5))
-        with pytest.raises(SpcpmError, match=r"u has shape \(4, 4\), expected \(6, 6\)"):
-            serialize.dilation_from_obj(legacy_obj(dil, np.eye(4)))
+        obj = serialize.dilation_to_obj(dil)
+        for key in drop:
+            del obj[key]
+        obj.update({key: serialize.encode_matrix(dil.u) for key in old_keys})
+        with pytest.raises(SpcpmError, match=f"dilation needs {drop[0]}, a "):
+            serialize.dilation_from_obj(obj)
 
 
 def test_six_plus_six_full_rank(tmp_path):
@@ -318,39 +385,31 @@ def test_six_plus_six_full_rank(tmp_path):
 
 
 class TestAuditBySlices:
-    def test_rejects_off_block_noise(self):
-        # the off-block part is zero by representation; a legacy full-u file
-        # with any nonzero entry there, however small, is refused on reading
-        dil = build_dilation(full_rank_tp_channel(2, 2, 962))
-        for value in (1e-7, 1e-7j, 5e-324):
-            for lower in (False, True):
-                u = with_off_block_entry(dil, value, lower)
-                with pytest.raises(SpcpmError, match=OFF_BLOCK):
-                    serialize.dilation_from_obj(legacy_obj(dil, u))
-
     def test_rejects_non_unitary_block(self):
         rep = dephasing_channel(0.5)
         dil = build_dilation(rep)
         # scale block 2 only
-        tampered = UnitaryDilation(dil.space, dil.ancilla_dim, dil.u1, (1 + 1e-6) * dil.u2)
+        bad = tampered(dil, a2=(1 + 1e-6) * dil.a2)
         assert verify_dilation(dil, rep)
-        assert not verify_dilation(tampered, rep)
+        assert not verify_dilation(bad, rep)
 
     @pytest.mark.parametrize("block", [1, 2])
-    def test_rejects_a_non_unitary_block_that_induces_the_same_channel(self, block):
-        # only the reference column of U reaches the channel: scaling the
-        # ancilla blocks k, k' >= 1 of one u_i leaves the induced channel
-        # unchanged, so only the unitarity check can see it
+    def test_rejects_a_non_isometric_stack_that_induces_the_channel(self, block):
+        # the stacks of a channel that is not trace preserving on one block
+        # induce that channel exactly, so only the isometry check can see
+        # that they make no unitary
         rep = full_rank_tp_channel(2, 1, 966)
         dil = build_dilation(rep)
-        anc = dil.ancilla_dim
-        blocks = [dil.u1.copy(), dil.u2.copy()]
-        db = blocks[block - 1].shape[0] // anc
-        blocks[block - 1].reshape(db, anc, db, anc)[:, 1:, :, 1:] *= 1 + 1e-6
-        tampered = UnitaryDilation(dil.space, anc, *blocks)
-        assert channels_equal(kraus_from_dilation(tampered), rep, 1e-12)
+        scale = np.ones(rep.source.dim)
+        scale[rep.source.block_slice(block)] = 1 + 1e-6
+        stacks = {1: dil.a1, 2: dil.a2}
+        stacks[block] = (1 + 1e-6) * stacks[block]
+        bad = tampered(dil, stacks[1], stacks[2])
+        scaled_rep = KrausRep(rep.source, rep.target, rep.ops * scale)
+        assert channels_equal(kraus_from_dilation(bad), scaled_rep, 1e-12)
         assert verify_dilation(dil, rep)
-        assert not verify_dilation(tampered, rep)
+        assert not verify_dilation(bad, scaled_rep)
+        assert _dilation_failure(bad, scaled_rep, 1e-9)[0] == "isometry"
 
     def test_agreement_matches_unit_by_unit_loop(self):
         # the Choi-difference residual is the worst per-unit image difference
@@ -371,3 +430,92 @@ class TestAuditBySlices:
         dil = build_dilation(dephasing_channel(0.5))
         with pytest.raises(ValueError, match="finite"):
             apply_dilation(dil, np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestFailedCondition:
+    """``_dilation_failure`` names the first audit condition that fails."""
+
+    def test_none_for_a_valid_dilation(self):
+        rep = full_rank_tp_channel(2, 1, 980)
+        assert _dilation_failure(build_dilation(rep), rep, 1e-9) is None
+
+    def test_isometry(self):
+        rep = full_rank_tp_channel(2, 1, 981)
+        dil = build_dilation(rep)
+        bad = tampered(dil, a1=(1 + 1e-3) * dil.a1, a2=(1 + 2e-3) * dil.a2)
+        condition, residual = _dilation_failure(bad, rep, 1e-9)
+        assert condition == "isometry"
+        assert residual == stack_defect(bad)
+        assert abs(residual - full_size_defect(bad)) <= 1e-12
+
+    def test_agreement(self):
+        rep = full_rank_tp_channel(2, 1, 982)
+        other = full_rank_tp_channel(2, 1, 983)
+        condition, residual = _dilation_failure(build_dilation(rep), other, 1e-9)
+        assert condition == "agreement" and residual > 1e-3
+        # a channel on other spaces cannot agree at all
+        elsewhere = full_rank_tp_channel(1, 2, 984)
+        failure = _dilation_failure(build_dilation(rep), elsewhere, 1e-9)
+        assert failure == ("agreement", np.inf)
+
+    def test_sp(self, monkeypatch):
+        # the induced operators are block diagonal by representation, so the
+        # SP condition can only fail on an induced channel that leaks; one is
+        # put in its place, matched by the channel so agreement holds
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        leaky = KrausRep(C2, C2, (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * swap))
+        dil = build_dilation(KrausRep(C2, C2, (np.eye(2),)))
+        monkeypatch.setattr(dilation, "kraus_from_dilation", lambda _: leaky)
+        condition, residual = _dilation_failure(dil, leaky, 1e-9)
+        assert condition == "sp" and residual > 0.1
+        assert verify_dilation(dil, leaky) is False
+
+    @pytest.mark.parametrize(
+        "make_bad, condition",
+        [
+            (lambda dil: tampered(dil, a2=2 * dil.a2), "isometry"),
+            (lambda dil: tampered(dil, a1=-dil.a1[:, ::-1]), "agreement"),
+        ],
+        ids=["isometry", "agreement"],
+    )
+    def test_cli_names_the_condition(self, tmp_path, capsys, monkeypatch, make_bad, condition):
+        path = tmp_path / "chan.json"
+        rep = full_rank_tp_channel(2, 2, 985)
+        serialize.write_file(path, serialize.channel_to_obj(rep))
+        built = build_dilation(rep)
+        monkeypatch.setattr("spcpm.cli.build_dilation", lambda *_: make_bad(built))
+        out = tmp_path / "never.json"
+        assert main(["dilate", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"failed verification: {condition} residual" in err
+        assert "exceeds tol 1.0e-09" in err
+        assert not out.exists()
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "a1, a2, match",
+        [
+            (np.eye(2), np.ones((1, 1, 1)), "a1 must be a 3-D stack of pieces, got ndim=2"),
+            (np.ones((1, 2, 2)), np.ones((1, 1, 1, 1)), "a2 must be a 3-D stack"),
+            (np.ones((1, 3, 3)), np.ones((1, 1, 1)), r"a1 holds pieces of shape \(3, 3\), expected \(2, 2\)"),
+            (np.ones((1, 2, 2)), np.ones((1, 1, 2)), r"a2 holds pieces of shape \(1, 2\), expected \(1, 1\)"),
+            (np.ones((2, 2, 2)), np.ones((3, 1, 1)), "a1 and a2 hold 2 and 3 pieces"),
+            (np.ones((0, 2, 2)), np.ones((0, 1, 1)), "at least one Kraus piece"),
+            (np.ones((6, 2, 2)), np.ones((6, 1, 1)), r"holds 6 pieces per block, more than d1² \+ d2² = 5"),
+            (np.full((1, 2, 2), np.nan), np.ones((1, 1, 1)), "finite"),
+            (np.ones((1, 2, 2)), np.full((1, 1, 1), complex(0, np.inf)), "finite"),
+        ],
+        ids=["a1-2d", "a2-4d", "a1-pieces", "a2-pieces", "lengths", "empty", "too-many", "nan", "inf"],
+    )
+    def test_refuses(self, a1, a2, match):
+        with pytest.raises(SpcpmError, match=match):
+            UnitaryDilation(DecomposedSpace(2, 1), a1, a2)
+
+    def test_copies_its_input_and_derives_the_ancilla(self):
+        a1, a2 = np.ones((2, 2, 2)), [[[1.0]], [[0.0]]]
+        dil = UnitaryDilation(DecomposedSpace(2, 1), a1, a2)
+        a1[0, 0, 0] = 5.0
+        assert dil.a1[0, 0, 0] == 1.0 and dil.a1.dtype == np.complex128
+        assert dil.ancilla_dim == 3 and type(dil.ancilla_dim) is int
+        assert dil.u1.shape == (6, 6) and dil.u2.shape == (3, 3)

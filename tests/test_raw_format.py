@@ -1,11 +1,9 @@
-"""The spcpm/3 matrix form (base64 of little-endian complex128 bytes) and
-the reading of committed spcpm/2 files."""
+"""The matrix form of spcpm files: base64 of little-endian complex128 bytes."""
 
 import base64
 import json
 import struct
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from spcpm import serialize
 from spcpm.cli import main
-from spcpm.cpm import KrausRep, kraus_to_choi
-from spcpm.dilation import UnitaryDilation, build_dilation
+from spcpm.cpm import KrausRep
 from spcpm.errors import SpcpmError
-from spcpm.sp import blocks_from_sp, random_sp_channel
 from spcpm.spaces import DecomposedSpace
 
-DATA = Path(__file__).parent / "data"
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
 
@@ -118,9 +113,9 @@ INF_BITS = struct.pack("<4d", 1.0, 0.0, float("-inf"), 0.0)
         ({"rows": 10**12, "cols": 10**6}, "bytes"),
         ({"data": b64(NAN_BITS)}, "finite"),
         ({"data": b64(INF_BITS)}, "finite"),
-        ({"data": 5}, "base64 string or a list"),
-        ({"data": None}, "base64 string or a list"),
-        ({"data": {"re": 1.0}}, "base64 string or a list"),
+        ({"data": 5}, "must be a base64 string"),
+        ({"data": None}, "must be a base64 string"),
+        ({"data": {"re": 1.0}}, "must be a base64 string"),
         ({"rows": "1", "data": "!"}, "integers"),
         ({"cols": 0, "data": "!"}, "positive"),
     ],
@@ -148,99 +143,3 @@ def test_nan_bits_in_a_file_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# committed spcpm/2 files still read bit-exactly
-#
-# The fixtures were written by the spcpm/2 serializer from the objects the
-# builders below return; the regeneration goes through the same numpy and
-# LAPACK calls, so on the platform that wrote them it is bit-exact.  The
-# dilation is the exception: see _fixture_dilation.
-
-
-def _channel() -> KrausRep:
-    return random_sp_channel(DecomposedSpace(1, 2), DecomposedSpace(2, 1), 2, False, 8101)
-
-
-def _dilation():
-    space = DecomposedSpace(1, 2)
-    return build_dilation(random_sp_channel(space, space, 2, True, 8102))
-
-
-def _fixture_u() -> np.ndarray:
-    return serialize.decode_matrix(serialize.read_file(DATA / "dilation_v2.json")["u"])
-
-
-def _fixture_dilation():
-    """The fixture's own ``u``, cut into its two blocks by hand.
-
-    The fixture was written when the builder contracted zero-padded d x d
-    Kraus pieces; it now contracts the d_i x d_i blocks, which rounds some
-    entries differently in the last bit, so a rebuild is compared within
-    1e-15 (test_v2_dilation_fixture_matches_a_rebuild) and the bit-exact
-    read against the file's own entries."""
-    u, anc = _fixture_u(), 3
-    return UnitaryDilation(DecomposedSpace(1, 2), anc, u[:anc, :anc], u[anc:, anc:])
-
-
-#: kind -> (regenerate, read, write, the object's matrices)
-V2_KINDS = {
-    "channel": (_channel, serialize.channel_from_obj, serialize.channel_to_obj,
-                lambda r: (r.ops,)),
-    "choi": (lambda: kraus_to_choi(_channel()), serialize.choi_from_obj,
-             serialize.choi_to_obj, lambda r: (r.matrix,)),
-    "blocks": (lambda: blocks_from_sp(_channel()), serialize.blocks_from_obj,
-               serialize.blocks_to_obj, lambda r: (r.block1, r.block2, r.cross)),
-    "dilation": (_fixture_dilation, serialize.dilation_from_obj,
-                 serialize.dilation_to_obj, lambda r: (r.u1, r.u2, r.u)),
-}
-
-
-def _bits(matrices) -> list[bytes]:
-    return [m.tobytes() for m in matrices]
-
-
-@pytest.mark.parametrize("kind", sorted(V2_KINDS))
-def test_v2_fixture_reads_bit_exactly_and_rewrites_as_v3(kind, tmp_path):
-    regenerate, from_obj, to_obj, matrices = V2_KINDS[kind]
-    obj = serialize.read_file(DATA / f"{kind}_v2.json")
-    assert obj["format"] == "spcpm/2"
-    back, expected = from_obj(obj), regenerate()
-    assert _bits(matrices(back)) == _bits(matrices(expected))
-    assert to_obj(back) == to_obj(expected)  # the dims and sizes as well
-
-    path = tmp_path / f"{kind}.json"
-    serialize.write_file(path, to_obj(back))
-    rewritten = serialize.read_file(path)
-    assert rewritten["format"] == "spcpm/3"
-    assert _bits(matrices(from_obj(rewritten))) == _bits(matrices(back))
-
-
-def test_v2_dilation_fixture_reads_with_the_same_u_bits():
-    raw = _fixture_u()
-    dil = serialize.dilation_from_obj(serialize.read_file(DATA / "dilation_v2.json"))
-    n1 = dil.u1.shape[0]
-    # every entry on the two blocks keeps its bits; the file's off-block
-    # entries are all zeros, some of them -0.0, which read as +0.0
-    assert dil.u1.tobytes() == raw[:n1, :n1].tobytes()
-    assert dil.u2.tobytes() == raw[n1:, n1:].tobytes()
-    assert np.array_equal(dil.u, raw)
-    assert np.any(np.signbit(raw[:n1, n1:].view(np.float64)))
-
-
-def test_v2_dilation_fixture_matches_a_rebuild():
-    dil = serialize.dilation_from_obj(serialize.read_file(DATA / "dilation_v2.json"))
-    rebuilt = _dilation()
-    assert rebuilt.ancilla_dim == dil.ancilla_dim
-    assert np.max(np.abs(rebuilt.u - dil.u)) <= 1e-15
-
-
-def test_v2_dilation_fixture_keeps_signed_zeros():
-    u = serialize.dilation_from_obj(serialize.read_file(DATA / "dilation_v2.json")).u
-    parts = u.view(np.float64)
-    assert np.any((parts == 0) & np.signbit(parts))
-
-
-def test_v2_channel_fixture_verifies_through_the_cli():
-    assert main(["verify", str(DATA / "channel_v2.json")]) == 0

@@ -146,10 +146,10 @@ def _live_units(m: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=0) | nonzero.any(axis=1)
 
 
-def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the rank cutoff, ascending, and their eigenvectors
-    as (dt, ds) operators, all from one decomposition of the coefficient
-    matrix restricted to its live units.
+def _kept_eigenpairs(rep: ChoiRep) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and
+    their eigenvectors as (dt, ds) operators, all from one decomposition of
+    the coefficient matrix restricted to its live units.
 
     The units outside the live set (:func:`_live_units`) contribute only zero
     eigenvalues, so the PSD verdict, the cutoff and the kept set are those of
@@ -157,16 +157,15 @@ def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]
     Each eigenvector's global phase is fixed so that its first entry above
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
     """
-    check_tolerance(rtol, "rtol")
     m = rep.matrix
     live = _live_units(m)
     if not live.any():
         return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
-    eig = psd_eig(m[np.ix_(live, live)], tol=rtol)
+    eig = psd_eig(m[np.ix_(live, live)], tol=DEFAULT_RTOL)
     if eig is None:
         raise SpcpmError("coefficient matrix is not positive semi-definite")
     w, v = eig
-    keep = w > rank_cutoff(w, rtol)
+    keep = w > rank_cutoff(w, DEFAULT_RTOL)
     vecs = v[:, keep]
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
@@ -176,36 +175,35 @@ def _kept_eigenpairs(rep: ChoiRep, rtol: float) -> tuple[np.ndarray, np.ndarray]
     return w[keep], gauged.T.reshape(-1, rep.target.dim, rep.source.dim)
 
 
-def choi_to_kraus(rep: ChoiRep, rtol: float = DEFAULT_RTOL) -> KrausRep:
+def choi_to_kraus(rep: ChoiRep) -> KrausRep:
     """Extract a linearly independent Kraus list from a PSD coefficient matrix.
 
     One operator sqrt(w_n) * mat(v_n) is kept per eigenvalue above the
-    relative cutoff, in ascending eigenvalue order and with a fixed phase
-    gauge, so the output is reproducible.  An all-zero matrix yields the zero
-    channel as a single all-zero operator.
+    relative cutoff ``DEFAULT_RTOL``, in ascending eigenvalue order and with
+    a fixed phase gauge, so the output is reproducible.  An all-zero matrix
+    yields the zero channel as a single all-zero operator.
     """
-    w, mats = _kept_eigenpairs(rep, rtol)
+    w, mats = _kept_eigenpairs(rep)
     ops = np.sqrt(w)[:, None, None] * mats
     if not len(ops):
         ops = np.zeros((1, rep.target.dim, rep.source.dim))
     return KrausRep(rep.source, rep.target, ops)
 
 
-def kraus_rank(rep: KrausRep, rtol: float = DEFAULT_RTOL) -> int:
+def kraus_rank(rep: KrausRep) -> int:
     """Minimal number of Kraus operators needed to represent the channel.
 
     Equals the rank of the coefficient matrix at the relative eigenvalue
-    cutoff, read from the eigenvalues alone of its live units (see
-    :func:`_live_units`); never exceeds source.dim * target.dim.
+    cutoff ``DEFAULT_RTOL``, read from the eigenvalues alone of its live
+    units (see :func:`_live_units`); never exceeds source.dim * target.dim.
     """
-    check_tolerance(rtol, "rtol")
     m = kraus_to_choi(rep).matrix
     live = _live_units(m)
     if not live.any():
         return 0
     # sum_k c_k c_k† is Hermitian by construction; eigvalsh reads one triangle
     w = np.linalg.eigvalsh(m[np.ix_(live, live)])
-    return int(np.count_nonzero(w > rank_cutoff(w, rtol)))
+    return int(np.count_nonzero(w > rank_cutoff(w, DEFAULT_RTOL)))
 
 
 def unitary_mix(rep: KrausRep, u) -> KrausRep:
@@ -226,16 +224,14 @@ def unitary_mix(rep: KrausRep, u) -> KrausRep:
     return KrausRep(rep.source, rep.target, mixed)
 
 
-def orthonormal_kraus(
-    rep: KrausRep, rtol: float = DEFAULT_RTOL
-) -> list[tuple[float, np.ndarray]]:
+def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
     """Rewrite the channel over Hilbert-Schmidt-orthonormal operators.
 
     Returns pairs (r_n, Y_n) with Tr(Y_n† Y_n') = delta_nn', every r_n > 0,
     and the channel equal to Q -> sum_n r_n Y_n Q Y_n†.  The number of pairs
     equals the Kraus rank; for the zero channel the list is empty.
     """
-    w, mats = _kept_eigenpairs(kraus_to_choi(rep), rtol)
+    w, mats = _kept_eigenpairs(kraus_to_choi(rep))
     return [(float(r), y) for r, y in zip(w, mats)]
 
 

@@ -10,11 +10,14 @@ for identical input bits matters more than speed.
 
 One cutoff rule decides ranks: an eigenvalue counts as zero when its
 magnitude is at most ``rtol * max(1, max|eigenvalue|)`` (:func:`rank_cutoff`),
-and a PSD matrix may have eigenvalues down to minus that cutoff.  A positivity
-verdict and the factors read from it come from the same decomposition
-(:func:`psd_eig`), so no matrix is decomposed twice.
+and a PSD matrix may have eigenvalues down to minus that cutoff.  The Kraus
+rank, the minimal and orthonormal Kraus lists and the inverse square root
+all decide at the one constant ``rtol = DEFAULT_RTOL``; no public function
+takes it as an argument.  A positivity verdict and the factors read from it
+come from the same decomposition (:func:`psd_eig`), so no matrix is
+decomposed twice.
 
-Every ``tol``/``rtol`` argument of the library must be finite and > 0;
+Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
 directly or in the first callee the value is handed to.
 """
@@ -30,7 +33,8 @@ from .errors import SingularMatrixError, SpcpmError
 
 #: Default tolerance for positivity and residual checks.
 DEFAULT_TOL = 1e-9
-#: Default relative cutoff for rank decisions (Kraus rank, minimal Kraus lists).
+#: The one relative rank cutoff (Kraus rank, minimal and orthonormal Kraus
+#: lists, inverse square root); a constant, taken by no function as an argument.
 DEFAULT_RTOL = 1e-10
 
 
@@ -211,15 +215,15 @@ def block_psd_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
     return block_psd_failure(a, b, c, tol) is None
 
 
-def inv_sqrt_psd(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def inv_sqrt_psd(m) -> np.ndarray:
     """Inverse square root M^(-1/2) of a Hermitian positive definite matrix.
 
     Raises :class:`SingularMatrixError` unless the smallest eigenvalue
-    exceeds ``rtol`` times the largest.
+    exceeds ``DEFAULT_RTOL`` times the largest.
     """
-    w, v = hermitian_eig(m, tol=rtol)
+    w, v = hermitian_eig(m, tol=DEFAULT_RTOL)
     wmax = float(w[-1])
-    if wmax <= 0.0 or float(w[0]) <= rtol * wmax:
+    if wmax <= 0.0 or float(w[0]) <= DEFAULT_RTOL * wmax:
         raise SingularMatrixError("matrix is not positive definite at the given cutoff")
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     # symmetrize so the result is Hermitian to the last bit

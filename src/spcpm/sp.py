@@ -33,7 +33,6 @@ from .cpm import (
 )
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
-    DEFAULT_RTOL,
     DEFAULT_TOL,
     block_psd_failure,
     check_tolerance,
@@ -315,7 +314,6 @@ def random_sp_channel(
     k: int,
     tp: bool,
     seed: int,
-    rtol: float = DEFAULT_RTOL,
 ) -> KrausRep:
     """Draw a random SP channel with k Kraus operators; deterministic per seed.
 
@@ -328,13 +326,15 @@ def random_sp_channel(
     stays inside the SP set and makes the channel trace preserving.  If S
     stays numerically singular after 8 fresh draws (which happens when the
     block shapes cannot support a trace-preserving channel at this k), a
-    :class:`SingularMatrixError` is raised.
+    :class:`SingularMatrixError` is raised.  ``seed`` must be a non-negative
+    integer, so that every channel drawn can be drawn again.
     """
     if not is_integer(k):
         raise SpcpmError(f"number of Kraus operators must be an integer, got {k!r}")
     if k < 1:
         raise SpcpmError("need at least one Kraus operator")
-    check_tolerance(rtol, "rtol")
+    if not (is_integer(seed) and seed >= 0):
+        raise SpcpmError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     t1, t2 = target.block_slice(1), target.block_slice(2)
     s1, s2 = source.block_slice(1), source.block_slice(2)
@@ -349,7 +349,7 @@ def random_sp_channel(
             return KrausRep(source, target, ops)
         s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         try:
-            normalizer = inv_sqrt_psd(s, rtol)
+            normalizer = inv_sqrt_psd(s)
         except SingularMatrixError:
             continue
         return KrausRep(source, target, ops @ normalizer)
@@ -358,16 +358,13 @@ def random_sp_channel(
     )
 
 
-def sp_kraus_bound_holds(
-    rep: KrausRep, tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL
-) -> bool:
+def sp_kraus_bound_holds(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether the Kraus rank respects the SP bound d_s1*d_t1 + d_s2*d_t2.
 
     The bound is the size of the assembled block triple, which is the only
     nonzero part of an SP channel's coefficient matrix.
     """
-    check_tolerance(rtol, "rtol")
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("bound applies to subspace-preserving channels only")
     bound = rep.source.d1 * rep.target.d1 + rep.source.d2 * rep.target.d2
-    return kraus_rank(rep, rtol) <= bound
+    return kraus_rank(rep) <= bound

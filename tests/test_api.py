@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spcpm
-from spcpm import cpm, errors, serialize, sp
+from spcpm import cpm, errors, linalg, serialize, sp
 from spcpm.cpm import ChoiRep, KrausRep
 from spcpm.dilation import UnitaryDilation
 from spcpm.errors import SpcpmError
@@ -80,6 +80,24 @@ def test_five_error_classes_all_spcpm_errors():
         assert issubclass(getattr(errors, name), SpcpmError)
 
 
+@pytest.mark.parametrize(
+    "func",
+    [
+        spcpm.choi_to_kraus,
+        spcpm.kraus_rank,
+        spcpm.orthonormal_kraus,
+        spcpm.build_dilation,
+        spcpm.random_sp_channel,
+        spcpm.sp_kraus_bound_holds,
+        linalg.inv_sqrt_psd,
+    ],
+    ids=lambda func: func.__name__,
+)
+def test_no_public_function_takes_the_rank_cutoff(func):
+    # the rank cutoff is the constant DEFAULT_RTOL, not a parameter
+    assert "rtol" not in inspect.signature(func).parameters
+
+
 def read_choi_file_with_basis(basis):
     obj = serialize.choi_to_obj(ChoiRep(C2, C2, np.eye(4)))
     obj["basis"] = basis
@@ -102,10 +120,15 @@ def read_choi_file_with_basis(basis):
         (lambda: sp.random_sp_channel(C2, C2, 2.5, False, 1), "must be an integer"),
         (lambda: sp.random_sp_channel(C2, C2, True, False, 1), "must be an integer"),
         (lambda: sp.random_sp_channel(C2, C2, "3", False, 1), "must be an integer"),
+        (lambda: sp.random_sp_channel(C2, C2, 1, False, -1), "seed must be"),
+        (lambda: sp.random_sp_channel(C2, C2, 1, False, 1.5), "seed must be"),
+        (lambda: sp.random_sp_channel(C2, C2, 1, False, None), "seed must be"),
+        (lambda: sp.random_sp_channel(C2, C2, 1, False, True), "seed must be"),
     ],
     ids=[
         "space", "kraus", "dilation", "as_matrix", "basis", "random_k",
-        "random_k_float", "random_k_bool", "random_k_str",
+        "random_k_float", "random_k_bool", "random_k_str", "random_seed_negative",
+        "random_seed_float", "random_seed_none", "random_seed_bool",
     ],
 )
 def test_rejections_are_spcpm_errors(call, message):
@@ -115,6 +138,11 @@ def test_rejections_are_spcpm_errors(call, message):
 
 def test_random_sp_channel_accepts_a_numpy_integer_k():
     got = sp.random_sp_channel(C2, C2, np.int64(3), True, 5)
+    assert np.array_equal(got.ops, sp.random_sp_channel(C2, C2, 3, True, 5).ops)
+
+
+def test_random_sp_channel_accepts_a_numpy_integer_seed():
+    got = sp.random_sp_channel(C2, C2, 3, True, np.int64(5))
     assert np.array_equal(got.ops, sp.random_sp_channel(C2, C2, 3, True, 5).ops)
 
 

@@ -161,6 +161,14 @@ class TestGen:
         assert main(args) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        code = main(["gen", "--dims", "1,1,1,1", "--kraus", "1",
+                     "--seed=-1", "--out", str(out)])
+        assert code == 2
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singular_normalizer_exit_code(self, tmp_path):
         out = tmp_path / "never.json"
         code = main(["gen", "--dims", "2,1,1,1", "--kraus", "1", "--tp",

@@ -239,6 +239,17 @@ class TestKrausRank:
         rep = random_rep(rng, src, tgt, 20)
         assert kraus_rank(rep) <= src.dim * tgt.dim
 
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_cutoff_is_1e_10_of_the_largest_eigenvalue(self, scale):
+        # the coefficient matrix has eigenvalues scale² and scale²·weight;
+        # the rank cutoff is DEFAULT_RTOL = 1e-10 times max(1, scale²)
+        for weight, rank in ((2e-10, 2), (5e-11, 1)):
+            ops = (scale * unit(2, 0, 0), scale * np.sqrt(weight) * unit(2, 1, 1))
+            rep = KrausRep(C2, C2, ops)
+            assert kraus_rank(rep) == rank
+            assert len(orthonormal_kraus(rep)) == rank
+            assert len(choi_to_kraus(kraus_to_choi(rep)).ops) == rank
+
 
 class TestUnitaryMix:
     def test_identity_mix(self):

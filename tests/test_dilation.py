@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcpm import dilation, serialize
+from spcpm import serialize
 from spcpm.cli import main
 from spcpm.cpm import (
     KrausRep,
@@ -457,18 +457,6 @@ class TestFailedCondition:
         elsewhere = full_rank_tp_channel(1, 2, 984)
         failure = _dilation_failure(build_dilation(rep), elsewhere, 1e-9)
         assert failure == ("agreement", np.inf)
-
-    def test_sp(self, monkeypatch):
-        # the induced operators are block diagonal by representation, so the
-        # SP condition can only fail on an induced channel that leaks; one is
-        # put in its place, matched by the channel so agreement holds
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        leaky = KrausRep(C2, C2, (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * swap))
-        dil = build_dilation(KrausRep(C2, C2, (np.eye(2),)))
-        monkeypatch.setattr(dilation, "kraus_from_dilation", lambda _: leaky)
-        condition, residual = _dilation_failure(dil, leaky, 1e-9)
-        assert condition == "sp" and residual > 0.1
-        assert verify_dilation(dil, leaky) is False
 
     @pytest.mark.parametrize(
         "make_bad, condition",

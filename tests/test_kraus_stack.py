@@ -58,7 +58,7 @@ def loop_split(rep):
     )
 
 
-def loop_random_sp_channel(source, target, k, tp, seed, rtol=1e-10):
+def loop_random_sp_channel(source, target, k, tp, seed):
     """The sampler with a list of embedded draws and a per-operator
     normalizer; returns the operator stack."""
     rng = np.random.default_rng(seed)
@@ -78,7 +78,7 @@ def loop_random_sp_channel(source, target, k, tp, seed, rtol=1e-10):
         if not tp:
             return np.stack(ops)
         try:
-            normalizer = inv_sqrt_psd(loop_gram_sum(ops, source.dim), rtol)
+            normalizer = inv_sqrt_psd(loop_gram_sum(ops, source.dim))
         except SingularMatrixError:
             continue
         return np.stack([op @ normalizer for op in ops])

@@ -125,11 +125,6 @@ def test_zero_channel_has_no_live_unit():
     rep = KrausRep(space, space, (np.zeros((3, 3)),))
     assert kraus_rank(rep) == 0
     assert orthonormal_kraus(rep) == []
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(SpcpmError, match="rtol"):
-            choi_to_kraus(ChoiRep(space, space, zero), bad)
-        with pytest.raises(SpcpmError, match="rtol"):
-            kraus_rank(rep, bad)
 
 
 def test_zero_row_with_a_nonzero_column_is_refused():

@@ -2,7 +2,9 @@
 
 An infinite tolerance accepts every residual (the block-swap channel would
 be "SP"), and a NaN, zero or negative one rejects every residual, so the
-library refuses them with SpcpmError before doing any work.
+library refuses them with SpcpmError before doing any work.  The rank
+cutoff is no parameter: every rank decision reads the one constant
+``DEFAULT_RTOL``.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 
 from spcpm import cpm, dilation, linalg, sp
 from spcpm.cpm import KrausRep
-from spcpm.errors import SpcpmError
+from spcpm.errors import SingularMatrixError, SpcpmError
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -31,10 +33,6 @@ ENTRY_POINTS = {
     "linalg.is_psd": lambda t: linalg.is_psd(EYE, tol=t),
     "linalg.block_psd_failure": lambda t: linalg.block_psd_failure(EYE, EYE, EYE, tol=t),
     "linalg.block_psd_check": lambda t: linalg.block_psd_check(EYE, EYE, EYE, tol=t),
-    "linalg.inv_sqrt_psd": lambda t: linalg.inv_sqrt_psd(EYE, rtol=t),
-    "cpm.choi_to_kraus": lambda t: cpm.choi_to_kraus(cpm.kraus_to_choi(IDENTITY), rtol=t),
-    "cpm.kraus_rank": lambda t: cpm.kraus_rank(IDENTITY, rtol=t),
-    "cpm.orthonormal_kraus": lambda t: cpm.orthonormal_kraus(IDENTITY, rtol=t),
     "cpm.is_trace_preserving": lambda t: cpm.is_trace_preserving(IDENTITY, tol=t),
     "cpm.channels_equal": lambda t: cpm.channels_equal(IDENTITY, IDENTITY, tol=t),
     "sp.is_sp_definition": lambda t: sp.is_sp_definition(SWAP, tol=t),
@@ -44,11 +42,8 @@ ENTRY_POINTS = {
     "sp.is_sp_trace": lambda t: sp.is_sp_trace(IDENTITY, tol=t),
     "sp.sp_from_blocks": lambda t: sp.sp_from_blocks(unit_triple(), tol=t),
     "sp.blocks_from_sp": lambda t: sp.blocks_from_sp(IDENTITY, tol=t),
-    "sp.random_sp_channel": lambda t: sp.random_sp_channel(C2, C2, 1, True, 0, rtol=t),
     "sp.sp_kraus_bound_holds.tol": lambda t: sp.sp_kraus_bound_holds(IDENTITY, tol=t),
-    "sp.sp_kraus_bound_holds.rtol": lambda t: sp.sp_kraus_bound_holds(IDENTITY, rtol=t),
     "dilation.build_dilation.tol": lambda t: dilation.build_dilation(IDENTITY, tol=t),
-    "dilation.build_dilation.rtol": lambda t: dilation.build_dilation(IDENTITY, rtol=t),
     "dilation.verify_dilation": lambda t: dilation.verify_dilation(
         dilation.build_dilation(IDENTITY), IDENTITY, tol=t
     ),
@@ -65,6 +60,42 @@ def test_meaningless_tolerance_is_refused(entry, value):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_positive_tolerance_is_accepted(entry):
     ENTRY_POINTS[entry](1e-9)
+
+
+def z_channel(weight):
+    # trace preserving and SP: Kraus operators sqrt(1 - w) I and sqrt(w) Z,
+    # whose Choi eigenvalues are 2 (1 - w) and 2 w
+    z = np.diag([1.0, -1.0])
+    return KrausRep(C2, C2, (np.sqrt(1 - weight) * EYE, np.sqrt(weight) * z))
+
+
+def inv_sqrt_keeps(weight):
+    try:
+        linalg.inv_sqrt_psd(np.diag([1 - weight, weight]))
+    except SingularMatrixError:
+        return False
+    return True
+
+
+# one call per rank decision, True when the direction of eigenvalue weight
+# ~w (relative to the largest) is kept; random_sp_channel decides through
+# inv_sqrt_psd, and sp_kraus_bound_holds through kraus_rank
+RANK_DECISIONS = {
+    "cpm.choi_to_kraus": lambda w: len(
+        cpm.choi_to_kraus(cpm.kraus_to_choi(z_channel(w))).ops
+    ) == 2,
+    "cpm.kraus_rank": lambda w: cpm.kraus_rank(z_channel(w)) == 2,
+    "cpm.orthonormal_kraus": lambda w: len(cpm.orthonormal_kraus(z_channel(w))) == 2,
+    "dilation.build_dilation": lambda w: len(dilation.build_dilation(z_channel(w)).a1) == 2,
+    "linalg.inv_sqrt_psd": inv_sqrt_keeps,
+}
+
+
+@pytest.mark.parametrize("weight, kept", [(2e-10, True), (5e-11, False)], ids=["above", "below"])
+@pytest.mark.parametrize("entry", sorted(RANK_DECISIONS))
+def test_rank_cutoff_is_default_rtol(entry, weight, kept):
+    # the weights sit a factor 2 either side of DEFAULT_RTOL = 1e-10
+    assert RANK_DECISIONS[entry](weight) is kept
 
 
 @pytest.mark.parametrize("value", [1e-300, 1.0, 1e300, np.float64(1e-9)])

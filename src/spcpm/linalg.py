@@ -13,9 +13,17 @@ magnitude is at most ``rtol * max(1, max|eigenvalue|)`` (:func:`rank_cutoff`),
 and a PSD matrix may have eigenvalues down to minus that cutoff.  The Kraus
 rank, the minimal and orthonormal Kraus lists and the inverse square root
 all decide at the one constant ``rtol = DEFAULT_RTOL``; no public function
-takes it as an argument.  A positivity verdict and the factors read from it
-come from the same decomposition (:func:`psd_eig`), so no matrix is
-decomposed twice.
+takes it as an argument.
+
+Eigenvectors are computed only where they are read.  A verdict read alone
+comes from ``eigvalsh`` (:func:`is_psd`, and in :func:`block_psd_failure`
+the upper-left block and the Schur complement); a verdict whose factors are
+read comes from the same ``eigh`` as those factors (:func:`psd_eig`, the
+lower-right block).  Only an upper-left block whose eigenvalues show a
+kernel is decomposed again, by ``eigh``, for its kernel vectors.  That
+``eigvalsh`` and ``eigh`` on A cost about what an ``eigh`` on A and one on
+the (same-size) Schur complement would, so no triple needs more solver
+work than three ``eigh``.
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -88,11 +96,6 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise SpcpmError(f"expected a square matrix, got shape {m.shape}")
-
-
 def _asymmetry(m: np.ndarray) -> float:
     return frobenius(m - m.conj().T)
 
@@ -108,6 +111,40 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _spectrum(arr: np.ndarray, tol: float, vectors: bool):
+    """``(w, v)`` of (M + M†)/2 for a validated square ``arr``: eigenvalues
+    ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``.
+    ``None`` when ``||M - M†||_F > tol * max(1, ||M||_F)``.
+
+    Without ``vectors`` it calls ``eigvalsh``, which computes none.
+    """
+    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):
+        return None
+    sym = (arr + arr.conj().T) / 2.0
+    if vectors:
+        return np.linalg.eigh(sym)
+    return np.linalg.eigvalsh(sym), None
+
+
+def _psd_spectrum(arr: np.ndarray, tol: float, vectors: bool):
+    """:func:`_spectrum` of ``arr`` if it is also positive semi-definite
+    within ``tol`` (eigenvalue floor ``-rank_cutoff(w, tol)``), else ``None``."""
+    spec = _spectrum(arr, tol, vectors)
+    if spec is None or spec[0][0] < -rank_cutoff(spec[0], tol):
+        return None
+    return spec
+
+
+def _square_matrix(m, tol: float) -> np.ndarray:
+    """Check ``tol``, then coerce ``m`` with :func:`as_matrix` and require it
+    square."""
+    check_tolerance(tol)
+    arr = as_matrix(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -116,17 +153,14 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     in exact arithmetic.  Asymmetry beyond ``tol * max(1, ||M||_F)`` raises
     :class:`SpcpmError`.
     """
-    check_tolerance(tol)
-    arr = as_matrix(m)
-    _require_square(arr)
-    asym = _asymmetry(arr)
-    if asym > tol * max(1.0, frobenius(arr)):
+    arr = _square_matrix(m, tol)
+    spec = _spectrum(arr, tol, vectors=True)
+    if spec is None:
         raise SpcpmError(
-            f"matrix is not Hermitian within tol={tol:g} (asymmetry {asym:.3e})"
+            f"matrix is not Hermitian within tol={tol:g} "
+            f"(asymmetry {_asymmetry(arr):.3e})"
         )
-    sym = (arr + arr.conj().T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return HermitianEig(eigenvalues, eigenvectors)
+    return HermitianEig(*spec)
 
 
 def rank_cutoff(w: np.ndarray, rtol: float) -> float:
@@ -143,21 +177,14 @@ def psd_eig(m, tol: float = DEFAULT_TOL) -> Optional[HermitianEig]:
     eigenvalue floor is ``-rank_cutoff(w, tol)``.  The eigenpairs are those
     of (M + M†)/2, as in :func:`hermitian_eig`.
     """
-    check_tolerance(tol)
-    arr = as_matrix(m)
-    _require_square(arr)
-    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):
-        return None
-    w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-    if w[0] < -rank_cutoff(w, tol):
-        return None
-    return HermitianEig(w, v)
+    spec = _psd_spectrum(_square_matrix(m, tol), tol, vectors=True)
+    return None if spec is None else HermitianEig(*spec)
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``m`` is Hermitian and positive semi-definite within ``tol``
-    (the conditions of :func:`psd_eig`)."""
-    return psd_eig(m, tol) is not None
+    (the conditions of :func:`psd_eig`), decided from eigenvalues alone."""
+    return _psd_spectrum(_square_matrix(m, tol), tol, vectors=False) is not None
 
 
 def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
@@ -169,8 +196,11 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     positive semi-definite.  The diagonal-block checks make the verdict
     match assembled-matrix positivity even for indefinite A or B.
 
-    A and B are decomposed once each: the kernel of each is spanned by its
-    eigenvectors at or below the rank cutoff, and B^+ inverts the others.
+    The verdicts on A and on the Schur complement come from ``eigvalsh``.
+    Only when A's eigenvalues show a kernel is A decomposed with ``eigh``,
+    whose eigenvectors at or below the rank cutoff span that kernel.  B is
+    decomposed once with ``eigh``: its kernel eigenvectors give the kernel
+    test and the others B^+.
     """
     check_tolerance(tol)
     a = as_matrix(a)
@@ -182,25 +212,28 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
         raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
-    eig_a = psd_eig(a, tol)
-    if eig_a is None:
+    spec_a = _psd_spectrum(a, tol, vectors=False)
+    if spec_a is None:
         return "upper-left block is not positive semi-definite"
-    eig_b = psd_eig(b, tol)
-    if eig_b is None:
+    spec_b = _psd_spectrum(b, tol, vectors=True)
+    if spec_b is None:
         return "lower-right block is not positive semi-definite"
-    (wa, va), (wb, vb) = eig_a, eig_b
-    range_a = wa > rank_cutoff(wa, tol)
+    wa = spec_a[0]
+    wb, vb = spec_b
     range_b = wb > rank_cutoff(wb, tol)
     # ||P0 C||_F = ||K† C||_F for the kernel projector P0 = K K† of
     # orthonormal kernel eigenvectors K
     scale = max(1.0, frobenius(c))
-    if frobenius(va[:, ~range_a].conj().T @ c) > tol * scale:
-        return "coupling block has support on the kernel of the upper-left block"
+    if wa[0] <= rank_cutoff(wa, tol):
+        wa, va = np.linalg.eigh((a + a.conj().T) / 2.0)
+        range_a = wa > rank_cutoff(wa, tol)
+        if frobenius(va[:, ~range_a].conj().T @ c) > tol * scale:
+            return "coupling block has support on the kernel of the upper-left block"
     if frobenius(c @ vb[:, ~range_b]) > tol * scale:
         return "coupling block has support on the kernel of the lower-right block"
     cv = c @ vb[:, range_b]
-    schur = a - (cv / wb[range_b]) @ cv.conj().T
-    if not is_psd(schur, tol):
+    schur = check_matrix(a - (cv / wb[range_b]) @ cv.conj().T)
+    if _psd_spectrum(schur, tol, vectors=False) is None:
         return "Schur complement is not positive semi-definite"
     return None
 

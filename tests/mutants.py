@@ -132,6 +132,36 @@ MUTANTS = [
         "    if False:",
         ["tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route"],
     ),
+    # a kernel that eigvalsh shows in the upper-left block is never
+    # decomposed, so coupling support on it goes unseen
+    (
+        "spcpm/linalg.py",
+        "    if wa[0] <= rank_cutoff(wa, tol):",
+        "    if False:",
+        [
+            "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
+            "tests/test_single_decomposition.py::"
+            "test_block_psd_check_decomposes_a_singular_upper_left_block",
+        ],
+    ),
+    # the Schur complement's eigvalsh verdict is dropped
+    (
+        "spcpm/linalg.py",
+        "    if _psd_spectrum(schur, tol, vectors=False) is None:",
+        "    if False:",
+        [
+            "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
+            "tests/test_single_decomposition.py::test_block_psd_check_reads_eigenvectors_of_b_only",
+        ],
+    ),
+    # is_psd symmetrizes before the asymmetry bound, so the bound never fires
+    (
+        "spcpm/linalg.py",
+        "    return _psd_spectrum(_square_matrix(m, tol), tol, vectors=False) is not None",
+        "    arr = _square_matrix(m, tol)\n"
+        "    return _psd_spectrum((arr + arr.conj().T) / 2, tol, vectors=False) is not None",
+        ["tests/test_linalg.py::TestIsPsd::test_non_hermitian_is_not_psd"],
+    ),
     # composition applies the outer channel first
     (
         "spcpm/cpm.py",

@@ -1,5 +1,7 @@
 """Tests for the channel representations and their conversions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ class TestKrausRep:
     def test_rejects_a_stack_of_wrong_shape(self):
         with pytest.raises(SpcpmError, match="Kraus operator has shape"):
             KrausRep(C2, C2, np.zeros((2, 3, 2)))
+
+    def test_rejects_a_ragged_sequence_by_naming_the_operator(self):
+        # not numpy's inhomogeneous-shape ValueError from the whole sequence
+        with pytest.raises(
+            SpcpmError, match=re.escape("Kraus operator has shape (3, 3), expected (2, 2)")
+        ):
+            KrausRep(C2, C2, (np.eye(2), np.eye(3)))
 
     def test_rejects_a_single_matrix_given_as_the_stack(self):
         # a 2-D array is read as a stack of its rows

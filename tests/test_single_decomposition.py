@@ -26,7 +26,7 @@ from spcpm.cpm import (
 )
 from spcpm.dilation import build_dilation
 from spcpm.errors import SpcpmError
-from spcpm.linalg import block_psd_check, block_psd_failure
+from spcpm.linalg import block_psd_check, block_psd_failure, is_psd
 from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
 from test_sp import ORACLE_CASES
@@ -246,3 +246,24 @@ def test_kraus_rank_reads_eigenvalues_only(decompositions):
     assert kraus_rank(rep) == 8
     assert decompositions["solvers"] == ["eigvalsh"]
     assert decompositions["shapes"] == [(8, 8)]
+
+
+def test_block_psd_check_reads_eigenvectors_of_b_only(decompositions):
+    g = crandn(np.random.default_rng(996), 5, 5)
+    f = g @ g.conj().T  # both diagonal blocks nonsingular
+    assert block_psd_check(f[:2, :2], f[2:, 2:], f[:2, 2:])
+    assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigvalsh"]
+    assert decompositions["shapes"] == [(2, 2), (3, 3), (2, 2)]
+
+
+def test_block_psd_check_decomposes_a_singular_upper_left_block(decompositions):
+    g = crandn(np.random.default_rng(997), 5, 2)
+    f = g @ g.conj().T  # rank 2: the 3 x 3 upper-left block has a kernel
+    assert block_psd_check(f[:3, :3], f[3:, 3:], f[:3, 3:])
+    assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigh", "eigvalsh"]
+    assert decompositions["shapes"] == [(3, 3), (2, 2), (3, 3), (3, 3)]
+
+
+def test_is_psd_reads_eigenvalues_only(decompositions):
+    assert is_psd(np.diag([2.0, 1.0, 0.0]))
+    assert decompositions["solvers"] == ["eigvalsh"]

@@ -63,16 +63,12 @@ class KrausRep:
         if len(self.ops) == 0:
             raise SpcpmError("a Kraus representation needs at least one operator")
         shape = (self.target.dim, self.source.dim)
-        ops = self.ops
-        # a (K, dt, ds) stack is checked whole; any other sequence (possibly
-        # ragged) operator by operator, so a wrong shape is named
-        if not (isinstance(ops, np.ndarray) and ops.shape[1:] == shape):
-            for op in ops:
-                if np.shape(op) != shape:
-                    raise SpcpmError(
-                        f"Kraus operator has shape {np.shape(op)}, expected {shape}"
-                    )
-        ops = np.asarray(ops, dtype=np.complex128)
+        for op in self.ops:
+            if np.shape(op) != shape:
+                raise SpcpmError(
+                    f"Kraus operator has shape {np.shape(op)}, expected {shape}"
+                )
+        ops = np.asarray(self.ops, dtype=np.complex128)
         if not np.all(np.isfinite(ops)):
             raise SpcpmError("matrix entries must be finite")
         object.__setattr__(self, "ops", frozen_copy(ops))

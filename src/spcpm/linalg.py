@@ -20,10 +20,11 @@ comes from ``eigvalsh`` (:func:`is_psd`, and in :func:`block_psd_failure`
 the upper-left block and the Schur complement); a verdict whose factors are
 read comes from the same ``eigh`` as those factors (:func:`psd_eig`, the
 lower-right block).  Only an upper-left block whose eigenvalues show a
-kernel is decomposed again, by ``eigh``, for its kernel vectors.  That
-``eigvalsh`` and ``eigh`` on A cost about what an ``eigh`` on A and one on
-the (same-size) Schur complement would, so no triple needs more solver
-work than three ``eigh``.
+kernel is decomposed again, by ``eigh``, for its kernel vectors; such a
+triple makes four solver calls instead of three ``eigh``, and timed at
+2+2 to 8+8 it costs about what those three did.  ``eigvalsh`` and ``eigh``
+may return eigenvalues that differ in the last bits, so a verdict on an
+eigenvalue at the cutoff can differ from an ``eigh``-based one.
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -225,6 +226,8 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     # orthonormal kernel eigenvectors K
     scale = max(1.0, frobenius(c))
     if wa[0] <= rank_cutoff(wa, tol):
+        # A already passed its asymmetry bound; repeating it through
+        # _spectrum made this path measurably slower at 2+2
         wa, va = np.linalg.eigh((a + a.conj().T) / 2.0)
         range_a = wa > rank_cutoff(wa, tol)
         if frobenius(va[:, ~range_a].conj().T @ c) > tol * scale:

@@ -149,6 +149,21 @@ class TestBlockPsdCheck:
                 b, a, c.conj().T
             )
 
+    @pytest.mark.parametrize(
+        "small, failure",
+        [
+            # at the cutoff tol * max|w| = 1e-9 the eigenvalue is kernel
+            (1e-9, "coupling block has support on the kernel of the upper-left block"),
+            (2e-9, "Schur complement is not positive semi-definite"),
+        ],
+        ids=["at-cutoff", "above-cutoff"],
+    )
+    def test_upper_left_eigenvalue_at_the_cutoff_is_kernel(self, small, failure):
+        # a diagonal A has exact eigenvalues in every solver
+        a = np.diag([1.0, small])
+        c = np.array([[0.0], [1e-3]])
+        assert linalg.block_psd_failure(a, np.eye(1), c) == failure
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(SpcpmError, match="coupling block has shape"):
             linalg.block_psd_check(np.eye(2), np.eye(2), np.zeros((3, 2)))

@@ -41,7 +41,7 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import check_tolerance
+from .linalg import DEFAULT_TOL, check_tolerance
 from .sp import (
     definition_violation,
     commutation_violation,
@@ -58,7 +58,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-#: The SP verifiers by method name; each returns (worst residual, label, ...).
+#: The SP verifiers by method name; each returns (worst residual, label).
 VERIFIERS = {
     "definition": definition_violation,
     "blocks": kraus_blocks_violation,
@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
                 return EXIT_USAGE
             print("trace: skipped (channel is not trace preserving)")
             continue
-        residual, label = VERIFIERS[method](rep)[:2]
+        residual, label = VERIFIERS[method](rep)
         ok = residual <= tol
         verdict = verdict and ok
         status = "SP" if ok else "NOT SP"
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the SP verifiers on a channel file")
     verify.add_argument("file")
     verify.add_argument("--method", choices=VERIFY_METHODS + ("all",), default="all")
-    verify.add_argument("--tol", type=_parse_tol, default=1e-9)
+    verify.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     verify.set_defaults(func=cmd_verify)
 
     convert = sub.add_parser("convert", help="convert a channel to another representation")
@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--to", choices=("choi", "kraus-min", "orthonormal", "blocks"),
                          required=True)
     convert.add_argument("--out", required=True)
-    convert.add_argument("--tol", type=_parse_tol, default=1e-9)
+    convert.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     convert.set_defaults(func=cmd_convert)
 
     comp = sub.add_parser("compose", help="compose two channel files (first acts first)")
@@ -221,12 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dilate = sub.add_parser("dilate", help="build the unitary dilation of a TP SP channel")
     dilate.add_argument("file")
     dilate.add_argument("--out", required=True)
-    dilate.add_argument("--tol", type=_parse_tol, default=1e-9)
+    dilate.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     dilate.set_defaults(func=cmd_dilate)
 
     rank = sub.add_parser("kraus-rank", help="print the Kraus rank and the SP bound")
     rank.add_argument("file")
-    rank.add_argument("--tol", type=_parse_tol, default=1e-9)
+    rank.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     rank.set_defaults(func=cmd_kraus_rank)
 
     return parser

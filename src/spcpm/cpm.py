@@ -38,7 +38,7 @@ from .linalg import (
     frobenius,
     frozen_copy,
     frozen_matrix,
-    psd_eig,
+    psd_spectrum,
     rank_cutoff,
 )
 from .spaces import DecomposedSpace
@@ -161,10 +161,10 @@ def _kept_eigenpairs(rep: ChoiRep) -> tuple[np.ndarray, np.ndarray]:
     live = _live_units(m)
     if not live.any():
         return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
-    eig = psd_eig(m[np.ix_(live, live)], tol=DEFAULT_RTOL)
-    if eig is None:
+    spec = psd_spectrum(m[np.ix_(live, live)], DEFAULT_RTOL, vectors=True)
+    if spec is None:
         raise SpcpmError("coefficient matrix is not positive semi-definite")
-    w, v = eig
+    w, v = spec
     keep = w > rank_cutoff(w, DEFAULT_RTOL)
     vecs = v[:, keep]
     mags = np.abs(vecs)

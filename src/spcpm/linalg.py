@@ -1,12 +1,15 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecomposition, positivity predicates (including the
-Schur-complement test for 2x2 block matrices) and the inverse square root.
+Positivity of a Hermitian matrix and of a 2x2 block matrix (through its
+Schur complement), and the inverse square root.
 
-All functions accept anything convertible to a 2-D complex array and return
-fresh ``complex128`` arrays.  Matrices here are small (dimension tens, not
-thousands), so everything is done by direct eigendecomposition; determinism
-for identical input bits matters more than speed.
+The public functions accept anything convertible to a 2-D complex array and
+return fresh ``complex128`` arrays, except :func:`psd_spectrum`, which
+validates nothing: ``cpm`` imports it for the live block of a coefficient
+matrix, already a square, finite ``complex128`` array, at a constant ``tol``.
+Matrices here are small (dimension tens, not thousands), so everything is
+done by direct eigendecomposition; determinism for identical input bits
+matters more than speed.
 
 One cutoff rule decides ranks: an eigenvalue counts as zero when its
 magnitude is at most ``rtol * max(1, max|eigenvalue|)`` (:func:`rank_cutoff`),
@@ -16,10 +19,10 @@ all decide at the one constant ``rtol = DEFAULT_RTOL``; no public function
 takes it as an argument.
 
 Eigenvectors are computed only where they are read.  A verdict read alone
-comes from ``eigvalsh`` (:func:`is_psd`, and in :func:`block_psd_failure`
-the upper-left block and the Schur complement); a verdict whose factors are
-read comes from the same ``eigh`` as those factors (:func:`psd_eig`, the
-lower-right block).  Only an upper-left block whose eigenvalues show a
+comes from ``eigvalsh`` (in :func:`block_psd_failure`, the upper-left block
+and the Schur complement); a verdict whose factors are read comes from the
+same ``eigh`` as those factors (the lower-right block, and the coefficient
+matrix in ``cpm``).  Only an upper-left block whose eigenvalues show a
 kernel is decomposed again, by ``eigh``, for its kernel vectors; such a
 triple makes four solver calls instead of three ``eigh``, and timed at
 2+2 to 8+8 it costs about what those three did.  ``eigvalsh`` and ``eigh``
@@ -34,7 +37,7 @@ directly or in the first callee the value is handed to.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -101,17 +104,6 @@ def _asymmetry(m: np.ndarray) -> float:
     return frobenius(m - m.conj().T)
 
 
-class HermitianEig(NamedTuple):
-    """Eigendecomposition M = V diag(w) V† of a Hermitian matrix.
-
-    ``eigenvalues`` is real and ascending; the columns of ``eigenvectors``
-    are the corresponding orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _spectrum(arr: np.ndarray, tol: float, vectors: bool):
     """``(w, v)`` of (M + M†)/2 for a validated square ``arr``: eigenvalues
     ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``.
@@ -127,65 +119,20 @@ def _spectrum(arr: np.ndarray, tol: float, vectors: bool):
     return np.linalg.eigvalsh(sym), None
 
 
-def _psd_spectrum(arr: np.ndarray, tol: float, vectors: bool):
+def psd_spectrum(arr: np.ndarray, tol: float, vectors: bool):
     """:func:`_spectrum` of ``arr`` if it is also positive semi-definite
-    within ``tol`` (eigenvalue floor ``-rank_cutoff(w, tol)``), else ``None``."""
+    within ``tol`` (eigenvalue floor ``-rank_cutoff(w, tol)``), else ``None``.
+    Validates neither ``arr`` nor ``tol``."""
     spec = _spectrum(arr, tol, vectors)
     if spec is None or spec[0][0] < -rank_cutoff(spec[0], tol):
         return None
     return spec
 
 
-def _square_matrix(m, tol: float) -> np.ndarray:
-    """Check ``tol``, then coerce ``m`` with :func:`as_matrix` and require it
-    square."""
-    check_tolerance(tol)
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized as (M + M†)/2 before decomposition, which
-    removes roundoff asymmetry without changing an input that is Hermitian
-    in exact arithmetic.  Asymmetry beyond ``tol * max(1, ||M||_F)`` raises
-    :class:`SpcpmError`.
-    """
-    arr = _square_matrix(m, tol)
-    spec = _spectrum(arr, tol, vectors=True)
-    if spec is None:
-        raise SpcpmError(
-            f"matrix is not Hermitian within tol={tol:g} "
-            f"(asymmetry {_asymmetry(arr):.3e})"
-        )
-    return HermitianEig(*spec)
-
-
 def rank_cutoff(w: np.ndarray, rtol: float) -> float:
     """Magnitude at or below which an eigenvalue of ``w`` counts as zero:
     ``rtol * max(1, max|w|)``."""
     return rtol * max(1.0, float(np.max(np.abs(w))))
-
-
-def psd_eig(m, tol: float = DEFAULT_TOL) -> Optional[HermitianEig]:
-    """Eigendecomposition of ``m`` if it is Hermitian and positive
-    semi-definite within ``tol``, else ``None``.
-
-    Hermiticity requires ``||M - M†||_F <= tol * max(1, ||M||_F)``; the
-    eigenvalue floor is ``-rank_cutoff(w, tol)``.  The eigenpairs are those
-    of (M + M†)/2, as in :func:`hermitian_eig`.
-    """
-    spec = _psd_spectrum(_square_matrix(m, tol), tol, vectors=True)
-    return None if spec is None else HermitianEig(*spec)
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``m`` is Hermitian and positive semi-definite within ``tol``
-    (the conditions of :func:`psd_eig`), decided from eigenvalues alone."""
-    return _psd_spectrum(_square_matrix(m, tol), tol, vectors=False) is not None
 
 
 def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
@@ -213,10 +160,10 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
         raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
-    spec_a = _psd_spectrum(a, tol, vectors=False)
+    spec_a = psd_spectrum(a, tol, vectors=False)
     if spec_a is None:
         return "upper-left block is not positive semi-definite"
-    spec_b = _psd_spectrum(b, tol, vectors=True)
+    spec_b = psd_spectrum(b, tol, vectors=True)
     if spec_b is None:
         return "lower-right block is not positive semi-definite"
     wa = spec_a[0]
@@ -236,7 +183,7 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
         return "coupling block has support on the kernel of the lower-right block"
     cv = c @ vb[:, range_b]
     schur = check_matrix(a - (cv / wb[range_b]) @ cv.conj().T)
-    if _psd_spectrum(schur, tol, vectors=False) is None:
+    if psd_spectrum(schur, tol, vectors=False) is None:
         return "Schur complement is not positive semi-definite"
     return None
 
@@ -254,10 +201,21 @@ def block_psd_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
 def inv_sqrt_psd(m) -> np.ndarray:
     """Inverse square root M^(-1/2) of a Hermitian positive definite matrix.
 
-    Raises :class:`SingularMatrixError` unless the smallest eigenvalue
-    exceeds ``DEFAULT_RTOL`` times the largest.
+    Raises :class:`SpcpmError` unless ``m`` is square and Hermitian within
+    ``DEFAULT_RTOL`` (the bound of :func:`_spectrum`), and
+    :class:`SingularMatrixError` unless the smallest eigenvalue exceeds
+    ``DEFAULT_RTOL`` times the largest.
     """
-    w, v = hermitian_eig(m, tol=DEFAULT_RTOL)
+    arr = as_matrix(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
+    spec = _spectrum(arr, DEFAULT_RTOL, vectors=True)
+    if spec is None:
+        raise SpcpmError(
+            f"matrix is not Hermitian within tol={DEFAULT_RTOL:g} "
+            f"(asymmetry {_asymmetry(arr):.3e})"
+        )
+    w, v = spec
     wmax = float(w[-1])
     if wmax <= 0.0 or float(w[0]) <= DEFAULT_RTOL * wmax:
         raise SingularMatrixError("matrix is not positive definite at the given cutoff")

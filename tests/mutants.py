@@ -155,20 +155,24 @@ MUTANTS = [
     # the Schur complement's eigvalsh verdict is dropped
     (
         "spcpm/linalg.py",
-        "    if _psd_spectrum(schur, tol, vectors=False) is None:",
+        "    if psd_spectrum(schur, tol, vectors=False) is None:",
         "    if False:",
         [
             "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
             "tests/test_single_decomposition.py::test_block_psd_check_reads_eigenvectors_of_b_only",
         ],
     ),
-    # is_psd symmetrizes before the asymmetry bound, so the bound never fires
+    # the spectrum symmetrizes before the asymmetry bound, so the bound
+    # never fires
     (
         "spcpm/linalg.py",
-        "    return _psd_spectrum(_square_matrix(m, tol), tol, vectors=False) is not None",
-        "    arr = _square_matrix(m, tol)\n"
-        "    return _psd_spectrum((arr + arr.conj().T) / 2, tol, vectors=False) is not None",
-        ["tests/test_linalg.py::TestIsPsd::test_non_hermitian_is_not_psd"],
+        "    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):",
+        "    arr = (arr + arr.conj().T) / 2.0\n"
+        "    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):",
+        [
+            "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_hermitian",
+            "tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol",
+        ],
     ),
     # composition applies the outer channel first
     (
@@ -197,6 +201,21 @@ MUTANTS = [
         "    if not is_trace_preserving(rep, tol):",
         "    if False:",
         ["tests/test_dilation.py::TestBuildDilation::test_rejects_non_tp"],
+    ),
+    # the coefficient matrix's Hermiticity bound and PSD floor read the
+    # residual tolerance instead of the rank cutoff
+    (
+        "spcpm/cpm.py",
+        "psd_spectrum(m[np.ix_(live, live)], DEFAULT_RTOL, vectors=True)",
+        "psd_spectrum(m[np.ix_(live, live)], DEFAULT_TOL, vectors=True)",
+        ["tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol"],
+    ),
+    # inv_sqrt_psd's Hermiticity bound reads the residual tolerance
+    (
+        "spcpm/linalg.py",
+        "    spec = _spectrum(arr, DEFAULT_RTOL, vectors=True)",
+        "    spec = _spectrum(arr, DEFAULT_TOL, vectors=True)",
+        ["tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol"],
     ),
 ]
 

@@ -64,6 +64,12 @@ def test_public_api_is_the_32_names():
         assert getattr(spcpm, name) is not None
 
 
+@pytest.mark.parametrize("name", ["HermitianEig", "hermitian_eig", "psd_eig", "is_psd"])
+def test_eigen_wrappers_are_gone_from_linalg(name):
+    # inv_sqrt_psd and the cpm factorizations call the spectral helpers directly
+    assert not hasattr(linalg, name)
+
+
 def test_five_error_classes_all_spcpm_errors():
     classes = {
         name for name, obj in vars(errors).items()

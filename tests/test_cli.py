@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from spcpm import serialize
-from spcpm.cli import main
+from spcpm.cli import _build_parser, main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
 from spcpm.dilation import build_dilation, verify_dilation
 from spcpm.errors import SpcpmError
+from spcpm.linalg import DEFAULT_TOL
 from spcpm.sp import sp_from_blocks
 from spcpm.spaces import DecomposedSpace
 
@@ -382,8 +383,7 @@ def test_bad_usage_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])
-@pytest.mark.parametrize(
+TOL_COMMANDS = pytest.mark.parametrize(
     "command",
     [
         ["verify", "chan.json"],
@@ -393,6 +393,15 @@ def test_bad_usage_exits_2():
     ],
     ids=["verify", "convert", "dilate", "kraus-rank"],
 )
+
+
+@TOL_COMMANDS
+def test_default_tolerance_is_the_library_default(command):
+    assert _build_parser().parse_args(command).tol == DEFAULT_TOL
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])
+@TOL_COMMANDS
 def test_meaningless_tolerance_is_usage_error(command, value, capsys):
     # an infinite tolerance would call every channel SP, a NaN or negative
     # one none; both are refused before any file is read

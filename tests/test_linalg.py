@@ -11,11 +11,6 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(rng, n):
-    g = crandn(rng, n, n)
-    return (g + g.conj().T) / 2
-
-
 def random_psd(rng, n, rank):
     g = crandn(rng, n, rank)
     return g @ g.conj().T
@@ -38,75 +33,6 @@ def psd_by_eigvals(m, tol=1e-9):
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return w[0] >= -tol * max(1.0, np.abs(w).max())
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, v = linalg.hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_already_diagonal(self):
-        w, v = linalg.hermitian_eig(np.diag([2.0, -1.0]))
-        np.testing.assert_allclose(w, [-1.0, 2.0], atol=1e-14)
-        # eigenvector matrix is a permutation (ascending order swaps the columns)
-        np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(7)
-        h = random_hermitian(rng, 4)
-        w, v = linalg.hermitian_eig(h)
-        scale = max(1.0, np.linalg.norm(h))
-        assert np.linalg.norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-10 * scale
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10
-
-    def test_eigenvalues_ascending(self):
-        rng = np.random.default_rng(8)
-        w, _ = linalg.hermitian_eig(random_hermitian(rng, 6))
-        assert np.all(np.diff(w) >= 0)
-
-    def test_deterministic_for_identical_input(self):
-        rng = np.random.default_rng(9)
-        h = random_hermitian(rng, 5)
-        # degenerate cluster: eigenvalue 1 with multiplicity 3
-        q, _ = np.linalg.qr(crandn(rng, 4, 4))
-        degenerate = q @ np.diag([1.0, 1.0, 1.0, 2.0]) @ q.conj().T
-        for mat in (h, degenerate):
-            first = linalg.hermitian_eig(mat)
-            second = linalg.hermitian_eig(mat.copy())
-            np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
-            np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(SpcpmError, match="expected a square matrix"):
-            linalg.hermitian_eig(np.zeros((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SpcpmError, match="not Hermitian"):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestIsPsd:
-    def test_identity(self):
-        assert linalg.is_psd(np.eye(2))
-
-    def test_small_negative_eigenvalue(self):
-        assert not linalg.is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
-
-    def test_gram_matrices_are_psd(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            stacked = crandn(rng, 4, 6)  # four 3x2 operators, flattened
-            g = stacked.conj() @ stacked.T
-            assert linalg.is_psd(g)
-            # oracle: eigenvalues directly
-            assert psd_by_eigvals(g)
-
-    def test_non_hermitian_is_not_psd(self):
-        assert not linalg.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(SpcpmError, match="expected a square matrix"):
-            linalg.is_psd(np.zeros((2, 3)))
 
 
 class TestBlockPsdCheck:
@@ -200,17 +126,22 @@ class TestInvSqrtPsd:
         with pytest.raises(SingularMatrixError):
             linalg.inv_sqrt_psd(np.diag([1.0, 0.0]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(SpcpmError, match="expected a square matrix"):
+            linalg.inv_sqrt_psd(np.zeros((2, 3)))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(SpcpmError, match="not Hermitian"):
+            linalg.inv_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        linalg.is_psd,
-        linalg.psd_eig,
         lambda m: linalg.block_psd_check(m, m, m),
         linalg.inv_sqrt_psd,
     ],
-    ids=["is_psd", "psd_eig", "block_psd_check", "inv_sqrt_psd"],
+    ids=["block_psd_check", "inv_sqrt_psd"],
 )
 def test_empty_matrices_are_refused(call):
     with pytest.raises(SpcpmError, match="must not be empty"):

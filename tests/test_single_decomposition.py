@@ -26,7 +26,7 @@ from spcpm.cpm import (
 )
 from spcpm.dilation import build_dilation
 from spcpm.errors import SpcpmError
-from spcpm.linalg import block_psd_check, block_psd_failure, is_psd
+from spcpm.linalg import block_psd_check, block_psd_failure
 from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
 from test_sp import ORACLE_CASES
@@ -263,7 +263,3 @@ def test_block_psd_check_decomposes_a_singular_upper_left_block(decompositions):
     assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigh", "eigvalsh"]
     assert decompositions["shapes"] == [(3, 3), (2, 2), (3, 3), (3, 3)]
 
-
-def test_is_psd_reads_eigenvalues_only(decompositions):
-    assert is_psd(np.diag([2.0, 1.0, 0.0]))
-    assert decompositions["solvers"] == ["eigvalsh"]

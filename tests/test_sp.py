@@ -450,15 +450,12 @@ def reference_reconstruction(rep):
 
 
 def reference_trace(rep):
-    pt1, pt2 = rep.target.projector(1), rep.target.projector(2)
-    worst1 = worst2 = 0.0
+    pt1 = rep.target.projector(1)
+    worst = 0.0
     for a, b, unit in matrix_units(rep.source.dim):
-        image = apply(rep, unit)
-        in1 = 1.0 if (a == b and a < rep.source.d1) else 0.0
-        in2 = 1.0 if (a == b and a >= rep.source.d1) else 0.0
-        worst1 = max(worst1, abs(np.trace(pt1 @ image) - in1))
-        worst2 = max(worst2, abs(np.trace(pt2 @ image) - in2))
-    return worst1, worst2
+        inside = 1.0 if (a == b and a < rep.source.d1) else 0.0
+        worst = max(worst, abs(np.trace(pt1 @ apply(rep, unit)) - inside))
+    return worst
 
 
 def reference_kraus_blocks(rep):
@@ -481,11 +478,6 @@ def tp_renormalized(rep):
     w, v = np.linalg.eigh(s)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
-
-
-def tp_defect(rep):
-    s = sum(op.conj().T @ op for op in rep.ops)
-    return np.linalg.norm(s - np.eye(rep.source.dim))
 
 
 ORACLE_SPLITS = [
@@ -529,10 +521,7 @@ class TestTensorRoutesMatchLoopReferences:
         assert abs(residual - reference_commutation(rep)) <= self.tol(rep)
 
     def test_trace(self, name, rep):
-        r1, _, r2 = trace_violation(rep)
-        ref1, ref2 = reference_trace(rep)
-        assert abs(r1 - ref1) <= self.tol(rep)
-        assert abs(r2 - ref2) <= self.tol(rep)
+        assert abs(trace_violation(rep)[0] - reference_trace(rep)) <= self.tol(rep)
 
     def test_kraus_blocks(self, name, rep):
         residual, label = kraus_blocks_violation(rep)
@@ -553,16 +542,6 @@ class TestTensorRoutesMatchLoopReferences:
         assert abs(recon - commutation_violation(rep)[0]) <= self.tol(rep)
 
 
-TP_ORACLE_CASES = [c for c in ORACLE_CASES if not c[0].startswith("non-tp")]
-
-
-@pytest.mark.parametrize("name,rep", TP_ORACLE_CASES, ids=[c[0] for c in TP_ORACLE_CASES])
-def test_block_residuals_agree_up_to_tp_defect(name, rep):
-    # Tr(P_t1 phi(E_ab)) + Tr(P_t2 phi(E_ab)) = (sum_k V_k† V_k)[b, a]
-    r1, _, r2 = trace_violation(rep)
-    assert abs(r2 - r1) <= tp_defect(rep) + 1e-12
-
-
 class TestTensorRouteLabels:
     def test_labels_name_worst_unit_and_block(self):
         # a single coupling operator |t_0><s_1| on C^2: only phi(E[1,1]) is
@@ -575,9 +554,9 @@ class TestTensorRouteLabels:
         residual, label = commutation_violation(rep)
         assert residual == 1.0
         assert label == "P_t2 phi(E[1,1]) P_t2 vs phi(P_s2 E[1,1] P_s2)"
-        r1, label, r2 = trace_violation(rep)
+        residual, label = trace_violation(rep)
+        assert residual == 1.0
         assert label == "Tr(P_t1 phi(E[0,0])) vs Tr(P_s1 E[0,0])"
-        assert r1 == 1.0 and r2 == 1.0
         residual, label = kraus_blocks_violation(rep)
         assert residual == 1.0
         assert label == "||P_t1 V[0] P_s2||_F / max(1, ||V[0]||_F)"
@@ -586,7 +565,7 @@ class TestTensorRouteLabels:
         rep = identity_channel(C2)
         assert definition_violation(rep) == (0.0, "no cross-block leakage")
         assert commutation_violation(rep) == (0.0, "all block identities hold")
-        assert trace_violation(rep) == (0.0, "block weights conserved", 0.0)
+        assert trace_violation(rep) == (0.0, "block weights conserved")
         assert kraus_blocks_violation(rep) == (0.0, "no cross-block component")
 
 
@@ -678,7 +657,4 @@ def test_residuals_invariant_under_target_block_unitary(channel):
     turned = block_rotated(rep, rng, "target")
     assert abs(definition_violation(turned)[0] - definition_violation(rep)[0]) <= 1e-12
     assert abs(commutation_violation(turned)[0] - commutation_violation(rep)[0]) <= 1e-12
-    r1, _, r2 = trace_violation(rep)
-    t1, _, t2 = trace_violation(turned)
-    assert abs(t1 - r1) <= 1e-12
-    assert abs(t2 - r2) <= 1e-12
+    assert abs(trace_violation(turned)[0] - trace_violation(rep)[0]) <= 1e-12

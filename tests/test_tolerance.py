@@ -29,8 +29,6 @@ def unit_triple():
 
 # one call per public tolerance parameter, each otherwise valid
 ENTRY_POINTS = {
-    "linalg.hermitian_eig": lambda t: linalg.hermitian_eig(EYE, tol=t),
-    "linalg.is_psd": lambda t: linalg.is_psd(EYE, tol=t),
     "linalg.block_psd_failure": lambda t: linalg.block_psd_failure(EYE, EYE, EYE, tol=t),
     "linalg.block_psd_check": lambda t: linalg.block_psd_check(EYE, EYE, EYE, tol=t),
     "cpm.is_trace_preserving": lambda t: cpm.is_trace_preserving(IDENTITY, tol=t),
@@ -96,6 +94,32 @@ RANK_DECISIONS = {
 def test_rank_cutoff_is_default_rtol(entry, weight, kept):
     # the weights sit a factor 2 either side of DEFAULT_RTOL = 1e-10
     assert RANK_DECISIONS[entry](weight) is kept
+
+
+@pytest.mark.parametrize("negative, refused", [(-5e-10, True), (-5e-11, False)],
+                         ids=["beyond", "within"])
+def test_coefficient_psd_floor_is_default_rtol(negative, refused):
+    # the floor is -DEFAULT_RTOL * max(1, max|w|) = -1e-10; DEFAULT_TOL
+    # would accept both
+    choi = cpm.ChoiRep(C2, C2, np.diag([1.0, negative, 0.0, 0.0]))
+    if refused:
+        with pytest.raises(SpcpmError, match="not positive semi-definite"):
+            cpm.choi_to_kraus(choi)
+    else:
+        assert len(cpm.choi_to_kraus(choi).ops) == 1
+
+
+@pytest.mark.parametrize("asymmetry, refused", [(5e-10, True), (5e-11, False)],
+                         ids=["beyond", "within"])
+def test_inv_sqrt_psd_hermiticity_bound_is_default_rtol(asymmetry, refused):
+    # ||M - M†||_F = sqrt(2) * asymmetry against DEFAULT_RTOL * ||M||_F
+    # = 3.2e-10; DEFAULT_TOL would accept both
+    m = np.array([[2.0, 1.0 + asymmetry], [1.0, 2.0]])
+    if refused:
+        with pytest.raises(SpcpmError, match="not Hermitian"):
+            linalg.inv_sqrt_psd(m)
+    else:
+        assert np.all(np.isfinite(linalg.inv_sqrt_psd(m)))
 
 
 @pytest.mark.parametrize("value", [1e-300, 1.0, 1e300, np.float64(1e-9)])

@@ -11,6 +11,11 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_hermitian(rng, n):
+    g = crandn(rng, n, n)
+    return (g + g.conj().T) / 2
+
+
 def random_psd(rng, n, rank):
     g = crandn(rng, n, rank)
     return g @ g.conj().T
@@ -33,6 +38,91 @@ def psd_by_eigvals(m, tol=1e-9):
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return w[0] >= -tol * max(1.0, np.abs(w).max())
+
+
+class TestSpectrum:
+    """``_spectrum``, the one eigensolver entry behind ``inv_sqrt_psd``,
+    ``psd_spectrum`` and ``block_psd_failure``."""
+
+    def test_identity(self):
+        w, v = linalg._spectrum(np.eye(3), linalg.DEFAULT_RTOL, vectors=True)
+        np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
+
+    def test_already_diagonal(self):
+        w, v = linalg._spectrum(np.diag([2.0, -1.0]), linalg.DEFAULT_RTOL, vectors=True)
+        np.testing.assert_allclose(w, [-1.0, 2.0], atol=1e-14)
+        # eigenvector matrix is a permutation (ascending order swaps the columns)
+        np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+
+    def test_reconstruction_and_orthonormality(self):
+        rng = np.random.default_rng(7)
+        h = random_hermitian(rng, 4)
+        w, v = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=True)
+        scale = max(1.0, np.linalg.norm(h))
+        assert np.linalg.norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-10 * scale
+        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10
+
+    def test_eigenvalues_ascending(self):
+        rng = np.random.default_rng(8)
+        h = random_hermitian(rng, 6)
+        for vectors in (True, False):
+            w, _ = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=vectors)
+            assert np.all(np.diff(w) >= 0)
+
+    def test_deterministic_for_identical_input(self):
+        rng = np.random.default_rng(9)
+        h = random_hermitian(rng, 5)
+        # degenerate cluster: eigenvalue 1 with multiplicity 3
+        q, _ = np.linalg.qr(crandn(rng, 4, 4))
+        degenerate = q @ np.diag([1.0, 1.0, 1.0, 2.0]) @ q.conj().T
+        for mat in (h, degenerate):
+            first = linalg._spectrum(mat, linalg.DEFAULT_RTOL, vectors=True)
+            second = linalg._spectrum(mat.copy(), linalg.DEFAULT_RTOL, vectors=True)
+            np.testing.assert_array_equal(first[0], second[0])
+            np.testing.assert_array_equal(first[1], second[1])
+
+    def test_eigenvalues_alone_carry_no_vectors(self):
+        rng = np.random.default_rng(10)
+        h = random_hermitian(rng, 5)
+        w, v = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=False)
+        assert v is None
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+
+    def test_non_hermitian_has_no_spectrum(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+        for vectors in (True, False):
+            assert linalg._spectrum(m, linalg.DEFAULT_RTOL, vectors=vectors) is None
+
+
+class TestPsdSpectrum:
+    def test_identity(self):
+        w, _ = linalg.psd_spectrum(np.eye(2), linalg.DEFAULT_TOL, vectors=False)
+        np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-14)
+
+    def test_small_negative_eigenvalue(self):
+        m = np.diag([1.0, -1e-3]).astype(np.complex128)
+        assert linalg.psd_spectrum(m, 1e-9, vectors=False) is None
+
+    def test_gram_matrices_are_psd(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            stacked = crandn(rng, 4, 6)  # four 3x2 operators, flattened
+            g = stacked.conj() @ stacked.T
+            for vectors in (True, False):
+                assert linalg.psd_spectrum(g, linalg.DEFAULT_TOL, vectors) is not None
+            # oracle: eigenvalues directly
+            assert psd_by_eigvals(g)
+
+    def test_non_hermitian_is_not_psd(self):
+        m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+        assert linalg.psd_spectrum(m, linalg.DEFAULT_TOL, vectors=True) is None
+
+    def test_floor_is_minus_the_rank_cutoff(self):
+        # cutoff rtol * max(1, 4) = 4e-10: -3e-10 is a zero, -5e-10 negative
+        for negative, kept in ((-3e-10, True), (-5e-10, False)):
+            m = np.diag([4.0, negative]).astype(np.complex128)
+            spec = linalg.psd_spectrum(m, linalg.DEFAULT_RTOL, vectors=True)
+            assert (spec is not None) is kept
 
 
 class TestBlockPsdCheck:

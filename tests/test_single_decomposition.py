@@ -26,7 +26,7 @@ from spcpm.cpm import (
 )
 from spcpm.dilation import build_dilation
 from spcpm.errors import SpcpmError
-from spcpm.linalg import block_psd_check, block_psd_failure
+from spcpm.linalg import block_psd_check, block_psd_failure, psd_spectrum
 from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
 from test_sp import ORACLE_CASES
@@ -263,3 +263,9 @@ def test_block_psd_check_decomposes_a_singular_upper_left_block(decompositions):
     assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigh", "eigvalsh"]
     assert decompositions["shapes"] == [(3, 3), (2, 2), (3, 3), (3, 3)]
 
+
+@pytest.mark.parametrize("vectors, solver", [(False, "eigvalsh"), (True, "eigh")])
+def test_psd_spectrum_calls_one_solver(decompositions, vectors, solver):
+    assert psd_spectrum(np.diag([2.0, 1.0, 0.0]).astype(complex), RTOL, vectors) is not None
+    assert decompositions["solvers"] == [solver]
+    assert decompositions["shapes"] == [(3, 3)]

@@ -449,12 +449,13 @@ def reference_reconstruction(rep):
     return worst
 
 
-def reference_trace(rep):
-    pt1 = rep.target.projector(1)
+def reference_trace(rep, block=1):
+    """Worst |Tr(P_t phi(E_ab)) - Tr(P_s E_ab)| over the units, for one block."""
+    pt = rep.target.projector(block)
     worst = 0.0
     for a, b, unit in matrix_units(rep.source.dim):
-        inside = 1.0 if (a == b and a < rep.source.d1) else 0.0
-        worst = max(worst, abs(np.trace(pt1 @ apply(rep, unit)) - inside))
+        inside = 1.0 if (a == b and block_of(rep.source, a) == block) else 0.0
+        worst = max(worst, abs(np.trace(pt @ apply(rep, unit)) - inside))
     return worst
 
 
@@ -478,6 +479,11 @@ def tp_renormalized(rep):
     w, v = np.linalg.eigh(s)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
+
+
+def tp_defect(rep):
+    s = sum(op.conj().T @ op for op in rep.ops)
+    return np.linalg.norm(s - np.eye(rep.source.dim))
 
 
 ORACLE_SPLITS = [
@@ -540,6 +546,18 @@ class TestTensorRoutesMatchLoopReferences:
         recon = reference_reconstruction(rep)
         assert abs(recon - own) <= self.tol(rep)
         assert abs(recon - commutation_violation(rep)[0]) <= self.tol(rep)
+
+
+TP_ORACLE_CASES = [c for c in ORACLE_CASES if not c[0].startswith("non-tp")]
+
+
+@pytest.mark.parametrize("name,rep", TP_ORACLE_CASES, ids=[c[0] for c in TP_ORACLE_CASES])
+def test_block_residuals_agree_up_to_tp_defect(name, rep):
+    # the route reads block 1 only; block 2 follows on a TP channel, since
+    # Tr(P_t1 phi(E_ab)) + Tr(P_t2 phi(E_ab)) = (sum_k V_k† V_k)[b, a]
+    r1 = trace_violation(rep)[0]
+    r2 = reference_trace(rep, block=2)
+    assert abs(r2 - r1) <= tp_defect(rep) + 1e-12
 
 
 class TestTensorRouteLabels:

@@ -12,7 +12,6 @@ from .cpm import (
     ChoiRep,
     KrausRep,
     apply,
-    apply_choi,
     channels_equal,
     choi_to_kraus,
     compose,
@@ -20,7 +19,6 @@ from .cpm import (
     kraus_rank,
     kraus_to_choi,
     orthonormal_kraus,
-    unitary_mix,
 )
 from .dilation import (
     UnitaryDilation,
@@ -55,7 +53,6 @@ __all__ = [
     "SpcpmError",
     "UnitaryDilation",
     "apply",
-    "apply_choi",
     "apply_dilation",
     "block_psd_check",
     "blocks_from_sp",
@@ -76,7 +73,6 @@ __all__ = [
     "sp_from_blocks",
     "sp_kraus_bound_holds",
     "split_kraus_blocks",
-    "unitary_mix",
     "verify_dilation",
 ]
 

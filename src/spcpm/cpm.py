@@ -122,17 +122,6 @@ def kraus_to_choi(rep: KrausRep) -> ChoiRep:
     return rep._choi
 
 
-def apply_choi(rep: ChoiRep, q) -> np.ndarray:
-    """Evaluate phi(Q) = sum_{m,m'} matrix[m, m'] E_m Q E_m'† over the
-    matrix-unit basis."""
-    qa = as_matrix(q)
-    ds, dt = rep.source.dim, rep.target.dim
-    if qa.shape != (ds, ds):
-        raise SpcpmError(f"input has shape {qa.shape}, expected {(ds, ds)}")
-    coeff = rep.matrix.reshape(dt, ds, dt, ds)
-    return np.einsum("ijkl,jl->ik", coeff, qa)
-
-
 def _live_units(m: np.ndarray) -> np.ndarray:
     """Mask of the matrix units whose row or column of ``m`` holds a nonzero
     entry.
@@ -204,24 +193,6 @@ def kraus_rank(rep: KrausRep) -> int:
     # sum_k c_k c_k† is Hermitian by construction; eigvalsh reads one triangle
     w = np.linalg.eigvalsh(m[np.ix_(live, live)])
     return int(np.count_nonzero(w > rank_cutoff(w, DEFAULT_RTOL)))
-
-
-def unitary_mix(rep: KrausRep, u) -> KrausRep:
-    """Mix the Kraus list by a unitary matrix: V'_k = sum_k' U[k, k'] V_k'.
-
-    Mixing never changes the represented channel, and it maps linearly
-    independent lists to linearly independent lists.
-    """
-    ua = as_matrix(u)
-    k = len(rep.ops)
-    if ua.shape != (k, k):
-        raise SpcpmError(
-            f"mixing matrix has shape {ua.shape}, expected {(k, k)}"
-        )
-    if frobenius(ua.conj().T @ ua - np.eye(k)) > 1e-10:
-        raise SpcpmError("mixing matrix is not unitary within 1e-10")
-    mixed = np.tensordot(ua, rep.ops, axes=(1, 0))
-    return KrausRep(rep.source, rep.target, mixed)
 
 
 def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
-Positivity of a Hermitian matrix and of a 2x2 block matrix (through its
-Schur complement), and the inverse square root.
+Positivity of a Hermitian matrix and of a 2x2 block matrix, and the inverse
+square root.
 
 The public functions accept anything convertible to a 2-D complex array and
 return fresh ``complex128`` arrays, except :func:`psd_spectrum`, which
@@ -18,16 +18,11 @@ rank, the minimal and orthonormal Kraus lists and the inverse square root
 all decide at the one constant ``rtol = DEFAULT_RTOL``; no public function
 takes it as an argument.
 
-Eigenvectors are computed only where they are read.  A verdict read alone
-comes from ``eigvalsh`` (in :func:`block_psd_failure`, the upper-left block
-and the Schur complement); a verdict whose factors are read comes from the
-same ``eigh`` as those factors (the lower-right block, and the coefficient
-matrix in ``cpm``).  Only an upper-left block whose eigenvalues show a
-kernel is decomposed again, by ``eigh``, for its kernel vectors; such a
-triple makes four solver calls instead of three ``eigh``, and timed at
-2+2 to 8+8 it costs about what those three did.  ``eigvalsh`` and ``eigh``
-may return eigenvalues that differ in the last bits, so a verdict on an
-eigenvalue at the cutoff can differ from an ``eigh``-based one.
+A block triple is positive semi-definite when its assembled matrix is: one
+``eigvalsh`` of that matrix decides, against the same floor, and the
+caller's ``tol`` is both its Hermiticity bound and its ``rtol``
+(:func:`block_psd_failure`).  Eigenvectors are computed only where they are
+read (the coefficient matrix in ``cpm``, the inverse square root).
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -136,19 +131,16 @@ def rank_cutoff(w: np.ndarray, rtol: float) -> float:
 
 
 def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
-    """Name of the first failed positivity condition for [[A, C], [C†, B]].
+    """Why the assembled block matrix F = [[A, C], [C†, B]] is not positive
+    semi-definite, or ``None`` when it is.
 
-    Returns ``None`` when the assembled block matrix is positive
-    semi-definite.  The conditions checked are: A >= 0, B >= 0, C supported
-    inside the ranges of A and B, and the Schur complement A - C B^+ C†
-    positive semi-definite.  The diagonal-block checks make the verdict
-    match assembled-matrix positivity even for indefinite A or B.
-
-    The verdicts on A and on the Schur complement come from ``eigvalsh``.
-    Only when A's eigenvalues show a kernel is A decomposed with ``eigh``,
-    whose eigenvectors at or below the rank cutoff span that kernel.  B is
-    decomposed once with ``eigh``: its kernel eigenvectors give the kernel
-    test and the others B^+.
+    One ``eigvalsh`` of F decides (:func:`_spectrum`).  F is refused as not
+    Hermitian when ||F - F†||_F > tol * max(1, ||F||_F), and as not positive
+    semi-definite when its smallest eigenvalue is below
+    ``-rank_cutoff(w, tol)``, the floor of :func:`psd_spectrum`; each message
+    gives the measured value and its bound.  The tests cross-check every
+    verdict against an independent Schur-complement route (positivity of A
+    and B, the support of C and A - C B^+ C†, from pseudo-inverses).
     """
     check_tolerance(tol)
     a = as_matrix(a)
@@ -160,41 +152,26 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
         raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
-    spec_a = psd_spectrum(a, tol, vectors=False)
-    if spec_a is None:
-        return "upper-left block is not positive semi-definite"
-    spec_b = psd_spectrum(b, tol, vectors=True)
-    if spec_b is None:
-        return "lower-right block is not positive semi-definite"
-    wa = spec_a[0]
-    wb, vb = spec_b
-    range_b = wb > rank_cutoff(wb, tol)
-    # ||P0 C||_F = ||K† C||_F for the kernel projector P0 = K K† of
-    # orthonormal kernel eigenvectors K
-    scale = max(1.0, frobenius(c))
-    if wa[0] <= rank_cutoff(wa, tol):
-        # A already passed its asymmetry bound; repeating it through
-        # _spectrum made this path measurably slower at 2+2
-        wa, va = np.linalg.eigh((a + a.conj().T) / 2.0)
-        range_a = wa > rank_cutoff(wa, tol)
-        if frobenius(va[:, ~range_a].conj().T @ c) > tol * scale:
-            return "coupling block has support on the kernel of the upper-left block"
-    if frobenius(c @ vb[:, ~range_b]) > tol * scale:
-        return "coupling block has support on the kernel of the lower-right block"
-    cv = c @ vb[:, range_b]
-    schur = check_matrix(a - (cv / wb[range_b]) @ cv.conj().T)
-    if psd_spectrum(schur, tol, vectors=False) is None:
-        return "Schur complement is not positive semi-definite"
+    f = np.block([[a, c], [c.conj().T, b]])
+    spec = _spectrum(f, tol, vectors=False)
+    if spec is None:
+        return (
+            f"assembled block matrix is not Hermitian within tol={tol:g} "
+            f"(asymmetry {_asymmetry(f):.3e})"
+        )
+    w = spec[0]
+    floor = -rank_cutoff(w, tol)
+    if w[0] < floor:
+        return (
+            "assembled block matrix is not positive semi-definite: smallest "
+            f"eigenvalue {w[0]:.3e} < floor {floor:.3e}"
+        )
     return None
 
 
 def block_psd_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
-    """Positivity of the assembled block matrix [[A, C], [C†, B]].
-
-    Decided through kernel-support and Schur-complement conditions rather
-    than by assembling the full matrix, so the two routes can cross-check
-    each other.
-    """
+    """Positivity of the assembled block matrix [[A, C], [C†, B]]: whether
+    :func:`block_psd_failure` finds nothing."""
     return block_psd_failure(a, b, c, tol) is None
 
 

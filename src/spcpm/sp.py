@@ -186,7 +186,10 @@ def split_kraus_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split each Kraus operator into its two block-supported pieces.
 
-    Returns two (K, dt, ds) stacks: P_t1 V_k P_s1 and P_t2 V_k P_s2.
+    Returns two (K, dt, ds) stacks: P_t1 V_k P_s1 and P_t2 V_k P_s2.  These
+    are the terms of the paper's Kraus characterization of SP maps,
+    V_k = P_t1 V_k P_s1 + P_t2 V_k P_s2, and on a single space the pieces
+    V_{i,k} from which the dilation's partial isometries V_i are built.
     """
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("channel has cross-block Kraus components above tolerance")

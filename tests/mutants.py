@@ -125,41 +125,46 @@ MUTANTS = [
         "        if False:",
         ["tests/test_api.py::test_space_refuses_non_integer_dims"],
     ),
-    # coupling support on the kernel of the lower-right block goes unseen
+    # the block triple's floor reads the rank cutoff instead of the
+    # caller's tol
     (
         "spcpm/linalg.py",
-        "    if frobenius(c @ vb[:, ~range_b]) > tol * scale:",
-        "    if False:",
-        ["tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route"],
+        "    floor = -rank_cutoff(w, tol)",
+        "    floor = -rank_cutoff(w, DEFAULT_RTOL)",
+        ["tests/test_linalg.py::TestBlockPsdCheck::test_assembled_floor_is_minus_the_cutoff"],
     ),
-    # a kernel that eigvalsh shows in the upper-left block is never
-    # decomposed, so coupling support on it goes unseen
+    # the assembled matrix is symmetrized without its Hermiticity bound, so
+    # a non-Hermitian diagonal block is judged by its Hermitian part
     (
         "spcpm/linalg.py",
-        "    if wa[0] <= rank_cutoff(wa, tol):",
-        "    if False:",
+        "    spec = _spectrum(f, tol, vectors=False)",
+        "    spec = np.linalg.eigvalsh((f + f.conj().T) / 2.0), None",
         [
             "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
-            "tests/test_single_decomposition.py::"
-            "test_block_psd_check_decomposes_a_singular_upper_left_block",
+            "tests/test_linalg.py::TestBlockPsdCheck::test_non_hermitian_triple_names_its_asymmetry",
         ],
     ),
-    # an eigenvalue of the upper-left block at the cutoff no longer counts
-    # as kernel, so its coupling support is named as a Schur failure
+    # the floor is dropped, so a PSD triple whose smallest eigenvalue
+    # rounds below zero is refused
     (
         "spcpm/linalg.py",
-        "    if wa[0] <= rank_cutoff(wa, tol):",
-        "    if wa[0] < rank_cutoff(wa, tol):",
-        ["tests/test_linalg.py::TestBlockPsdCheck::test_upper_left_eigenvalue_at_the_cutoff_is_kernel"],
-    ),
-    # the Schur complement's eigvalsh verdict is dropped
-    (
-        "spcpm/linalg.py",
-        "    if psd_spectrum(schur, tol, vectors=False) is None:",
-        "    if False:",
+        "    if w[0] < floor:",
+        "    if w[0] < 0.0:",
         [
-            "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
-            "tests/test_single_decomposition.py::test_block_psd_check_reads_eigenvectors_of_b_only",
+            "tests/test_linalg.py::TestBlockPsdCheck::test_assembled_floor_is_minus_the_cutoff",
+            "tests/test_single_decomposition.py::"
+            "test_block_psd_verdict_matches_pseudo_inverse_route_on_gram_triples",
+        ],
+    ),
+    # the lower-left block is C^T instead of C†, so a complex coupling
+    # makes a PSD triple look non-Hermitian
+    (
+        "spcpm/linalg.py",
+        "np.block([[a, c], [c.conj().T, b]])",
+        "np.block([[a, c], [c.T, b]])",
+        [
+            "tests/test_single_decomposition.py::"
+            "test_block_psd_verdict_matches_pseudo_inverse_route_on_gram_triples",
         ],
     ),
     # the spectrum symmetrizes before the asymmetry bound, so the bound

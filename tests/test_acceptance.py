@@ -21,7 +21,6 @@ from spcpm.cpm import (
     is_trace_preserving,
     kraus_rank,
     kraus_to_choi,
-    unitary_mix,
 )
 from spcpm.dilation import apply_dilation, build_dilation, verify_dilation
 from spcpm.linalg import block_psd_check
@@ -38,6 +37,7 @@ from spcpm.sp import (
     sp_kraus_bound_holds,
 )
 from spcpm.spaces import DecomposedSpace, embed_block_operator
+from channel_helpers import unitary_mix
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -149,7 +149,7 @@ class TestBlockPsdCheck:
             assert linalg.block_psd_check(a, b, c) == psd_by_eigvals(f)
 
     def test_schur_side_interchangeable(self):
-        # testing against the permuted assembly exercises the other Schur side
+        # the permuted assembly [[B, C†], [C, A]] is unitarily similar
         rng = np.random.default_rng(16)
         n, m = 3, 3
         for trial in range(100):
@@ -168,17 +168,27 @@ class TestBlockPsdCheck:
     @pytest.mark.parametrize(
         "small, failure",
         [
-            # at the cutoff tol * max|w| = 1e-9 the eigenvalue is kernel
-            (1e-9, "coupling block has support on the kernel of the upper-left block"),
-            (2e-9, "Schur complement is not positive semi-definite"),
+            (-3e-9, None),
+            (
+                -5e-9,
+                "assembled block matrix is not positive semi-definite: "
+                "smallest eigenvalue -5.000e-09 < floor -4.000e-09",
+            ),
         ],
-        ids=["at-cutoff", "above-cutoff"],
+        ids=["accepted", "refused"],
     )
-    def test_upper_left_eigenvalue_at_the_cutoff_is_kernel(self, small, failure):
-        # a diagonal A has exact eigenvalues in every solver
-        a = np.diag([1.0, small])
-        c = np.array([[0.0], [1e-3]])
-        assert linalg.block_psd_failure(a, np.eye(1), c) == failure
+    def test_assembled_floor_is_minus_the_cutoff(self, small, failure):
+        # floor -tol * max(1, max|w|) = -4e-9; a diagonal matrix has exact
+        # eigenvalues in every solver
+        a, c = np.array([[4.0]]), np.zeros((1, 1))
+        assert linalg.block_psd_failure(a, np.array([[small]]), c, tol=1e-9) == failure
+
+    def test_non_hermitian_triple_names_its_asymmetry(self):
+        a = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        assert linalg.block_psd_failure(a, np.eye(1), np.zeros((2, 1))) == (
+            "assembled block matrix is not Hermitian within tol=1e-09 "
+            "(asymmetry 1.414e-03)"
+        )
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(SpcpmError, match="coupling block has shape"):

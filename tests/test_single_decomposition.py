@@ -8,11 +8,14 @@ form, and ``I - A A^+`` / ``B^+`` built from separate pseudo-inverses.  They
 are written in plain numpy and share no code with the library.  Like the
 library, the Choi references decompose only the units whose row or column
 holds a nonzero entry; ``test_live_units.py`` compares against the whole
-matrix.
+matrix.  The library decides a block triple from one ``eigvalsh`` of the
+assembled matrix, so the Schur-complement reference is the second,
+independent PSD route its verdicts are checked against.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spcpm import dilation
 from spcpm.cpm import (
@@ -191,11 +194,60 @@ def test_block_psd_failure_matches_pseudo_inverse_route():
     rng = np.random.default_rng(992)
     seen = set()
     for a, b, c in random_triples(rng):
-        got = block_psd_failure(a, b, c)
-        assert got == reference_block_psd_failure(a, b, c)
-        seen.add(got)
-    # every outcome is exercised
-    assert len(seen) == 6
+        accepted = block_psd_failure(a, b, c) is None
+        assert accepted == (reference_block_psd_failure(a, b, c) is None)
+        seen.add(accepted)
+    assert seen == {True, False}
+
+
+# Gram triples: F = G G† split into [[A, C], [C†, B]], so F is PSD by
+# construction.  A triple is made indefinite by subtracting t v v† with
+# t = v†Fv + 1e-2 λmax(F) for a unit vector v: then v†F'v = -1e-2 λmax(F),
+# and |w| <= λmax(F) + t <= 2.01 λmax(F), so the smallest eigenvalue of F'
+# lies below -1e-3 max|w| by construction.
+TRIPLE_SPLITS = [(1, 7), (7, 1), (1, 1), (2, 3), (3, 2), (4, 4)]
+
+
+def gram_triple(split, seed, singular_a, zero_cross, scale, psd):
+    n, m = split
+    rng = np.random.default_rng(seed)
+    g = crandn(rng, n + m, 1 + seed % (n + m))
+    if singular_a:  # the rows of A's part of G span at most n - 1 dims
+        q = np.linalg.qr(crandn(rng, n, n))[0][:, : n - 1]
+        g[:n] = q @ (q.conj().T @ g[:n])
+    f = scale * (g @ g.conj().T)
+    if zero_cross:
+        f[:n, n:] = 0.0
+        f[n:, :n] = 0.0
+    if not psd:
+        v = crandn(rng, n + m)
+        v /= np.linalg.norm(v)
+        t = (v.conj() @ f @ v).real + 1e-2 * np.linalg.eigvalsh(f)[-1]
+        f = f - t * np.outer(v, v.conj())
+    return f[:n, :n], f[n:, n:], f[:n, n:]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(TRIPLE_SPLITS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+    st.booleans(),
+)
+@example((1, 7), 3, True, False, 1e3, True)
+@example((7, 1), 4, True, False, 1e-3, False)
+def test_block_psd_verdict_matches_pseudo_inverse_route_on_gram_triples(
+    split, seed, singular_a, zero_cross, scale, psd
+):
+    a, b, c = gram_triple(split, seed, singular_a, zero_cross, scale, psd)
+    accepted = block_psd_failure(a, b, c) is None
+    assert accepted == (reference_block_psd_failure(a, b, c) is None)
+    assert accepted == psd
+    if not psd:
+        w = np.linalg.eigvalsh(np.block([[a, c], [c.conj().T, b]]))
+        assert w[0] <= -1e-3 * np.abs(w).max()
 
 
 @pytest.fixture
@@ -235,7 +287,7 @@ def test_one_decomposition_per_matrix(decompositions):
     f = g @ g.conj().T
     decompositions["n"] = 0
     assert block_psd_check(f[:2, :2], f[2:, 2:], f[:2, 2:])
-    assert decompositions["n"] <= 3
+    assert decompositions["n"] == 1
 
 
 def test_kraus_rank_reads_eigenvalues_only(decompositions):
@@ -248,20 +300,16 @@ def test_kraus_rank_reads_eigenvalues_only(decompositions):
     assert decompositions["shapes"] == [(8, 8)]
 
 
-def test_block_psd_check_reads_eigenvectors_of_b_only(decompositions):
-    g = crandn(np.random.default_rng(996), 5, 5)
-    f = g @ g.conj().T  # both diagonal blocks nonsingular
-    assert block_psd_check(f[:2, :2], f[2:, 2:], f[:2, 2:])
-    assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigvalsh"]
-    assert decompositions["shapes"] == [(2, 2), (3, 3), (2, 2)]
-
-
-def test_block_psd_check_decomposes_a_singular_upper_left_block(decompositions):
-    g = crandn(np.random.default_rng(997), 5, 2)
-    f = g @ g.conj().T  # rank 2: the 3 x 3 upper-left block has a kernel
-    assert block_psd_check(f[:3, :3], f[3:, 3:], f[:3, 3:])
-    assert decompositions["solvers"] == ["eigvalsh", "eigh", "eigh", "eigvalsh"]
-    assert decompositions["shapes"] == [(3, 3), (2, 2), (3, 3), (3, 3)]
+@pytest.mark.parametrize(
+    "n, rank, seed", [(2, 5, 996), (3, 2, 997)], ids=["nonsingular", "rank-deficient"]
+)
+def test_block_psd_check_calls_one_eigvalsh(decompositions, n, rank, seed):
+    # rank 2 leaves the 3 x 3 upper-left block with a kernel
+    g = crandn(np.random.default_rng(seed), 5, rank)
+    f = g @ g.conj().T
+    assert block_psd_check(f[:n, :n], f[n:, n:], f[:n, n:])
+    assert decompositions["solvers"] == ["eigvalsh"]
+    assert decompositions["shapes"] == [(5, 5)]
 
 
 @pytest.mark.parametrize("vectors, solver", [(False, "eigvalsh"), (True, "eigh")])

@@ -14,7 +14,6 @@ from spcpm.cpm import (
     is_trace_preserving,
     kraus_rank,
     kraus_to_choi,
-    unitary_mix,
 )
 from spcpm.errors import (
     NotSPError,
@@ -40,6 +39,7 @@ from spcpm.sp import (
     trace_violation,
 )
 from spcpm.spaces import DecomposedSpace, embed_block_operator
+from channel_helpers import unitary_mix
 
 C2 = DecomposedSpace(1, 1)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -255,12 +255,12 @@ class TestSpFromBlocks:
             assert is_sp_commutation(rep)
 
     def test_rejects_invalid_triple(self):
-        with pytest.raises(SpcpmError, match="Schur complement"):
+        with pytest.raises(SpcpmError, match="block matrix is not positive semi-definite"):
             sp_from_blocks(SPBlockRep(C2, C2, np.eye(1), np.eye(1), 2 * np.eye(1)))
 
     def test_rejects_kernel_leak(self):
         # block1 = 0 forces cross = 0
-        with pytest.raises(SpcpmError, match="kernel of the upper-left block"):
+        with pytest.raises(SpcpmError, match="block matrix is not positive semi-definite"):
             sp_from_blocks(SPBlockRep(C2, C2, np.zeros((1, 1)), np.eye(1), np.eye(1)))
 
 

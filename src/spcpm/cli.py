@@ -43,6 +43,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, check_tolerance
 from .sp import (
+    _kraus_bound,
     definition_violation,
     commutation_violation,
     is_sp_kraus_blocks,
@@ -175,8 +176,7 @@ def cmd_kraus_rank(args) -> int:
     rank = kraus_rank(rep)
     print(f"kraus rank: {rank}")
     if is_sp_kraus_blocks(rep, args.tol):
-        bound = rep.source.d1 * rep.target.d1 + rep.source.d2 * rep.target.d2
-        print(f"SP bound (ds1*dt1 + ds2*dt2): {bound}")
+        print(f"SP bound (ds1*dt1 + ds2*dt2): {_kraus_bound(rep.source, rep.target)}")
     return EXIT_OK
 
 

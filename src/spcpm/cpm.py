@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import SpcpmError
 from .linalg import (
-    DEFAULT_RTOL,
     DEFAULT_TOL,
     as_matrix,
     check_tolerance,
@@ -150,11 +149,11 @@ def _kept_eigenpairs(rep: ChoiRep) -> tuple[np.ndarray, np.ndarray]:
     live = _live_units(m)
     if not live.any():
         return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
-    spec = psd_spectrum(m[np.ix_(live, live)], DEFAULT_RTOL, vectors=True)
+    spec = psd_spectrum(m[np.ix_(live, live)], vectors=True)
     if spec is None:
         raise SpcpmError("coefficient matrix is not positive semi-definite")
     w, v = spec
-    keep = w > rank_cutoff(w, DEFAULT_RTOL)
+    keep = w > rank_cutoff(w)
     vecs = v[:, keep]
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
@@ -192,7 +191,7 @@ def kraus_rank(rep: KrausRep) -> int:
         return 0
     # sum_k c_k c_k† is Hermitian by construction; eigvalsh reads one triangle
     w = np.linalg.eigvalsh(m[np.ix_(live, live)])
-    return int(np.count_nonzero(w > rank_cutoff(w, DEFAULT_RTOL)))
+    return int(np.count_nonzero(w > rank_cutoff(w)))
 
 
 def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:

@@ -50,7 +50,7 @@ from .errors import (
     SpcpmError,
 )
 from .linalg import DEFAULT_TOL, check_tolerance, frobenius, frozen_copy
-from .sp import is_sp_kraus_blocks
+from .sp import _kraus_bound, is_sp_kraus_blocks
 from .spaces import DecomposedSpace
 
 
@@ -96,7 +96,7 @@ class UnitaryDilation:
             )
         if len(self.a1) == 0:
             raise SpcpmError("a dilation needs at least one Kraus piece per block")
-        most = self.space.d1 ** 2 + self.space.d2 ** 2
+        most = _kraus_bound(self.space, self.space)
         if len(self.a1) > most:
             raise SpcpmError(
                 f"a dilation holds {len(self.a1)} pieces per block, more than "

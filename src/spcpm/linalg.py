@@ -6,23 +6,21 @@ square root.
 The public functions accept anything convertible to a 2-D complex array and
 return fresh ``complex128`` arrays, except :func:`psd_spectrum`, which
 validates nothing: ``cpm`` imports it for the live block of a coefficient
-matrix, already a square, finite ``complex128`` array, at a constant ``tol``.
+matrix, already a square, finite ``complex128`` array.
 Matrices here are small (dimension tens, not thousands), so everything is
 done by direct eigendecomposition; determinism for identical input bits
 matters more than speed.
 
-One cutoff rule decides ranks: an eigenvalue counts as zero when its
-magnitude is at most ``rtol * max(1, max|eigenvalue|)`` (:func:`rank_cutoff`),
-and a PSD matrix may have eigenvalues down to minus that cutoff.  The Kraus
-rank, the minimal and orthonormal Kraus lists and the inverse square root
-all decide at the one constant ``rtol = DEFAULT_RTOL``; no public function
-takes it as an argument.
+One constant, ``DEFAULT_RTOL``, is every Hermiticity bound, PSD floor and
+rank cutoff: ``||M - M†||_F`` may reach ``DEFAULT_RTOL * max(1, ||M||_F)``,
+and an eigenvalue counts as zero when its magnitude is at most
+``rank_cutoff(w) = DEFAULT_RTOL * max(1, max|w|)``, down to which a PSD
+matrix may go negative.  No function takes it as an argument.
 
 A block triple is positive semi-definite when its assembled matrix is: one
-``eigvalsh`` of that matrix decides, against the same floor, and the
-caller's ``tol`` is both its Hermiticity bound and its ``rtol``
-(:func:`block_psd_failure`).  Eigenvectors are computed only where they are
-read (the coefficient matrix in ``cpm``, the inverse square root).
+``eigvalsh`` of that matrix decides (:func:`block_psd_failure`), at the floor
+``cpm.choi_to_kraus`` applies to the same units.  Eigenvectors are computed
+only where they are read (the coefficient matrix, the inverse square root).
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -38,10 +36,10 @@ import numpy as np
 
 from .errors import SingularMatrixError, SpcpmError
 
-#: Default tolerance for positivity and residual checks.
+#: Default tolerance for residual checks.
 DEFAULT_TOL = 1e-9
-#: The one relative rank cutoff (Kraus rank, minimal and orthonormal Kraus
-#: lists, inverse square root); a constant, taken by no function as an argument.
+#: The one Hermiticity bound, PSD floor and relative rank cutoff; a constant,
+#: taken by no function as an argument.
 DEFAULT_RTOL = 1e-10
 
 
@@ -99,14 +97,14 @@ def _asymmetry(m: np.ndarray) -> float:
     return frobenius(m - m.conj().T)
 
 
-def _spectrum(arr: np.ndarray, tol: float, vectors: bool):
+def _spectrum(arr: np.ndarray, vectors: bool):
     """``(w, v)`` of (M + M†)/2 for a validated square ``arr``: eigenvalues
     ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``.
-    ``None`` when ``||M - M†||_F > tol * max(1, ||M||_F)``.
+    ``None`` when ``||M - M†||_F > DEFAULT_RTOL * max(1, ||M||_F)``.
 
     Without ``vectors`` it calls ``eigvalsh``, which computes none.
     """
-    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):
+    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):
         return None
     sym = (arr + arr.conj().T) / 2.0
     if vectors:
@@ -114,35 +112,33 @@ def _spectrum(arr: np.ndarray, tol: float, vectors: bool):
     return np.linalg.eigvalsh(sym), None
 
 
-def psd_spectrum(arr: np.ndarray, tol: float, vectors: bool):
+def psd_spectrum(arr: np.ndarray, vectors: bool):
     """:func:`_spectrum` of ``arr`` if it is also positive semi-definite
-    within ``tol`` (eigenvalue floor ``-rank_cutoff(w, tol)``), else ``None``.
-    Validates neither ``arr`` nor ``tol``."""
-    spec = _spectrum(arr, tol, vectors)
-    if spec is None or spec[0][0] < -rank_cutoff(spec[0], tol):
+    (eigenvalue floor ``-rank_cutoff(w)``), else ``None``.  Validates
+    nothing."""
+    spec = _spectrum(arr, vectors)
+    if spec is None or spec[0][0] < -rank_cutoff(spec[0]):
         return None
     return spec
 
 
-def rank_cutoff(w: np.ndarray, rtol: float) -> float:
+def rank_cutoff(w: np.ndarray) -> float:
     """Magnitude at or below which an eigenvalue of ``w`` counts as zero:
-    ``rtol * max(1, max|w|)``."""
-    return rtol * max(1.0, float(np.max(np.abs(w))))
+    ``DEFAULT_RTOL * max(1, max|w|)``."""
+    return DEFAULT_RTOL * max(1.0, float(np.max(np.abs(w))))
 
 
-def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
+def block_psd_failure(a, b, c) -> Optional[str]:
     """Why the assembled block matrix F = [[A, C], [C†, B]] is not positive
     semi-definite, or ``None`` when it is.
 
-    One ``eigvalsh`` of F decides (:func:`_spectrum`).  F is refused as not
-    Hermitian when ||F - F†||_F > tol * max(1, ||F||_F), and as not positive
-    semi-definite when its smallest eigenvalue is below
-    ``-rank_cutoff(w, tol)``, the floor of :func:`psd_spectrum`; each message
-    gives the measured value and its bound.  The tests cross-check every
-    verdict against an independent Schur-complement route (positivity of A
-    and B, the support of C and A - C B^+ C†, from pseudo-inverses).
+    One ``eigvalsh`` of F decides at the bounds of :func:`psd_spectrum`: F is
+    refused as not Hermitian beyond ``DEFAULT_RTOL * max(1, ||F||_F)``, and as
+    not positive semi-definite below the floor ``-rank_cutoff(w)``; each
+    message gives the measured value and its bound.  The tests cross-check
+    every verdict against an independent Schur-complement route (positivity
+    of A and B, the support of C and A - C B^+ C†, from pseudo-inverses).
     """
-    check_tolerance(tol)
     a = as_matrix(a)
     b = as_matrix(b)
     c = as_matrix(c)
@@ -153,14 +149,14 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
     f = np.block([[a, c], [c.conj().T, b]])
-    spec = _spectrum(f, tol, vectors=False)
+    spec = _spectrum(f, vectors=False)
     if spec is None:
         return (
-            f"assembled block matrix is not Hermitian within tol={tol:g} "
+            f"assembled block matrix is not Hermitian within tol={DEFAULT_RTOL:g} "
             f"(asymmetry {_asymmetry(f):.3e})"
         )
     w = spec[0]
-    floor = -rank_cutoff(w, tol)
+    floor = -rank_cutoff(w)
     if w[0] < floor:
         return (
             "assembled block matrix is not positive semi-definite: smallest "
@@ -169,10 +165,10 @@ def block_psd_failure(a, b, c, tol: float = DEFAULT_TOL) -> Optional[str]:
     return None
 
 
-def block_psd_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
+def block_psd_check(a, b, c) -> bool:
     """Positivity of the assembled block matrix [[A, C], [C†, B]]: whether
     :func:`block_psd_failure` finds nothing."""
-    return block_psd_failure(a, b, c, tol) is None
+    return block_psd_failure(a, b, c) is None
 
 
 def inv_sqrt_psd(m) -> np.ndarray:
@@ -186,7 +182,7 @@ def inv_sqrt_psd(m) -> np.ndarray:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
-    spec = _spectrum(arr, DEFAULT_RTOL, vectors=True)
+    spec = _spectrum(arr, vectors=True)
     if spec is None:
         raise SpcpmError(
             f"matrix is not Hermitian within tol={DEFAULT_RTOL:g} "

@@ -262,13 +262,16 @@ def is_sp_trace(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     return bool(trace_violation(rep)[0] <= tol)
 
 
-def sp_from_blocks(blocks: SPBlockRep, tol: float = DEFAULT_TOL) -> ChoiRep:
+def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
     """Assemble the coefficient matrix of the SP map defined by a block triple.
 
     The triple is placed on the two intra-block basis slots; all other
     entries are zero.  Every SP map arises from exactly one valid triple.
+    A triple whose assembled matrix :func:`block_psd_failure` refuses raises
+    :class:`SpcpmError`; :func:`choi_to_kraus` refuses the same units at the
+    same floor.
     """
-    failure = block_psd_failure(blocks.block1, blocks.block2, blocks.cross, tol)
+    failure = block_psd_failure(blocks.block1, blocks.block2, blocks.cross)
     if failure is not None:
         raise SpcpmError(failure)
     m = blocks.source.dim * blocks.target.dim
@@ -358,13 +361,14 @@ def random_sp_channel(
     )
 
 
-def sp_kraus_bound_holds(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the Kraus rank respects the SP bound d_s1*d_t1 + d_s2*d_t2.
+def _kraus_bound(source: DecomposedSpace, target: DecomposedSpace) -> int:
+    """d_s1*d_t1 + d_s2*d_t2, the size of the assembled block triple: the
+    only nonzero part of an SP coefficient matrix, so its largest rank."""
+    return source.d1 * target.d1 + source.d2 * target.d2
 
-    The bound is the size of the assembled block triple, which is the only
-    nonzero part of an SP channel's coefficient matrix.
-    """
+
+def sp_kraus_bound_holds(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the Kraus rank respects the SP bound (:func:`_kraus_bound`)."""
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("bound applies to subspace-preserving channels only")
-    bound = rep.source.d1 * rep.target.d1 + rep.source.d2 * rep.target.d2
-    return kraus_rank(rep) <= bound
+    return kraus_rank(rep) <= _kraus_bound(rep.source, rep.target)

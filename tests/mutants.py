@@ -125,19 +125,22 @@ MUTANTS = [
         "        if False:",
         ["tests/test_api.py::test_space_refuses_non_integer_dims"],
     ),
-    # the block triple's floor reads the rank cutoff instead of the
-    # caller's tol
+    # the block triple's floor reads the residual tolerance instead of the
+    # rank cutoff, so generation accepts triples that conversion refuses
     (
         "spcpm/linalg.py",
-        "    floor = -rank_cutoff(w, tol)",
-        "    floor = -rank_cutoff(w, DEFAULT_RTOL)",
-        ["tests/test_linalg.py::TestBlockPsdCheck::test_assembled_floor_is_minus_the_cutoff"],
+        "    floor = -rank_cutoff(w)",
+        "    floor = -DEFAULT_TOL * max(1.0, float(np.max(np.abs(w))))",
+        [
+            "tests/test_linalg.py::TestBlockPsdCheck::test_assembled_floor_is_minus_the_cutoff",
+            "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
+        ],
     ),
     # the assembled matrix is symmetrized without its Hermiticity bound, so
     # a non-Hermitian diagonal block is judged by its Hermitian part
     (
         "spcpm/linalg.py",
-        "    spec = _spectrum(f, tol, vectors=False)",
+        "    spec = _spectrum(f, vectors=False)",
         "    spec = np.linalg.eigvalsh((f + f.conj().T) / 2.0), None",
         [
             "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
@@ -171,9 +174,9 @@ MUTANTS = [
     # never fires
     (
         "spcpm/linalg.py",
-        "    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):",
+        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
         "    arr = (arr + arr.conj().T) / 2.0\n"
-        "    if _asymmetry(arr) > tol * max(1.0, frobenius(arr)):",
+        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
         [
             "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_hermitian",
             "tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol",
@@ -207,20 +210,33 @@ MUTANTS = [
         "    if False:",
         ["tests/test_dilation.py::TestBuildDilation::test_rejects_non_tp"],
     ),
-    # the coefficient matrix's Hermiticity bound and PSD floor read the
-    # residual tolerance instead of the rank cutoff
+    # the coefficient matrix is decided in place, at a PSD floor read from
+    # the residual tolerance instead of the rank cutoff of psd_spectrum
     (
         "spcpm/cpm.py",
-        "psd_spectrum(m[np.ix_(live, live)], DEFAULT_RTOL, vectors=True)",
-        "psd_spectrum(m[np.ix_(live, live)], DEFAULT_TOL, vectors=True)",
+        "    spec = psd_spectrum(m[np.ix_(live, live)], vectors=True)",
+        "    spec = np.linalg.eigh(m[np.ix_(live, live)])\n"
+        "    if spec[0][0] < -DEFAULT_TOL * max(1.0, abs(spec[0]).max()):\n"
+        "        spec = None",
         ["tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol"],
     ),
-    # inv_sqrt_psd's Hermiticity bound reads the residual tolerance
+    # the Hermiticity bound of every spectrum (inv_sqrt_psd's among them)
+    # reads the residual tolerance
     (
         "spcpm/linalg.py",
-        "    spec = _spectrum(arr, DEFAULT_RTOL, vectors=True)",
-        "    spec = _spectrum(arr, DEFAULT_TOL, vectors=True)",
+        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
+        "    if _asymmetry(arr) > DEFAULT_TOL * max(1.0, frobenius(arr)):",
         ["tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol"],
+    ),
+    # psd_spectrum's floor reads the residual tolerance
+    (
+        "spcpm/linalg.py",
+        "    if spec is None or spec[0][0] < -rank_cutoff(spec[0]):",
+        "    if spec is None or spec[0][0] < -DEFAULT_TOL * max(1.0, abs(spec[0]).max()):",
+        [
+            "tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol",
+            "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
+        ],
     ),
 ]
 

@@ -280,7 +280,7 @@ def test_criterion_6_sp_generator_bijection():
         g = crandn(rng, k + l, rank)
         f = g @ g.conj().T / (k + l)
         blocks = SPBlockRep(source, target, f[:k, :k], f[k:, k:], f[:k, k:])
-        rep = choi_to_kraus(sp_from_blocks(blocks, tol))
+        rep = choi_to_kraus(sp_from_blocks(blocks))
         if not (
             is_sp_definition(rep, tol)
             and is_sp_kraus_blocks(rep, tol)

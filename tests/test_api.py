@@ -109,6 +109,25 @@ def test_no_public_function_takes_the_rank_cutoff(func):
     assert "rtol" not in inspect.signature(func).parameters
 
 
+@pytest.mark.parametrize(
+    "func",
+    [
+        linalg.block_psd_failure,
+        linalg.block_psd_check,
+        sp.sp_from_blocks,
+        linalg._spectrum,
+        linalg.psd_spectrum,
+        linalg.rank_cutoff,
+    ],
+    ids=lambda func: func.__name__,
+)
+def test_positivity_decisions_take_no_tolerance(func):
+    # block triples decide at the constant DEFAULT_RTOL, the floor of the
+    # coefficient matrix, so generation and conversion cannot disagree
+    params = inspect.signature(func).parameters
+    assert "tol" not in params and "rtol" not in params
+
+
 def read_choi_file_with_basis(basis):
     obj = serialize.choi_to_obj(ChoiRep(C2, C2, np.eye(4)))
     obj["basis"] = basis

@@ -32,7 +32,7 @@ def assemble(a, b, c):
     return f
 
 
-def psd_by_eigvals(m, tol=1e-9):
+def psd_by_eigvals(m, tol=1e-10):
     """Independent positivity oracle: eigenvalues of the symmetrized matrix."""
     if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
         return False
@@ -45,11 +45,11 @@ class TestSpectrum:
     ``psd_spectrum`` and ``block_psd_failure``."""
 
     def test_identity(self):
-        w, v = linalg._spectrum(np.eye(3), linalg.DEFAULT_RTOL, vectors=True)
+        w, v = linalg._spectrum(np.eye(3), vectors=True)
         np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_already_diagonal(self):
-        w, v = linalg._spectrum(np.diag([2.0, -1.0]), linalg.DEFAULT_RTOL, vectors=True)
+        w, v = linalg._spectrum(np.diag([2.0, -1.0]), vectors=True)
         np.testing.assert_allclose(w, [-1.0, 2.0], atol=1e-14)
         # eigenvector matrix is a permutation (ascending order swaps the columns)
         np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
@@ -57,7 +57,7 @@ class TestSpectrum:
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 4)
-        w, v = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=True)
+        w, v = linalg._spectrum(h, vectors=True)
         scale = max(1.0, np.linalg.norm(h))
         assert np.linalg.norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-10 * scale
         assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10
@@ -66,7 +66,7 @@ class TestSpectrum:
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 6)
         for vectors in (True, False):
-            w, _ = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=vectors)
+            w, _ = linalg._spectrum(h, vectors=vectors)
             assert np.all(np.diff(w) >= 0)
 
     def test_deterministic_for_identical_input(self):
@@ -76,32 +76,32 @@ class TestSpectrum:
         q, _ = np.linalg.qr(crandn(rng, 4, 4))
         degenerate = q @ np.diag([1.0, 1.0, 1.0, 2.0]) @ q.conj().T
         for mat in (h, degenerate):
-            first = linalg._spectrum(mat, linalg.DEFAULT_RTOL, vectors=True)
-            second = linalg._spectrum(mat.copy(), linalg.DEFAULT_RTOL, vectors=True)
+            first = linalg._spectrum(mat, vectors=True)
+            second = linalg._spectrum(mat.copy(), vectors=True)
             np.testing.assert_array_equal(first[0], second[0])
             np.testing.assert_array_equal(first[1], second[1])
 
     def test_eigenvalues_alone_carry_no_vectors(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 5)
-        w, v = linalg._spectrum(h, linalg.DEFAULT_RTOL, vectors=False)
+        w, v = linalg._spectrum(h, vectors=False)
         assert v is None
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
     def test_non_hermitian_has_no_spectrum(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
         for vectors in (True, False):
-            assert linalg._spectrum(m, linalg.DEFAULT_RTOL, vectors=vectors) is None
+            assert linalg._spectrum(m, vectors=vectors) is None
 
 
 class TestPsdSpectrum:
     def test_identity(self):
-        w, _ = linalg.psd_spectrum(np.eye(2), linalg.DEFAULT_TOL, vectors=False)
+        w, _ = linalg.psd_spectrum(np.eye(2), vectors=False)
         np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-14)
 
     def test_small_negative_eigenvalue(self):
         m = np.diag([1.0, -1e-3]).astype(np.complex128)
-        assert linalg.psd_spectrum(m, 1e-9, vectors=False) is None
+        assert linalg.psd_spectrum(m, vectors=False) is None
 
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(14)
@@ -109,19 +109,19 @@ class TestPsdSpectrum:
             stacked = crandn(rng, 4, 6)  # four 3x2 operators, flattened
             g = stacked.conj() @ stacked.T
             for vectors in (True, False):
-                assert linalg.psd_spectrum(g, linalg.DEFAULT_TOL, vectors) is not None
+                assert linalg.psd_spectrum(g, vectors) is not None
             # oracle: eigenvalues directly
             assert psd_by_eigvals(g)
 
     def test_non_hermitian_is_not_psd(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-        assert linalg.psd_spectrum(m, linalg.DEFAULT_TOL, vectors=True) is None
+        assert linalg.psd_spectrum(m, vectors=True) is None
 
     def test_floor_is_minus_the_rank_cutoff(self):
-        # cutoff rtol * max(1, 4) = 4e-10: -3e-10 is a zero, -5e-10 negative
+        # cutoff DEFAULT_RTOL * max(1, 4) = 4e-10: -3e-10 is a zero, -5e-10 negative
         for negative, kept in ((-3e-10, True), (-5e-10, False)):
             m = np.diag([4.0, negative]).astype(np.complex128)
-            spec = linalg.psd_spectrum(m, linalg.DEFAULT_RTOL, vectors=True)
+            spec = linalg.psd_spectrum(m, vectors=True)
             assert (spec is not None) is kept
 
 
@@ -168,25 +168,26 @@ class TestBlockPsdCheck:
     @pytest.mark.parametrize(
         "small, failure",
         [
-            (-3e-9, None),
+            (-3e-10, None),
             (
-                -5e-9,
+                -5e-10,
                 "assembled block matrix is not positive semi-definite: "
-                "smallest eigenvalue -5.000e-09 < floor -4.000e-09",
+                "smallest eigenvalue -5.000e-10 < floor -4.000e-10",
             ),
         ],
         ids=["accepted", "refused"],
     )
     def test_assembled_floor_is_minus_the_cutoff(self, small, failure):
-        # floor -tol * max(1, max|w|) = -4e-9; a diagonal matrix has exact
-        # eigenvalues in every solver
+        # floor -DEFAULT_RTOL * max(1, max|w|) = -4e-10, the floor of the
+        # coefficient matrix; a diagonal matrix has exact eigenvalues in
+        # every solver
         a, c = np.array([[4.0]]), np.zeros((1, 1))
-        assert linalg.block_psd_failure(a, np.array([[small]]), c, tol=1e-9) == failure
+        assert linalg.block_psd_failure(a, np.array([[small]]), c) == failure
 
     def test_non_hermitian_triple_names_its_asymmetry(self):
         a = np.array([[1.0, 1e-3], [0.0, 1.0]])
         assert linalg.block_psd_failure(a, np.eye(1), np.zeros((2, 1))) == (
-            "assembled block matrix is not Hermitian within tol=1e-09 "
+            "assembled block matrix is not Hermitian within tol=1e-10 "
             "(asymmetry 1.414e-03)"
         )
 

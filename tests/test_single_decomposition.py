@@ -35,7 +35,6 @@ from spcpm.spaces import DecomposedSpace
 from test_sp import ORACLE_CASES
 
 RTOL = 1e-10
-TOL = 1e-9
 
 
 def crandn(rng, *shape):
@@ -97,7 +96,7 @@ def reference_pinv(b, rtol):
     return (v * inv) @ v.conj().T
 
 
-def reference_block_psd_failure(a, b, c, tol=TOL):
+def reference_block_psd_failure(a, b, c, tol=RTOL):
     """Positivity of both blocks, I - A A^+ and C (I - B B^+), and the Schur
     complement through B^+: six decompositions on a PSD triple."""
     if not reference_is_psd(a, tol):
@@ -314,6 +313,6 @@ def test_block_psd_check_calls_one_eigvalsh(decompositions, n, rank, seed):
 
 @pytest.mark.parametrize("vectors, solver", [(False, "eigvalsh"), (True, "eigh")])
 def test_psd_spectrum_calls_one_solver(decompositions, vectors, solver):
-    assert psd_spectrum(np.diag([2.0, 1.0, 0.0]).astype(complex), RTOL, vectors) is not None
+    assert psd_spectrum(np.diag([2.0, 1.0, 0.0]).astype(complex), vectors) is not None
     assert decompositions["solvers"] == [solver]
     assert decompositions["shapes"] == [(3, 3)]

@@ -3,7 +3,7 @@ the random sampler."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spcpm.cpm import (
     KrausRep,
@@ -676,3 +676,64 @@ def test_residuals_invariant_under_target_block_unitary(channel):
     assert abs(definition_violation(turned)[0] - definition_violation(rep)[0]) <= 1e-12
     assert abs(commutation_violation(turned)[0] - commutation_violation(rep)[0]) <= 1e-12
     assert abs(trace_violation(turned)[0] - trace_violation(rep)[0]) <= 1e-12
+
+
+# The construction theorem as a property: every valid triple generates an SP
+# map, and the map gives the triple back.  The triple is F = Q diag(lam) Q†
+# for orthonormal columns Q, so its rank is known; its largest eigenvalue is
+# the scale and the others lie within a factor 1e-3 of it, so no rank sits at
+# the cutoff DEFAULT_RTOL * max(1, scale).
+def spectral_triple(src, tgt, seed, singular_a, zero_cross, scale):
+    k, l = src.d1 * tgt.d1, src.d2 * tgt.d2
+    rng = np.random.default_rng(seed)
+    if zero_cross:  # independent columns on each block
+        r1 = int(rng.integers(0, k)) if singular_a else int(rng.integers(1, k + 1))
+        r2 = int(rng.integers(0 if r1 else 1, l + 1))
+        q = np.zeros((k + l, r1 + r2), dtype=np.complex128)
+        q[:k, :r1] = np.linalg.qr(crandn(rng, k, r1))[0]
+        q[k:, r1:] = np.linalg.qr(crandn(rng, l, r2))[0]
+    else:
+        r = int(rng.integers(1, k + l if singular_a else k + l + 1))
+        g = crandn(rng, k + l, r)
+        if singular_a:  # A's rows of Q span at most k - 1 dims
+            p = np.linalg.qr(crandn(rng, k, k))[0][:, : k - 1]
+            g[:k] = p @ (p.conj().T @ g[:k])
+        q = np.linalg.qr(g)[0]
+    lam = scale * 10.0 ** (-3.0 * rng.random(q.shape[1]))
+    lam[0] = scale
+    f = (q * lam) @ q.conj().T
+    f = (f + f.conj().T) / 2.0
+    return SPBlockRep(src, tgt, f[:k, :k], f[k:, k:], f[:k, k:]), q.shape[1]
+
+
+def assembled(blocks):
+    return np.block([[blocks.block1, blocks.cross], [blocks.cross.conj().T, blocks.block2]])
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(PROPERTY_SPLITS),
+    st.sampled_from(PROPERTY_SPLITS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+)
+@example((1, 7), (1, 7), 5, True, False, 1e-6)
+@example((7, 1), (7, 1), 6, True, True, 1e6)
+@example((1, 7), (7, 1), 7, False, True, 1.0)
+@example((7, 1), (2, 1), 8, True, False, 1e3)
+def test_every_valid_triple_is_an_sp_map_that_returns_it(
+    source, target, seed, singular_a, zero_cross, scale
+):
+    src, tgt = DecomposedSpace(*source), DecomposedSpace(*target)
+    blocks, rank = spectral_triple(src, tgt, seed, singular_a, zero_cross, scale)
+    rep = choi_to_kraus(sp_from_blocks(blocks))
+    assert is_sp_definition(rep)
+    assert is_sp_kraus_blocks(rep)
+    assert is_sp_commutation(rep)
+    f = assembled(blocks)
+    # the round trip rebuilds F from its eigenpairs: rounding only
+    assert np.linalg.norm(assembled(blocks_from_sp(rep)) - f) <= 1e-12 * np.linalg.norm(f)
+    assert kraus_rank(rep) == len(rep.ops) == rank
+    assert sp_kraus_bound_holds(rep)

@@ -3,8 +3,8 @@
 An infinite tolerance accepts every residual (the block-swap channel would
 be "SP"), and a NaN, zero or negative one rejects every residual, so the
 library refuses them with SpcpmError before doing any work.  The rank
-cutoff is no parameter: every rank decision reads the one constant
-``DEFAULT_RTOL``.
+cutoff is no parameter: every rank decision, Hermiticity bound and PSD
+floor, the block triple's included, reads the one constant ``DEFAULT_RTOL``.
 """
 
 import math
@@ -23,14 +23,8 @@ SWAP = KrausRep(C2, C2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
 EYE = np.eye(2)
 
 
-def unit_triple():
-    return sp.SPBlockRep(C2, C2, np.eye(1), np.eye(1), np.eye(1))
-
-
 # one call per public tolerance parameter, each otherwise valid
 ENTRY_POINTS = {
-    "linalg.block_psd_failure": lambda t: linalg.block_psd_failure(EYE, EYE, EYE, tol=t),
-    "linalg.block_psd_check": lambda t: linalg.block_psd_check(EYE, EYE, EYE, tol=t),
     "cpm.is_trace_preserving": lambda t: cpm.is_trace_preserving(IDENTITY, tol=t),
     "cpm.channels_equal": lambda t: cpm.channels_equal(IDENTITY, IDENTITY, tol=t),
     "sp.is_sp_definition": lambda t: sp.is_sp_definition(SWAP, tol=t),
@@ -38,7 +32,6 @@ ENTRY_POINTS = {
     "sp.split_kraus_blocks": lambda t: sp.split_kraus_blocks(IDENTITY, tol=t),
     "sp.is_sp_commutation": lambda t: sp.is_sp_commutation(SWAP, tol=t),
     "sp.is_sp_trace": lambda t: sp.is_sp_trace(IDENTITY, tol=t),
-    "sp.sp_from_blocks": lambda t: sp.sp_from_blocks(unit_triple(), tol=t),
     "sp.blocks_from_sp": lambda t: sp.blocks_from_sp(IDENTITY, tol=t),
     "sp.sp_kraus_bound_holds.tol": lambda t: sp.sp_kraus_bound_holds(IDENTITY, tol=t),
     "dilation.build_dilation.tol": lambda t: dilation.build_dilation(IDENTITY, tol=t),
@@ -107,6 +100,52 @@ def test_coefficient_psd_floor_is_default_rtol(negative, refused):
             cpm.choi_to_kraus(choi)
     else:
         assert len(cpm.choi_to_kraus(choi).ops) == 1
+
+
+def accepts(call):
+    try:
+        call()
+    except SpcpmError as exc:
+        assert "not positive semi-definite" in str(exc)
+        return False
+    return True
+
+
+def intra_block_units(source, target):
+    # row-major |t_i><s_a| is unit i * ds + a; block 1's units come first
+    return [
+        i * source.dim + a
+        for i in range(target.dim)
+        for a in range(source.dim)
+        if (i < target.d1) == (a < source.d1)
+    ]
+
+
+# (largest, smallest) eigenvalue of a diagonal triple, on both sides of the
+# floor -DEFAULT_RTOL * max(1, largest); at the old generation floor,
+# -DEFAULT_TOL * max(1, largest), generation accepted every triple here that
+# conversion refuses but (4, -5e-9)
+DIAGONAL_TRIPLES = [
+    (4.0, 0.0), (4.0, -3e-10), (4.0, -5e-10), (4.0, -3e-9), (4.0, -5e-9),
+    (0.5, -5e-11), (0.5, -2e-10), (1e6, -5e-5), (1e6, -2e-4),
+]
+
+
+@pytest.mark.parametrize("largest, smallest", DIAGONAL_TRIPLES)
+@pytest.mark.parametrize("dims", [((1, 1), (1, 1)), ((1, 2), (2, 1))], ids=str)
+def test_generation_accepts_exactly_what_conversion_accepts(dims, largest, smallest):
+    source, target = (DecomposedSpace(*d) for d in dims)
+    k, l = source.d1 * target.d1, source.d2 * target.d2
+    first, second = np.zeros(k), np.zeros(l)
+    first[0], second[0] = largest, smallest
+    blocks = sp.SPBlockRep(source, target, np.diag(first), np.diag(second), np.zeros((k, l)))
+    # the same entries placed by hand on the intra-block units
+    full = np.zeros(source.dim * target.dim)
+    full[intra_block_units(source, target)] = np.concatenate([first, second])
+    choi = cpm.ChoiRep(source, target, np.diag(full))
+    generated = accepts(lambda: sp.sp_from_blocks(blocks))
+    assert generated == accepts(lambda: cpm.choi_to_kraus(choi))
+    assert generated == (smallest >= -1e-10 * max(1.0, largest))
 
 
 @pytest.mark.parametrize("asymmetry, refused", [(5e-10, True), (5e-11, False)],

@@ -17,9 +17,9 @@ A :class:`KrausRep` builds its coefficient matrix once, on first use, and
 reader: the SP verifiers, the rank, the orthonormal form, the block
 extraction, channel equality and the dilation.  The memo is derived data,
 not a field: it takes no part in equality or ``repr`` and is never
-serialized.  The Kraus rank is read from eigenvalues alone
-(``eigvalsh``); only the factorizations that return operators compute
-eigenvectors.
+serialized.  Every spectrum is read through ``linalg.psd_spectrum``: the
+Kraus rank from eigenvalues alone (``eigvalsh``), and only the
+factorizations that return operators compute eigenvectors.
 """
 
 from __future__ import annotations
@@ -134,14 +134,16 @@ def _live_units(m: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=0) | nonzero.any(axis=1)
 
 
-def _kept_eigenpairs(rep: ChoiRep) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and
-    their eigenvectors as (dt, ds) operators, all from one decomposition of
-    the coefficient matrix restricted to its live units.
+def _kept_eigenpairs(rep: ChoiRep, vectors: bool):
+    """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and,
+    if ``vectors``, their eigenvectors as (dt, ds) operators (else ``None``),
+    all from one :func:`psd_spectrum` of the coefficient matrix restricted
+    to its live units.
 
     The units outside the live set (:func:`_live_units`) contribute only zero
     eigenvalues, so the PSD verdict, the cutoff and the kept set are those of
-    the whole matrix, and the kept eigenvectors are zero on those units.
+    the whole matrix, and the kept eigenvectors are zero on those units; an
+    all-zero matrix is decomposed not at all.
     Each eigenvector's global phase is fixed so that its first entry above
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
     """
@@ -149,11 +151,10 @@ def _kept_eigenpairs(rep: ChoiRep) -> tuple[np.ndarray, np.ndarray]:
     live = _live_units(m)
     if not live.any():
         return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
-    spec = psd_spectrum(m[np.ix_(live, live)], vectors=True)
-    if spec is None:
-        raise SpcpmError("coefficient matrix is not positive semi-definite")
-    w, v = spec
+    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, "coefficient matrix")
     keep = w > rank_cutoff(w)
+    if not vectors:
+        return w[keep], None
     vecs = v[:, keep]
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
@@ -171,7 +172,7 @@ def choi_to_kraus(rep: ChoiRep) -> KrausRep:
     a fixed phase gauge, so the output is reproducible.  An all-zero matrix
     yields the zero channel as a single all-zero operator.
     """
-    w, mats = _kept_eigenpairs(rep)
+    w, mats = _kept_eigenpairs(rep, vectors=True)
     ops = np.sqrt(w)[:, None, None] * mats
     if not len(ops):
         ops = np.zeros((1, rep.target.dim, rep.source.dim))
@@ -183,15 +184,10 @@ def kraus_rank(rep: KrausRep) -> int:
 
     Equals the rank of the coefficient matrix at the relative eigenvalue
     cutoff ``DEFAULT_RTOL``, read from the eigenvalues alone of its live
-    units (see :func:`_live_units`); never exceeds source.dim * target.dim.
+    units (see :func:`_kept_eigenpairs`); never exceeds
+    source.dim * target.dim.
     """
-    m = kraus_to_choi(rep).matrix
-    live = _live_units(m)
-    if not live.any():
-        return 0
-    # sum_k c_k c_k† is Hermitian by construction; eigvalsh reads one triangle
-    w = np.linalg.eigvalsh(m[np.ix_(live, live)])
-    return int(np.count_nonzero(w > rank_cutoff(w)))
+    return len(_kept_eigenpairs(kraus_to_choi(rep), vectors=False)[0])
 
 
 def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
@@ -201,7 +197,7 @@ def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
     and the channel equal to Q -> sum_n r_n Y_n Q Y_n†.  The number of pairs
     equals the Kraus rank; for the zero channel the list is empty.
     """
-    w, mats = _kept_eigenpairs(kraus_to_choi(rep))
+    w, mats = _kept_eigenpairs(kraus_to_choi(rep), vectors=True)
     return [(float(r), y) for r, y in zip(w, mats)]
 
 

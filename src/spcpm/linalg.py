@@ -1,26 +1,25 @@
 """Dense complex linear-algebra kernel.
 
 Positivity of a Hermitian matrix and of a 2x2 block matrix, and the inverse
-square root.
+square root.  The public functions accept anything convertible to a 2-D
+complex array and return fresh ``complex128`` arrays.  Matrices here are
+small (dimension tens, not thousands), so everything is done by direct
+eigendecomposition; determinism for identical input bits matters more than
+speed.
 
-The public functions accept anything convertible to a 2-D complex array and
-return fresh ``complex128`` arrays, except :func:`psd_spectrum`, which
-validates nothing: ``cpm`` imports it for the live block of a coefficient
-matrix, already a square, finite ``complex128`` array.
-Matrices here are small (dimension tens, not thousands), so everything is
-done by direct eigendecomposition; determinism for identical input bits
-matters more than speed.
+:func:`psd_spectrum` is the one spectral gate: the only caller of ``eigh``
+and ``eigvalsh`` in the package, and the only place that words a
+Hermiticity or positivity refusal, always with the value and its bound.  It
+validates nothing else: the coefficient matrix (``cpm``), the assembled
+block triple (:func:`block_psd_failure`, ``sp.sp_from_blocks``) and
+:func:`inv_sqrt_psd` hand it square, finite ``complex128`` arrays.
+Eigenvectors are computed only where they are read.
 
 One constant, ``DEFAULT_RTOL``, is every Hermiticity bound, PSD floor and
 rank cutoff: ``||M - M†||_F`` may reach ``DEFAULT_RTOL * max(1, ||M||_F)``,
 and an eigenvalue counts as zero when its magnitude is at most
 ``rank_cutoff(w) = DEFAULT_RTOL * max(1, max|w|)``, down to which a PSD
 matrix may go negative.  No function takes it as an argument.
-
-A block triple is positive semi-definite when its assembled matrix is: one
-``eigvalsh`` of that matrix decides (:func:`block_psd_failure`), at the floor
-``cpm.choi_to_kraus`` applies to the same units.  Eigenvectors are computed
-only where they are read (the coefficient matrix, the inverse square root).
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
@@ -93,33 +92,34 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    return frobenius(m - m.conj().T)
+def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
+    """``(w, v)`` of (M + M†)/2 for a Hermitian PSD ``arr``: eigenvalues
+    ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``
+    (``eigvalsh`` computes none).
 
-
-def _spectrum(arr: np.ndarray, vectors: bool):
-    """``(w, v)`` of (M + M†)/2 for a validated square ``arr``: eigenvalues
-    ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``.
-    ``None`` when ``||M - M†||_F > DEFAULT_RTOL * max(1, ||M||_F)``.
-
-    Without ``vectors`` it calls ``eigvalsh``, which computes none.
+    Raises :class:`SpcpmError`, naming ``subject``, when
+    ``||M - M†||_F > DEFAULT_RTOL * max(1, ||M||_F)`` (with the asymmetry)
+    or when the smallest eigenvalue lies below the floor ``-rank_cutoff(w)``
+    (with the eigenvalue and the floor).
     """
-    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):
-        return None
+    asymmetry = frobenius(arr - arr.conj().T)
+    if asymmetry > DEFAULT_RTOL * max(1.0, frobenius(arr)):
+        raise SpcpmError(
+            f"{subject} is not Hermitian within tol={DEFAULT_RTOL:g} "
+            f"(asymmetry {asymmetry:.3e})"
+        )
     sym = (arr + arr.conj().T) / 2.0
     if vectors:
-        return np.linalg.eigh(sym)
-    return np.linalg.eigvalsh(sym), None
-
-
-def psd_spectrum(arr: np.ndarray, vectors: bool):
-    """:func:`_spectrum` of ``arr`` if it is also positive semi-definite
-    (eigenvalue floor ``-rank_cutoff(w)``), else ``None``.  Validates
-    nothing."""
-    spec = _spectrum(arr, vectors)
-    if spec is None or spec[0][0] < -rank_cutoff(spec[0]):
-        return None
-    return spec
+        w, v = np.linalg.eigh(sym)
+    else:
+        w, v = np.linalg.eigvalsh(sym), None
+    floor = -rank_cutoff(w)
+    if w[0] < floor:
+        raise SpcpmError(
+            f"{subject} is not positive semi-definite: smallest "
+            f"eigenvalue {w[0]:.3e} < floor {floor:.3e}"
+        )
+    return w, v
 
 
 def rank_cutoff(w: np.ndarray) -> float:
@@ -132,12 +132,13 @@ def block_psd_failure(a, b, c) -> Optional[str]:
     """Why the assembled block matrix F = [[A, C], [C†, B]] is not positive
     semi-definite, or ``None`` when it is.
 
-    One ``eigvalsh`` of F decides at the bounds of :func:`psd_spectrum`: F is
-    refused as not Hermitian beyond ``DEFAULT_RTOL * max(1, ||F||_F)``, and as
-    not positive semi-definite below the floor ``-rank_cutoff(w)``; each
-    message gives the measured value and its bound.  The tests cross-check
-    every verdict against an independent Schur-complement route (positivity
-    of A and B, the support of C and A - C B^+ C†, from pseudo-inverses).
+    One call of :func:`psd_spectrum` on F decides, and its refusal is the
+    message: F is not Hermitian beyond ``DEFAULT_RTOL * max(1, ||F||_F)``
+    (with the asymmetry), or not positive semi-definite below the floor
+    ``-rank_cutoff(w)`` (with the smallest eigenvalue and the floor).  The
+    tests cross-check every verdict against an independent Schur-complement
+    route (positivity of A and B, the support of C and A - C B^+ C†, from
+    pseudo-inverses).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -149,19 +150,10 @@ def block_psd_failure(a, b, c) -> Optional[str]:
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
     f = np.block([[a, c], [c.conj().T, b]])
-    spec = _spectrum(f, vectors=False)
-    if spec is None:
-        return (
-            f"assembled block matrix is not Hermitian within tol={DEFAULT_RTOL:g} "
-            f"(asymmetry {_asymmetry(f):.3e})"
-        )
-    w = spec[0]
-    floor = -rank_cutoff(w)
-    if w[0] < floor:
-        return (
-            "assembled block matrix is not positive semi-definite: smallest "
-            f"eigenvalue {w[0]:.3e} < floor {floor:.3e}"
-        )
+    try:
+        psd_spectrum(f, False, "assembled block matrix")
+    except SpcpmError as exc:
+        return str(exc)
     return None
 
 
@@ -174,24 +166,20 @@ def block_psd_check(a, b, c) -> bool:
 def inv_sqrt_psd(m) -> np.ndarray:
     """Inverse square root M^(-1/2) of a Hermitian positive definite matrix.
 
-    Raises :class:`SpcpmError` unless ``m`` is square and Hermitian within
-    ``DEFAULT_RTOL`` (the bound of :func:`_spectrum`), and
-    :class:`SingularMatrixError` unless the smallest eigenvalue exceeds
-    ``DEFAULT_RTOL`` times the largest.
+    Raises :class:`SpcpmError` unless ``m`` is square and passes
+    :func:`psd_spectrum`, and :class:`SingularMatrixError` unless the
+    smallest eigenvalue exceeds the bound ``DEFAULT_RTOL`` times the largest.
     """
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
-    spec = _spectrum(arr, vectors=True)
-    if spec is None:
-        raise SpcpmError(
-            f"matrix is not Hermitian within tol={DEFAULT_RTOL:g} "
-            f"(asymmetry {_asymmetry(arr):.3e})"
+    w, v = psd_spectrum(arr, True, "matrix")
+    bound = DEFAULT_RTOL * float(w[-1])
+    if w[0] <= bound:
+        raise SingularMatrixError(
+            f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e} "
+            f"<= bound {bound:.3e}"
         )
-    w, v = spec
-    wmax = float(w[-1])
-    if wmax <= 0.0 or float(w[0]) <= DEFAULT_RTOL * wmax:
-        raise SingularMatrixError("matrix is not positive definite at the given cutoff")
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     # symmetrize so the result is Hermitian to the last bit
     return (inv_sqrt + inv_sqrt.conj().T) / 2.0

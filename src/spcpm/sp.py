@@ -34,11 +34,11 @@ from .cpm import (
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_TOL,
-    block_psd_failure,
     check_tolerance,
     frobenius,
     frozen_matrix,
     inv_sqrt_psd,
+    psd_spectrum,
 )
 from .spaces import DecomposedSpace, is_integer
 
@@ -267,20 +267,18 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
 
     The triple is placed on the two intra-block basis slots; all other
     entries are zero.  Every SP map arises from exactly one valid triple.
-    A triple whose assembled matrix :func:`block_psd_failure` refuses raises
-    :class:`SpcpmError`; :func:`choi_to_kraus` refuses the same units at the
-    same floor.
+    The assembled matrix [[block1, cross], [cross†, block2]] of the triple
+    passes :func:`linalg.psd_spectrum` or raises its :class:`SpcpmError`
+    (the message of :func:`linalg.block_psd_failure`); :func:`choi_to_kraus`
+    refuses the same units at the same floor.
     """
-    failure = block_psd_failure(blocks.block1, blocks.block2, blocks.cross)
-    if failure is not None:
-        raise SpcpmError(failure)
+    f = np.block([[blocks.block1, blocks.cross], [blocks.cross.conj().T, blocks.block2]])
+    psd_spectrum(f, False, "assembled block matrix")
     m = blocks.source.dim * blocks.target.dim
     full = np.zeros((m, m), dtype=np.complex128)
-    idx1, idx2 = _block_indices(blocks.source, blocks.target)
-    full[np.ix_(idx1, idx1)] = blocks.block1
-    full[np.ix_(idx1, idx2)] = blocks.cross
-    full[np.ix_(idx2, idx1)] = blocks.cross.conj().T
-    full[np.ix_(idx2, idx2)] = blocks.block2
+    # block 1's units precede block 2's, so these are the rows of f in order
+    units = np.flatnonzero(_same_block(blocks.source, blocks.target))
+    full[np.ix_(units, units)] = f
     return ChoiRep(blocks.source, blocks.target, full)
 
 

@@ -125,29 +125,30 @@ MUTANTS = [
         "        if False:",
         ["tests/test_api.py::test_space_refuses_non_integer_dims"],
     ),
-    # the block triple's floor reads the residual tolerance instead of the
-    # rank cutoff, so generation accepts triples that conversion refuses
+    # the gate's PSD floor reads the residual tolerance instead of the rank
+    # cutoff, for the block triple and the coefficient matrix alike
     (
         "spcpm/linalg.py",
         "    floor = -rank_cutoff(w)",
         "    floor = -DEFAULT_TOL * max(1.0, float(np.max(np.abs(w))))",
         [
             "tests/test_linalg.py::TestBlockPsdCheck::test_assembled_floor_is_minus_the_cutoff",
+            "tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol",
             "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
         ],
     ),
-    # the assembled matrix is symmetrized without its Hermiticity bound, so
-    # a non-Hermitian diagonal block is judged by its Hermitian part
+    # the assembled matrix is symmetrized before the gate reads it, so a
+    # non-Hermitian diagonal block is judged by its Hermitian part
     (
         "spcpm/linalg.py",
-        "    spec = _spectrum(f, vectors=False)",
-        "    spec = np.linalg.eigvalsh((f + f.conj().T) / 2.0), None",
+        '        psd_spectrum(f, False, "assembled block matrix")',
+        '        psd_spectrum((f + f.conj().T) / 2.0, False, "assembled block matrix")',
         [
             "tests/test_single_decomposition.py::test_block_psd_failure_matches_pseudo_inverse_route",
             "tests/test_linalg.py::TestBlockPsdCheck::test_non_hermitian_triple_names_its_asymmetry",
         ],
     ),
-    # the floor is dropped, so a PSD triple whose smallest eigenvalue
+    # the gate drops its floor, so a PSD triple whose smallest eigenvalue
     # rounds below zero is refused
     (
         "spcpm/linalg.py",
@@ -170,13 +171,13 @@ MUTANTS = [
             "test_block_psd_verdict_matches_pseudo_inverse_route_on_gram_triples",
         ],
     ),
-    # the spectrum symmetrizes before the asymmetry bound, so the bound
-    # never fires
+    # the gate symmetrizes before the asymmetry bound, so the bound never
+    # fires
     (
         "spcpm/linalg.py",
-        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
+        "    asymmetry = frobenius(arr - arr.conj().T)",
         "    arr = (arr + arr.conj().T) / 2.0\n"
-        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
+        "    asymmetry = frobenius(arr - arr.conj().T)",
         [
             "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_hermitian",
             "tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol",
@@ -214,29 +215,40 @@ MUTANTS = [
     # the residual tolerance instead of the rank cutoff of psd_spectrum
     (
         "spcpm/cpm.py",
-        "    spec = psd_spectrum(m[np.ix_(live, live)], vectors=True)",
-        "    spec = np.linalg.eigh(m[np.ix_(live, live)])\n"
-        "    if spec[0][0] < -DEFAULT_TOL * max(1.0, abs(spec[0]).max()):\n"
-        "        spec = None",
+        '    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, "coefficient matrix")',
+        "    w, v = np.linalg.eigh(m[np.ix_(live, live)])\n"
+        "    if w[0] < -DEFAULT_TOL * max(1.0, abs(w).max()):\n"
+        '        raise SpcpmError("coefficient matrix is not positive semi-definite")',
         ["tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol"],
     ),
-    # the Hermiticity bound of every spectrum (inv_sqrt_psd's among them)
-    # reads the residual tolerance
+    # the gate's Hermiticity bound (inv_sqrt_psd's among them) reads the
+    # residual tolerance
     (
         "spcpm/linalg.py",
-        "    if _asymmetry(arr) > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
-        "    if _asymmetry(arr) > DEFAULT_TOL * max(1.0, frobenius(arr)):",
+        "    if asymmetry > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
+        "    if asymmetry > DEFAULT_TOL * max(1.0, frobenius(arr)):",
         ["tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol"],
     ),
-    # psd_spectrum's floor reads the residual tolerance
+    # the Kraus rank reads the live block with its own eigvalsh, past the
+    # gate's Hermiticity bound and floor
     (
-        "spcpm/linalg.py",
-        "    if spec is None or spec[0][0] < -rank_cutoff(spec[0]):",
-        "    if spec is None or spec[0][0] < -DEFAULT_TOL * max(1.0, abs(spec[0]).max()):",
-        [
-            "tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol",
-            "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
-        ],
+        "spcpm/cpm.py",
+        "    return len(_kept_eigenpairs(kraus_to_choi(rep), vectors=False)[0])",
+        "    m = kraus_to_choi(rep).matrix\n"
+        "    live = _live_units(m)\n"
+        "    if not live.any():\n"
+        "        return 0\n"
+        "    w = np.linalg.eigvalsh(m[np.ix_(live, live)])\n"
+        "    return int(np.count_nonzero(w > rank_cutoff(w)))",
+        ["tests/test_api.py::test_eigensolvers_are_called_only_in_psd_spectrum"],
+    ),
+    # generation skips the gate, so an indefinite triple becomes a matrix
+    # that conversion refuses
+    (
+        "spcpm/sp.py",
+        '    psd_spectrum(f, False, "assembled block matrix")',
+        "",
+        ["tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts"],
     ),
 ]
 

@@ -1,6 +1,7 @@
 """Tests of the package surface: the public names, the error classes, and
 the return types of the predicates."""
 
+import ast
 import inspect
 import json
 import tempfile
@@ -69,10 +70,51 @@ def test_helpers_no_library_path_reads_are_gone(name):
     assert not hasattr(cpm, name)
 
 
-@pytest.mark.parametrize("name", ["HermitianEig", "hermitian_eig", "psd_eig", "is_psd"])
+@pytest.mark.parametrize(
+    "name",
+    ["HermitianEig", "hermitian_eig", "psd_eig", "is_psd", "_spectrum", "_asymmetry"],
+)
 def test_eigen_wrappers_are_gone_from_linalg(name):
-    # inv_sqrt_psd and the cpm factorizations call the spectral helpers directly
+    # every spectrum, and every Hermiticity or positivity refusal, comes
+    # from the one gate psd_spectrum
     assert not hasattr(linalg, name)
+
+
+def eigensolver_mentions():
+    """(module, innermost enclosing function, name) for every mention of
+    ``eigh`` or ``eigvalsh`` in the package source: attribute reads, bare
+    names, imports and string constants alike."""
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            name = None
+        if name in ("eigh", "eigvalsh"):
+            found.add((module, func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(Path(spcpm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_eigensolvers_are_called_only_in_psd_spectrum():
+    # linalg.psd_spectrum is the one spectral gate of the package
+    assert eigensolver_mentions() == {
+        ("linalg", "psd_spectrum", "eigh"),
+        ("linalg", "psd_spectrum", "eigvalsh"),
+    }
 
 
 def test_five_error_classes_all_spcpm_errors():
@@ -115,7 +157,6 @@ def test_no_public_function_takes_the_rank_cutoff(func):
         linalg.block_psd_failure,
         linalg.block_psd_check,
         sp.sp_from_blocks,
-        linalg._spectrum,
         linalg.psd_spectrum,
         linalg.rank_cutoff,
     ],

@@ -215,6 +215,23 @@ class TestChoiToKraus:
         with pytest.raises(SpcpmError, match="not positive semi-definite"):
             choi_to_kraus(ChoiRep(C2, C2, np.diag([1.0, -1.0, 0.0, 0.0])))
 
+    def test_non_hermitian_refusal_names_the_asymmetry_and_its_bound(self):
+        mat = np.eye(4)
+        mat[0, 1] = 0.5
+        with pytest.raises(SpcpmError) as info:
+            choi_to_kraus(ChoiRep(C2, C2, mat))
+        assert str(info.value) == (
+            "coefficient matrix is not Hermitian within tol=1e-10 (asymmetry 7.071e-01)"
+        )
+
+    def test_indefinite_refusal_names_the_eigenvalue_and_its_floor(self):
+        with pytest.raises(SpcpmError) as info:
+            choi_to_kraus(ChoiRep(C2, C2, np.diag([1.0, -1e-3, 0.0, 0.0])))
+        assert str(info.value) == (
+            "coefficient matrix is not positive semi-definite: smallest "
+            "eigenvalue -1.000e-03 < floor -1.000e-10"
+        )
+
     def test_deterministic_gauge(self):
         rng = np.random.default_rng(47)
         mat = random_psd(rng, 4, 2)

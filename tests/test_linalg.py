@@ -40,24 +40,38 @@ def psd_by_eigvals(m, tol=1e-10):
     return w[0] >= -tol * max(1.0, np.abs(w).max())
 
 
+def spectrum(m, vectors):
+    """``psd_spectrum`` under the subject ``inv_sqrt_psd`` gives it."""
+    return linalg.psd_spectrum(m, vectors, "matrix")
+
+
 class TestSpectrum:
-    """``_spectrum``, the one eigensolver entry behind ``inv_sqrt_psd``,
-    ``psd_spectrum`` and ``block_psd_failure``."""
+    """The eigendecomposition ``psd_spectrum`` returns, the one eigensolver
+    entry behind ``inv_sqrt_psd``, ``block_psd_failure`` and ``cpm``.  The
+    random Hermitian draws are squared, since the gate refuses an indefinite
+    matrix."""
 
     def test_identity(self):
-        w, v = linalg._spectrum(np.eye(3), vectors=True)
+        w, v = spectrum(np.eye(3), vectors=True)
         np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_already_diagonal(self):
-        w, v = linalg._spectrum(np.diag([2.0, -1.0]), vectors=True)
-        np.testing.assert_allclose(w, [-1.0, 2.0], atol=1e-14)
+        with pytest.raises(SpcpmError) as info:
+            spectrum(np.diag([2.0, -1.0]), vectors=True)
+        assert str(info.value) == (
+            "matrix is not positive semi-definite: smallest eigenvalue "
+            "-1.000e+00 < floor -2.000e-10"
+        )
+        w, v = spectrum(np.diag([2.0, 1.0]), vectors=True)
+        np.testing.assert_allclose(w, [1.0, 2.0], atol=1e-14)
         # eigenvector matrix is a permutation (ascending order swaps the columns)
         np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 4)
-        w, v = linalg._spectrum(h, vectors=True)
+        h = h @ h
+        w, v = spectrum(h, vectors=True)
         scale = max(1.0, np.linalg.norm(h))
         assert np.linalg.norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-10 * scale
         assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10
@@ -66,7 +80,7 @@ class TestSpectrum:
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 6)
         for vectors in (True, False):
-            w, _ = linalg._spectrum(h, vectors=vectors)
+            w, _ = spectrum(h @ h, vectors=vectors)
             assert np.all(np.diff(w) >= 0)
 
     def test_deterministic_for_identical_input(self):
@@ -75,33 +89,45 @@ class TestSpectrum:
         # degenerate cluster: eigenvalue 1 with multiplicity 3
         q, _ = np.linalg.qr(crandn(rng, 4, 4))
         degenerate = q @ np.diag([1.0, 1.0, 1.0, 2.0]) @ q.conj().T
-        for mat in (h, degenerate):
-            first = linalg._spectrum(mat, vectors=True)
-            second = linalg._spectrum(mat.copy(), vectors=True)
+        for mat in (h @ h, degenerate):
+            first = spectrum(mat, vectors=True)
+            second = spectrum(mat.copy(), vectors=True)
             np.testing.assert_array_equal(first[0], second[0])
             np.testing.assert_array_equal(first[1], second[1])
 
     def test_eigenvalues_alone_carry_no_vectors(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 5)
-        w, v = linalg._spectrum(h, vectors=False)
+        h = h @ h
+        w, v = spectrum(h, vectors=False)
         assert v is None
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
     def test_non_hermitian_has_no_spectrum(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
         for vectors in (True, False):
-            assert linalg._spectrum(m, vectors=vectors) is None
+            with pytest.raises(SpcpmError) as info:
+                spectrum(m, vectors=vectors)
+            assert str(info.value) == (
+                "matrix is not Hermitian within tol=1e-10 (asymmetry 1.414e+00)"
+            )
 
 
 class TestPsdSpectrum:
+    """The verdicts of ``psd_spectrum`` and the refusals it words."""
+
     def test_identity(self):
-        w, _ = linalg.psd_spectrum(np.eye(2), vectors=False)
+        w, _ = linalg.psd_spectrum(np.eye(2), False, "matrix")
         np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-14)
 
     def test_small_negative_eigenvalue(self):
         m = np.diag([1.0, -1e-3]).astype(np.complex128)
-        assert linalg.psd_spectrum(m, vectors=False) is None
+        with pytest.raises(SpcpmError) as info:
+            linalg.psd_spectrum(m, False, "coefficient matrix")
+        assert str(info.value) == (
+            "coefficient matrix is not positive semi-definite: smallest "
+            "eigenvalue -1.000e-03 < floor -1.000e-10"
+        )
 
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(14)
@@ -109,20 +135,30 @@ class TestPsdSpectrum:
             stacked = crandn(rng, 4, 6)  # four 3x2 operators, flattened
             g = stacked.conj() @ stacked.T
             for vectors in (True, False):
-                assert linalg.psd_spectrum(g, vectors) is not None
+                w, _ = linalg.psd_spectrum(g, vectors, "coefficient matrix")
+                assert len(w) == 4
             # oracle: eigenvalues directly
             assert psd_by_eigvals(g)
 
     def test_non_hermitian_is_not_psd(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-        assert linalg.psd_spectrum(m, vectors=True) is None
+        with pytest.raises(SpcpmError) as info:
+            linalg.psd_spectrum(m, True, "assembled block matrix")
+        assert str(info.value) == (
+            "assembled block matrix is not Hermitian within tol=1e-10 "
+            "(asymmetry 1.414e+00)"
+        )
 
     def test_floor_is_minus_the_rank_cutoff(self):
         # cutoff DEFAULT_RTOL * max(1, 4) = 4e-10: -3e-10 is a zero, -5e-10 negative
-        for negative, kept in ((-3e-10, True), (-5e-10, False)):
-            m = np.diag([4.0, negative]).astype(np.complex128)
-            spec = linalg.psd_spectrum(m, vectors=True)
-            assert (spec is not None) is kept
+        w, _ = spectrum(np.diag([4.0, -3e-10]), vectors=True)
+        assert w[0] == -3e-10
+        with pytest.raises(SpcpmError) as info:
+            spectrum(np.diag([4.0, -5e-10]), vectors=True)
+        assert str(info.value) == (
+            "matrix is not positive semi-definite: smallest eigenvalue "
+            "-5.000e-10 < floor -4.000e-10"
+        )
 
 
 class TestBlockPsdCheck:
@@ -226,6 +262,30 @@ class TestInvSqrtPsd:
     def test_rejects_singular(self):
         with pytest.raises(SingularMatrixError):
             linalg.inv_sqrt_psd(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "diagonal, bound",
+        [([1.0, 0.0], "1.000e-10"), ([4.0, 3e-10], "4.000e-10"), ([0.0, 0.0], "0.000e+00")],
+        ids=["singular", "below-bound", "zero"],
+    )
+    def test_singular_refusal_names_the_eigenvalue_and_bound(self, diagonal, bound):
+        # the bound is DEFAULT_RTOL times the largest eigenvalue
+        with pytest.raises(SingularMatrixError) as info:
+            linalg.inv_sqrt_psd(np.diag(diagonal))
+        assert str(info.value) == (
+            f"matrix is not positive definite: smallest eigenvalue "
+            f"{min(diagonal):.3e} <= bound {bound}"
+        )
+
+    def test_indefinite_is_refused_as_not_psd(self):
+        # an indefinite matrix fails the PSD gate before the singularity rule
+        with pytest.raises(SpcpmError) as info:
+            linalg.inv_sqrt_psd(np.diag([1.0, -1.0]))
+        assert not isinstance(info.value, SingularMatrixError)
+        assert str(info.value) == (
+            "matrix is not positive semi-definite: smallest eigenvalue "
+            "-1.000e+00 < floor -1.000e-10"
+        )
 
     def test_rejects_non_square(self):
         with pytest.raises(SpcpmError, match="expected a square matrix"):

@@ -137,5 +137,5 @@ def test_zero_row_with_a_nonzero_column_is_refused():
     alive = int(np.flatnonzero(mat.any(axis=1))[0])
     mat[alive, dead] = 1.0
     assert not mat[dead].any() and mat[:, dead].any()
-    with pytest.raises(SpcpmError, match="not positive semi-definite"):
+    with pytest.raises(SpcpmError, match="coefficient matrix is not Hermitian"):
         choi_to_kraus(ChoiRep(space, space, mat))

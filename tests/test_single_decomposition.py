@@ -313,6 +313,7 @@ def test_block_psd_check_calls_one_eigvalsh(decompositions, n, rank, seed):
 
 @pytest.mark.parametrize("vectors, solver", [(False, "eigvalsh"), (True, "eigh")])
 def test_psd_spectrum_calls_one_solver(decompositions, vectors, solver):
-    assert psd_spectrum(np.diag([2.0, 1.0, 0.0]).astype(complex), vectors) is not None
+    w, v = psd_spectrum(np.diag([2.0, 1.0, 0.0]).astype(complex), vectors, "matrix")
+    assert list(w) == [0.0, 1.0, 2.0] and (v is None) is not vectors
     assert decompositions["solvers"] == [solver]
     assert decompositions["shapes"] == [(3, 3)]

@@ -20,6 +20,14 @@ not a field: it takes no part in equality or ``repr`` and is never
 serialized.  Every spectrum is read through ``linalg.psd_spectrum``: the
 Kraus rank from eigenvalues alone (``eigvalsh``), and only the
 factorizations that return operators compute eigenvectors.
+
+A :class:`ChoiRep` likewise decomposes itself once, on first use: the kept
+eigenvalues and gauged operators (:func:`_kept_eigenpairs`) are a read-only
+memo that :func:`choi_to_kraus` and :func:`orthonormal_kraus` (and so the
+dilation) read, one ``eigh`` per matrix.  ``sp.sp_from_blocks`` stores the
+decomposition its positivity gate made, so generation and conversion share
+one ``eigh`` and one verdict.  That memo too is not a field and lives as long
+as its :class:`ChoiRep`.
 """
 
 from __future__ import annotations
@@ -102,6 +110,13 @@ class ChoiRep:
             )
         object.__setattr__(self, "matrix", mat)
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept eigenvalues and gauged operators of the matrix
+        (:func:`_kept_eigenpairs`), read-only, decomposed on first use unless
+        ``sp.sp_from_blocks`` stored its own."""
+        return _kept_eigenpairs(self, True, "coefficient matrix")
+
 
 def apply(rep: KrausRep, q) -> np.ndarray:
     """Apply the channel: sum_k V_k Q V_k†."""
@@ -134,11 +149,12 @@ def _live_units(m: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=0) | nonzero.any(axis=1)
 
 
-def _kept_eigenpairs(rep: ChoiRep, vectors: bool):
+def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str):
     """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and,
     if ``vectors``, their eigenvectors as (dt, ds) operators (else ``None``),
     all from one :func:`psd_spectrum` of the coefficient matrix restricted
-    to its live units.
+    to its live units, whose refusals name ``subject``.  With ``vectors``
+    both arrays are read-only copies (:func:`linalg.frozen_copy`).
 
     The units outside the live set (:func:`_live_units`) contribute only zero
     eigenvalues, so the PSD verdict, the cutoff and the kept set are those of
@@ -148,10 +164,12 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool):
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
     """
     m = rep.matrix
+    shape = (rep.target.dim, rep.source.dim)
     live = _live_units(m)
     if not live.any():
-        return np.zeros(0), np.zeros((0, rep.target.dim, rep.source.dim))
-    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, "coefficient matrix")
+        empty = np.zeros((0, *shape), dtype=np.complex128)
+        return frozen_copy(np.zeros(0)), frozen_copy(empty)
+    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, subject)
     keep = w > rank_cutoff(w)
     if not vectors:
         return w[keep], None
@@ -159,9 +177,9 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool):
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     cols = np.arange(vecs.shape[1])
-    gauged = np.zeros((len(m), len(cols)), dtype=np.complex128)
-    gauged[live] = vecs * np.conj(vecs[first, cols] / mags[first, cols])
-    return w[keep], gauged.T.reshape(-1, rep.target.dim, rep.source.dim)
+    gauged = np.zeros((len(cols), len(m)), dtype=np.complex128)
+    gauged[:, live] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T
+    return frozen_copy(w[keep]), frozen_copy(gauged.reshape(-1, *shape))
 
 
 def choi_to_kraus(rep: ChoiRep) -> KrausRep:
@@ -170,9 +188,10 @@ def choi_to_kraus(rep: ChoiRep) -> KrausRep:
     One operator sqrt(w_n) * mat(v_n) is kept per eigenvalue above the
     relative cutoff ``DEFAULT_RTOL``, in ascending eigenvalue order and with
     a fixed phase gauge, so the output is reproducible.  An all-zero matrix
-    yields the zero channel as a single all-zero operator.
+    yields the zero channel as a single all-zero operator.  The
+    eigenpairs are ``rep``'s memo, so they are computed once per ``rep``.
     """
-    w, mats = _kept_eigenpairs(rep, vectors=True)
+    w, mats = rep._spectrum
     ops = np.sqrt(w)[:, None, None] * mats
     if not len(ops):
         ops = np.zeros((1, rep.target.dim, rep.source.dim))
@@ -187,7 +206,7 @@ def kraus_rank(rep: KrausRep) -> int:
     units (see :func:`_kept_eigenpairs`); never exceeds
     source.dim * target.dim.
     """
-    return len(_kept_eigenpairs(kraus_to_choi(rep), vectors=False)[0])
+    return len(_kept_eigenpairs(kraus_to_choi(rep), False, "coefficient matrix")[0])
 
 
 def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
@@ -195,9 +214,10 @@ def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
 
     Returns pairs (r_n, Y_n) with Tr(Y_n† Y_n') = delta_nn', every r_n > 0,
     and the channel equal to Q -> sum_n r_n Y_n Q Y_n†.  The number of pairs
-    equals the Kraus rank; for the zero channel the list is empty.
+    equals the Kraus rank; for the zero channel the list is empty.  Each
+    Y_n is a read-only view of the memo that :func:`choi_to_kraus` reads.
     """
-    w, mats = _kept_eigenpairs(kraus_to_choi(rep), vectors=True)
+    w, mats = kraus_to_choi(rep)._spectrum
     return [(float(r), y) for r, y in zip(w, mats)]
 
 
@@ -215,8 +235,8 @@ def compose(b: KrausRep, a: KrausRep) -> KrausRep:
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether sum_k V_k† V_k = I within ``tol`` (Frobenius)."""
     check_tolerance(tol)
-    total = (rep.ops.conj().transpose(0, 2, 1) @ rep.ops).sum(axis=0)
-    return bool(frobenius(total - np.eye(rep.source.dim)) <= tol)
+    flat = rep.ops.reshape(-1, rep.source.dim)  # the (K dt, ds) stack
+    return bool(frobenius(flat.conj().T @ flat - np.eye(rep.source.dim)) <= tol)
 
 
 def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:

@@ -10,9 +10,10 @@ speed.
 :func:`psd_spectrum` is the one spectral gate: the only caller of ``eigh``
 and ``eigvalsh`` in the package, and the only place that words a
 Hermiticity or positivity refusal, always with the value and its bound.  It
-validates nothing else: the coefficient matrix (``cpm``), the assembled
-block triple (:func:`block_psd_failure`, ``sp.sp_from_blocks``) and
-:func:`inv_sqrt_psd` hand it square, finite ``complex128`` arrays.
+validates nothing else: the coefficient matrix (``cpm``, which also gates
+the triple that ``sp.sp_from_blocks`` assembles), the assembled block
+triple (:func:`block_psd_failure`) and :func:`inv_sqrt_psd` hand it square,
+finite ``complex128`` arrays.
 Eigenvectors are computed only where they are read.
 
 One constant, ``DEFAULT_RTOL``, is every Hermiticity bound, PSD floor and
@@ -76,10 +77,10 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of a ``complex128`` array of any shape: a view of a
-    copy held in immutable ``bytes``, so neither it nor its base can be made
+    """A read-only copy of an array of any shape and dtype: a view of a copy
+    held in immutable ``bytes``, so neither it nor its base can be made
     writeable again."""
-    return np.frombuffer(arr.tobytes(), dtype=np.complex128).reshape(arr.shape)
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 def frozen_matrix(m) -> np.ndarray:
@@ -128,6 +129,18 @@ def rank_cutoff(w: np.ndarray) -> float:
     return DEFAULT_RTOL * max(1.0, float(np.max(np.abs(w))))
 
 
+def _block_matrix(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The assembled block matrix [[A, C], [C†, B]] of three ``complex128``
+    blocks of matching shapes, from four slice writes into one array."""
+    n = len(a)
+    f = np.empty((n + len(b),) * 2, dtype=np.complex128)
+    f[:n, :n] = a
+    f[:n, n:] = c
+    f[n:, :n] = c.conj().T
+    f[n:, n:] = b
+    return f
+
+
 def block_psd_failure(a, b, c) -> Optional[str]:
     """Why the assembled block matrix F = [[A, C], [C†, B]] is not positive
     semi-definite, or ``None`` when it is.
@@ -149,7 +162,7 @@ def block_psd_failure(a, b, c) -> Optional[str]:
         raise SpcpmError(
             f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
         )
-    f = np.block([[a, c], [c.conj().T, b]])
+    f = _block_matrix(a, b, c)
     try:
         psd_spectrum(f, False, "assembled block matrix")
     except SpcpmError as exc:

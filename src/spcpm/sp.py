@@ -27,6 +27,7 @@ import numpy as np
 from .cpm import (
     ChoiRep,
     KrausRep,
+    _kept_eigenpairs,
     is_trace_preserving,
     kraus_rank,
     kraus_to_choi,
@@ -34,11 +35,11 @@ from .cpm import (
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_TOL,
+    _block_matrix,
     check_tolerance,
     frobenius,
     frozen_matrix,
     inv_sqrt_psd,
-    psd_spectrum,
 )
 from .spaces import DecomposedSpace, is_integer
 
@@ -269,17 +270,20 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
     entries are zero.  Every SP map arises from exactly one valid triple.
     The assembled matrix [[block1, cross], [cross†, block2]] of the triple
     passes :func:`linalg.psd_spectrum` or raises its :class:`SpcpmError`
-    (the message of :func:`linalg.block_psd_failure`); :func:`choi_to_kraus`
-    refuses the same units at the same floor.
+    (the message of :func:`linalg.block_psd_failure`).  That gate is the
+    ``eigh`` :func:`choi_to_kraus` would make, on the same live units: the
+    returned matrix keeps its decomposition, so converting it solves nothing
+    again and refuses nothing that generation accepted.
     """
-    f = np.block([[blocks.block1, blocks.cross], [blocks.cross.conj().T, blocks.block2]])
-    psd_spectrum(f, False, "assembled block matrix")
+    f = _block_matrix(blocks.block1, blocks.block2, blocks.cross)
     m = blocks.source.dim * blocks.target.dim
     full = np.zeros((m, m), dtype=np.complex128)
     # block 1's units precede block 2's, so these are the rows of f in order
     units = np.flatnonzero(_same_block(blocks.source, blocks.target))
     full[np.ix_(units, units)] = f
-    return ChoiRep(blocks.source, blocks.target, full)
+    choi = ChoiRep(blocks.source, blocks.target, full)
+    object.__setattr__(choi, "_spectrum", _kept_eigenpairs(choi, True, "assembled block matrix"))
+    return choi
 
 
 def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:

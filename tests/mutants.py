@@ -164,8 +164,8 @@ MUTANTS = [
     # makes a PSD triple look non-Hermitian
     (
         "spcpm/linalg.py",
-        "np.block([[a, c], [c.conj().T, b]])",
-        "np.block([[a, c], [c.T, b]])",
+        "    f[n:, :n] = c.conj().T",
+        "    f[n:, :n] = c.T",
         [
             "tests/test_single_decomposition.py::"
             "test_block_psd_verdict_matches_pseudo_inverse_route_on_gram_triples",
@@ -215,7 +215,7 @@ MUTANTS = [
     # the residual tolerance instead of the rank cutoff of psd_spectrum
     (
         "spcpm/cpm.py",
-        '    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, "coefficient matrix")',
+        "    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, subject)",
         "    w, v = np.linalg.eigh(m[np.ix_(live, live)])\n"
         "    if w[0] < -DEFAULT_TOL * max(1.0, abs(w).max()):\n"
         '        raise SpcpmError("coefficient matrix is not positive semi-definite")',
@@ -233,7 +233,7 @@ MUTANTS = [
     # gate's Hermiticity bound and floor
     (
         "spcpm/cpm.py",
-        "    return len(_kept_eigenpairs(kraus_to_choi(rep), vectors=False)[0])",
+        '    return len(_kept_eigenpairs(kraus_to_choi(rep), False, "coefficient matrix")[0])',
         "    m = kraus_to_choi(rep).matrix\n"
         "    live = _live_units(m)\n"
         "    if not live.any():\n"
@@ -242,13 +242,37 @@ MUTANTS = [
         "    return int(np.count_nonzero(w > rank_cutoff(w)))",
         ["tests/test_api.py::test_eigensolvers_are_called_only_in_psd_spectrum"],
     ),
-    # generation skips the gate, so an indefinite triple becomes a matrix
-    # that conversion refuses
+    # generation skips the gate (and stores no decomposition), so an
+    # indefinite triple becomes a matrix that conversion refuses
     (
         "spcpm/sp.py",
-        '    psd_spectrum(f, False, "assembled block matrix")',
+        '    object.__setattr__(choi, "_spectrum", '
+        '_kept_eigenpairs(choi, True, "assembled block matrix"))',
         "",
-        ["tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts"],
+        [
+            "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
+            "tests/test_sp.py::test_every_valid_triple_is_an_sp_map_that_returns_it",
+        ],
+    ),
+    # generation stores a decomposition of the whole assembled matrix, dead
+    # units included, instead of conversion's live-unit one: the same
+    # channel, not the same bits
+    (
+        "spcpm/sp.py",
+        '    object.__setattr__(choi, "_spectrum", '
+        '_kept_eigenpairs(choi, True, "assembled block matrix"))',
+        "    from .linalg import psd_spectrum, rank_cutoff\n"
+        '    w, v = psd_spectrum(f, True, "assembled block matrix")\n'
+        "    keep = w > rank_cutoff(w)\n"
+        "    vecs = v[:, keep]\n"
+        "    mags = np.abs(vecs)\n"
+        "    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)\n"
+        "    cols = np.arange(vecs.shape[1])\n"
+        "    ops = np.zeros((len(cols), m), dtype=np.complex128)\n"
+        "    ops[:, units] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T\n"
+        "    shape = (-1, blocks.target.dim, blocks.source.dim)\n"
+        '    object.__setattr__(choi, "_spectrum", (w[keep], ops.reshape(shape)))',
+        ["tests/test_sp.py::test_every_valid_triple_is_an_sp_map_that_returns_it"],
     ),
 ]
 

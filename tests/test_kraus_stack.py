@@ -3,12 +3,14 @@
 
 The references below are the per-operator loop forms the library used
 before: a running sum of sandwiches for ``apply``, a running sum of V_k† V_k
-for ``is_trace_preserving`` and the sampler's normalizer, a list of pairwise
-products for ``compose``, and one ``embed_block_operator`` per operator and
-block for ``split_kraus_blocks`` and the sampler.  The stacked forms do the
-same arithmetic in the same order, so every result must be bit-identical;
-this also pins the README promise that ``gen`` writes the same files for the
-same seed.  The sampler reads all of an attempt's entries from one
+for the sampler's normalizer, a list of pairwise products for ``compose``,
+and one ``embed_block_operator`` per operator and block for
+``split_kraus_blocks`` and the sampler.  The stacked forms do the same
+arithmetic in the same order, so every result must be bit-identical; this
+also pins the README promise that ``gen`` writes the same files for the
+same seed.  ``is_trace_preserving`` alone sums differently: it reads
+S = sum_k V_k† V_k as one (K dt, ds) product, which agrees with the running
+sum up to rounding and decides exactly at its own defect.  The sampler reads all of an attempt's entries from one
 standard-normal draw; the per-operator reference draws them operator by
 operator, block 1 before block 2, real before imaginary parts.
 """
@@ -94,9 +96,13 @@ class TestStackedFormsMatchLoops:
         assert np.array_equal(apply(rep, q), loop_apply(rep, q))
 
     def test_trace_preservation_defect(self, name, rep):
-        # the verdict flips exactly at the reference defect, so the stacked
-        # sum of V_k† V_k must equal the running sum to the last bit
-        total = loop_gram_sum(rep.ops, rep.source.dim)
+        # the verdict flips exactly at the defect of S read as one product of
+        # the (K dt, ds) stack with its adjoint, which is the running sum of
+        # V_k† V_k up to rounding
+        flat = rep.ops.reshape(-1, rep.source.dim)
+        total = flat.conj().T @ flat
+        loop = loop_gram_sum(rep.ops, rep.source.dim)
+        assert np.abs(total - loop).max() <= 1e-15 * len(rep.ops) * max(1.0, np.abs(loop).max())
         defect = float(np.linalg.norm(total - np.eye(rep.source.dim)))
         assert defect > 0.0
         assert is_trace_preserving(rep, defect)

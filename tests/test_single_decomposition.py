@@ -269,19 +269,18 @@ def decompositions(monkeypatch):
 
 def test_one_decomposition_per_matrix(decompositions):
     rep = full_rank_tp_channel(2, 2, 993)
-    choi = kraus_to_choi(rep)
-    for call in (
-        lambda: choi_to_kraus(choi),
-        lambda: orthonormal_kraus(rep),
-        lambda: build_dilation(rep),
-        lambda: kraus_rank(rep),
-    ):
-        decompositions["n"] = 0
-        decompositions["shapes"] = []
-        call()
-        assert decompositions["n"] == 1
-        # the 8 intra-block units of the 16, not the whole 16 x 16 matrix
-        assert decompositions["shapes"] == [(8, 8)]
+    decompositions["solvers"].clear()  # the sampler's normalizer is not counted
+    decompositions["shapes"].clear()
+    choi_to_kraus(kraus_to_choi(rep))
+    orthonormal_kraus(rep)
+    build_dilation(rep)
+    # one eigh, of the 8 intra-block units of the 16, read by all three
+    assert decompositions["solvers"] == ["eigh"]
+    assert decompositions["shapes"] == [(8, 8)]
+    # the rank keeps its own values-only solve
+    assert kraus_rank(rep) == 8
+    assert decompositions["solvers"] == ["eigh", "eigvalsh"]
+    assert decompositions["shapes"] == [(8, 8), (8, 8)]
     g = crandn(np.random.default_rng(994), 5, 3)
     f = g @ g.conj().T
     decompositions["n"] = 0

@@ -1,11 +1,14 @@
 """Tests for the subspace-preserving verifiers, the block representation and
 the random sampler."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spcpm.cpm import (
+    ChoiRep,
     KrausRep,
     apply,
     channels_equal,
@@ -723,12 +726,22 @@ def assembled(blocks):
 @example((7, 1), (7, 1), 6, True, True, 1e6)
 @example((1, 7), (7, 1), 7, False, True, 1.0)
 @example((7, 1), (2, 1), 8, True, False, 1e3)
+@example((1, 1), (1, 3), 3, True, True, 1.0)  # dead units: the whole
+@example((2, 2), (3, 2), 3, False, True, 1.0)  # matrix solves to other bits
 def test_every_valid_triple_is_an_sp_map_that_returns_it(
     source, target, seed, singular_a, zero_cross, scale
 ):
     src, tgt = DecomposedSpace(*source), DecomposedSpace(*target)
     blocks, rank = spectral_triple(src, tgt, seed, singular_a, zero_cross, scale)
-    rep = choi_to_kraus(sp_from_blocks(blocks))
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        generated = sp_from_blocks(blocks)
+        rep = choi_to_kraus(generated)
+    # generation's gate is the one eigh that conversion reads: the operators
+    # are a fresh conversion's of the same matrix, to the last bit
+    assert (eigh.call_count, eigvalsh.call_count) == (1, 0)
+    fresh = choi_to_kraus(ChoiRep(src, tgt, generated.matrix)).ops
+    assert rep.ops.shape == fresh.shape and rep.ops.tobytes() == fresh.tobytes()
     assert is_sp_definition(rep)
     assert is_sp_kraus_blocks(rep)
     assert is_sp_commutation(rep)
@@ -737,3 +750,27 @@ def test_every_valid_triple_is_an_sp_map_that_returns_it(
     assert np.linalg.norm(assembled(blocks_from_sp(rep)) - f) <= 1e-12 * np.linalg.norm(f)
     assert kraus_rank(rep) == len(rep.ops) == rank
     assert sp_kraus_bound_holds(rep)
+    # made indefinite by t v v†, t = v†Fv + 1e-2 scale for a unit vector v, so
+    # v†F'v = -1e-2 scale, far below the floor: generation and conversion
+    # both refuse it, each naming its own subject
+    v = crandn(np.random.default_rng(seed), len(f))
+    v /= np.linalg.norm(v)
+    f = f - ((v.conj() @ f @ v).real + 1e-2 * scale) * np.outer(v, v.conj())
+    k = src.d1 * tgt.d1
+    indefinite = SPBlockRep(src, tgt, f[:k, :k], f[k:, k:], f[:k, k:])
+    with pytest.raises(SpcpmError, match="^assembled block matrix is not positive semi-definite"):
+        sp_from_blocks(indefinite)
+    full = np.zeros((src.dim * tgt.dim,) * 2, dtype=np.complex128)
+    units = np.concatenate(_block_indices(src, tgt))
+    full[np.ix_(units, units)] = f
+    with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
+        choi_to_kraus(ChoiRep(src, tgt, full))
+
+
+def placed(src, tgt, f):
+    """F written on the intra-block units of the full coefficient matrix."""
+    units = np.concatenate(_block_indices(src, tgt))
+    full = np.zeros((src.dim * tgt.dim,) * 2, dtype=np.complex128)
+    full[np.ix_(units, units)] = f
+    return full
+

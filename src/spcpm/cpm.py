@@ -40,11 +40,10 @@ import numpy as np
 from .errors import SpcpmError
 from .linalg import (
     DEFAULT_TOL,
-    as_matrix,
     check_tolerance,
+    checked_array,
     frobenius,
     frozen_copy,
-    frozen_matrix,
     psd_spectrum,
     rank_cutoff,
 )
@@ -67,17 +66,8 @@ class KrausRep:
     ops: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.ops) == 0:
-            raise SpcpmError("a Kraus representation needs at least one operator")
-        shape = (self.target.dim, self.source.dim)
-        for op in self.ops:
-            if np.shape(op) != shape:
-                raise SpcpmError(
-                    f"Kraus operator has shape {np.shape(op)}, expected {shape}"
-                )
-        ops = np.asarray(self.ops, dtype=np.complex128)
-        if not np.all(np.isfinite(ops)):
-            raise SpcpmError("matrix entries must be finite")
+        shape = (None, self.target.dim, self.source.dim)
+        ops = checked_array(self.ops, shape, "Kraus operators")
         object.__setattr__(self, "ops", frozen_copy(ops))
 
     @cached_property
@@ -102,13 +92,9 @@ class ChoiRep:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = frozen_matrix(self.matrix)
         m = self.source.dim * self.target.dim
-        if mat.shape != (m, m):
-            raise SpcpmError(
-                f"coefficient matrix has shape {mat.shape}, expected {(m, m)}"
-            )
-        object.__setattr__(self, "matrix", mat)
+        mat = checked_array(self.matrix, (m, m), "coefficient matrix")
+        object.__setattr__(self, "matrix", frozen_copy(mat))
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +106,7 @@ class ChoiRep:
 
 def apply(rep: KrausRep, q) -> np.ndarray:
     """Apply the channel: sum_k V_k Q V_k†."""
-    qa = as_matrix(q)
-    d = rep.source.dim
-    if qa.shape != (d, d):
-        raise SpcpmError(f"input has shape {qa.shape}, expected {(d, d)}")
+    qa = checked_array(q, (rep.source.dim,) * 2, "input")
     return (rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 

@@ -49,7 +49,7 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import DEFAULT_TOL, check_tolerance, frobenius, frozen_copy
+from .linalg import DEFAULT_TOL, check_tolerance, checked_array, frobenius, frozen_copy
 from .sp import _kraus_bound, is_sp_kraus_blocks
 from .spaces import DecomposedSpace
 
@@ -77,25 +77,13 @@ class UnitaryDilation:
 
     def __post_init__(self) -> None:
         for name, db in (("a1", self.space.d1), ("a2", self.space.d2)):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
-            if arr.ndim != 3:
-                raise SpcpmError(
-                    f"{name} must be a 3-D stack of pieces, got ndim={arr.ndim}"
-                )
-            if arr.shape[1:] != (db, db):
-                raise SpcpmError(
-                    f"{name} holds pieces of shape {arr.shape[1:]}, expected {(db, db)}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise SpcpmError("matrix entries must be finite")
+            arr = checked_array(getattr(self, name), (None, db, db), name)
             object.__setattr__(self, name, frozen_copy(arr))
         if len(self.a1) != len(self.a2):
             raise SpcpmError(
                 f"a1 and a2 hold {len(self.a1)} and {len(self.a2)} pieces, "
                 "expected the same number"
             )
-        if len(self.a1) == 0:
-            raise SpcpmError("a dilation needs at least one Kraus piece per block")
         most = _kraus_bound(self.space, self.space)
         if len(self.a1) > most:
             raise SpcpmError(

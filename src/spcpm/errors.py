@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Every rejection the package makes is a :class:`SpcpmError`, which itself is
-a ``ValueError``: bad shapes, dimensions, tolerances, non-finite entries,
+a ``ValueError``: malformed arrays (``linalg.checked_array``: ragged, not
+numbers, empty, misshapen or non-finite), bad dimensions and tolerances,
 malformed files and invalid block triples all raise it directly, with a
 message that names what was wrong.  Four subclasses mark the outcomes a
 caller acts on differently:

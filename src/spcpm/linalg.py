@@ -1,19 +1,20 @@
 """Dense complex linear-algebra kernel.
 
 Positivity of a Hermitian matrix and of a 2x2 block matrix, and the inverse
-square root.  The public functions accept anything convertible to a 2-D
-complex array and return fresh ``complex128`` arrays.  Matrices here are
-small (dimension tens, not thousands), so everything is done by direct
+square root, returning fresh ``complex128`` arrays.  Matrices here are small
+(dimension tens, not thousands), so everything is done by direct
 eigendecomposition; determinism for identical input bits matters more than
 speed.
 
+:func:`checked_array` is the one array gate: every matrix and Kraus stack
+that enters the package passes it, as an array of numbers of a given shape,
+with no empty axis and finite entries.  It is the only place that reads
+``isfinite`` on an array or words a refusal of one.
+
 :func:`psd_spectrum` is the one spectral gate: the only caller of ``eigh``
 and ``eigvalsh`` in the package, and the only place that words a
-Hermiticity or positivity refusal, always with the value and its bound.  It
-validates nothing else: the coefficient matrix (``cpm``, which also gates
-the triple that ``sp.sp_from_blocks`` assembles), the assembled block
-triple (:func:`block_psd_failure`) and :func:`inv_sqrt_psd` hand it square,
-finite ``complex128`` arrays.
+Hermiticity or positivity refusal, always with the value and its bound.
+Its input is a square matrix built from arrays that passed the array gate.
 Eigenvectors are computed only where they are read.
 
 One constant, ``DEFAULT_RTOL``, is every Hermiticity bound, PSD floor and
@@ -47,33 +48,48 @@ def check_tolerance(value: float, name: str = "tol") -> float:
     """Return ``value`` if it is a finite number > 0, else raise SpcpmError.
 
     An infinite tolerance would accept every residual and a NaN, zero or
-    negative one would reject every residual, so neither decides anything.
+    negative one would reject every residual, so neither decides anything;
+    nor does a ``bool``, which would pass as 1.
     """
     try:
         ok = math.isfinite(value) and value > 0
     except TypeError:
         ok = False
-    if not ok:
+    if not ok or isinstance(value, (bool, np.bool_)):
         raise SpcpmError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
-def check_matrix(arr: np.ndarray) -> np.ndarray:
-    """Return ``arr`` itself, uncopied, if it is a nonempty 2-D array with
-    finite entries; else raise SpcpmError."""
-    if arr.ndim != 2:
-        raise SpcpmError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+def checked_array(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a ``complex128`` array, uncopied if it already is one.
+
+    ``shape`` gives the size of each axis, ``None`` for any size.  Raises
+    :class:`SpcpmError`, naming ``what``, unless ``x`` is an array of
+    numbers (bool, integer, float or complex) with no empty axis, of
+    ``len(shape)`` axes of the given sizes and with finite entries.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting
+        raise SpcpmError(f"{what} is not an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "biufc":  # strings, None and other objects
+        raise SpcpmError(f"{what} is not an array of numbers: its dtype is {arr.dtype}")
     if 0 in arr.shape:
-        raise SpcpmError(f"matrix must not be empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        raise SpcpmError(f"{what} must not be empty, got shape {arr.shape}")
+    sizes_ok = all(want in (None, got) for got, want in zip(arr.shape, shape))
+    if arr.ndim != len(shape) or not sizes_ok:
+        want = str(shape).replace("None", "*")
+        raise SpcpmError(f"{what} has shape {arr.shape}, expected {want}")
+    arr = arr.astype(np.complex128, copy=False)
+    if not np.isfinite(arr).all():
         raise SpcpmError("matrix entries must be finite")
     return arr
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a fresh, nonempty 2-D complex128 array with finite
-    entries."""
-    return check_matrix(np.array(m, dtype=np.complex128))
+def _checked_square(x, what: str) -> np.ndarray:
+    """:func:`checked_array` of a square matrix of any size."""
+    arr = checked_array(x, (None, None), what)
+    return checked_array(arr, (len(arr),) * 2, what)
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -81,11 +97,6 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
     held in immutable ``bytes``, so neither it nor its base can be made
     writeable again."""
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
-
-
-def frozen_matrix(m) -> np.ndarray:
-    """Like :func:`as_matrix`, but read-only for good (:func:`frozen_copy`)."""
-    return frozen_copy(check_matrix(np.asarray(m, dtype=np.complex128)))
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -153,15 +164,9 @@ def block_psd_failure(a, b, c) -> Optional[str]:
     route (positivity of A and B, the support of C and A - C B^+ C†, from
     pseudo-inverses).
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    c = as_matrix(c)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise SpcpmError("diagonal blocks must be square")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise SpcpmError(
-            f"coupling block has shape {c.shape}, expected {(a.shape[0], b.shape[0])}"
-        )
+    a = _checked_square(a, "first diagonal block")
+    b = _checked_square(b, "second diagonal block")
+    c = checked_array(c, (len(a), len(b)), "coupling block")
     f = _block_matrix(a, b, c)
     try:
         psd_spectrum(f, False, "assembled block matrix")
@@ -183,10 +188,7 @@ def inv_sqrt_psd(m) -> np.ndarray:
     :func:`psd_spectrum`, and :class:`SingularMatrixError` unless the
     smallest eigenvalue exceeds the bound ``DEFAULT_RTOL`` times the largest.
     """
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise SpcpmError(f"expected a square matrix, got shape {arr.shape}")
-    w, v = psd_spectrum(arr, True, "matrix")
+    w, v = psd_spectrum(_checked_square(m, "matrix"), True, "matrix")
     bound = DEFAULT_RTOL * float(w[-1])
     if w[0] <= bound:
         raise SingularMatrixError(

@@ -26,7 +26,7 @@ import numpy as np
 from .cpm import ChoiRep, KrausRep
 from .dilation import UnitaryDilation
 from .errors import SpcpmError
-from .linalg import check_matrix
+from .linalg import checked_array
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace, is_integer
 
@@ -36,8 +36,8 @@ MATRIX_UNIT_BASIS = "matrix-units"
 
 
 def encode_matrix(m) -> dict:
-    # checked in place: tobytes makes the one copy of a complex128 input
-    arr = check_matrix(np.asarray(m, dtype="<c16"))
+    # tobytes makes the one copy of a complex128 input
+    arr = checked_array(m, (None, None), "matrix").astype("<c16", copy=False)
     data = base64.b64encode(arr.tobytes())
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
             "data": data.decode("ascii")}
@@ -69,10 +69,8 @@ def decode_matrix(obj) -> np.ndarray:
         raise SpcpmError("matrix dimensions must be positive")
     if not isinstance(data, str):
         raise SpcpmError("matrix data must be a base64 string")
-    entries = _raw_entries(data, rows * cols)
-    if not np.all(np.isfinite(entries)):
-        raise SpcpmError("matrix entries must be finite")
-    return entries.reshape(rows, cols)
+    entries = _raw_entries(data, rows * cols).reshape(rows, cols)
+    return checked_array(entries, (None, None), "matrix")
 
 
 def _encode_space(space: DecomposedSpace) -> list[int]:

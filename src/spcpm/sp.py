@@ -37,8 +37,9 @@ from .linalg import (
     DEFAULT_TOL,
     _block_matrix,
     check_tolerance,
+    checked_array,
     frobenius,
-    frozen_matrix,
+    frozen_copy,
     inv_sqrt_psd,
 )
 from .spaces import DecomposedSpace, is_integer
@@ -64,17 +65,9 @@ class SPBlockRep:
     def __post_init__(self) -> None:
         k = self.source.d1 * self.target.d1
         l = self.source.d2 * self.target.d2
-        b1 = frozen_matrix(self.block1)
-        b2 = frozen_matrix(self.block2)
-        cr = frozen_matrix(self.cross)
-        if b1.shape != (k, k) or b2.shape != (l, l) or cr.shape != (k, l):
-            raise SpcpmError(
-                f"blocks have shapes {b1.shape}/{b2.shape}/{cr.shape}, "
-                f"expected {(k, k)}/{(l, l)}/{(k, l)}"
-            )
-        object.__setattr__(self, "block1", b1)
-        object.__setattr__(self, "block2", b2)
-        object.__setattr__(self, "cross", cr)
+        for name, shape in (("block1", (k, k)), ("block2", (l, l)), ("cross", (k, l))):
+            arr = checked_array(getattr(self, name), shape, name)
+            object.__setattr__(self, name, frozen_copy(arr))
 
 
 def _same_block(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray:

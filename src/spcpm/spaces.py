@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpcpmError
-from .linalg import as_matrix
+from .linalg import checked_array
 
 
 def is_integer(value) -> bool:
@@ -75,12 +75,8 @@ def embed_block_operator(
     The result Y satisfies P_t Y P_s = Y for the named target and source
     block projectors.
     """
-    arr = as_matrix(x)
-    expected = (tgt.block_dim(tgt_block), src.block_dim(src_block))
-    if arr.shape != expected:
-        raise SpcpmError(
-            f"block operator has shape {arr.shape}, expected {expected}"
-        )
+    shape = (tgt.block_dim(tgt_block), src.block_dim(src_block))
+    arr = checked_array(x, shape, "block operator")
     out = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
     out[tgt.block_slice(tgt_block), src.block_slice(src_block)] = arr
     return out

@@ -73,12 +73,16 @@ MUTANTS = [
         "        return None",
         ["tests/test_dilation.py::TestFailedCondition::test_agreement"],
     ),
-    # an empty dilation is accepted
+    # the array gate lets an empty axis through, so an empty dilation is
+    # accepted and an empty Kraus list is refused for its shape instead
     (
-        "spcpm/dilation.py",
-        "        if len(self.a1) == 0:",
-        "        if False:",
-        ["tests/test_api.py::test_rejections_are_spcpm_errors[dilation]"],
+        "spcpm/linalg.py",
+        "    if 0 in arr.shape:",
+        "    if False:",
+        [
+            "tests/test_api.py::test_rejections_are_spcpm_errors[dilation]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus]",
+        ],
     ),
     # the CLI no longer names the failed audit condition
     (
@@ -90,8 +94,8 @@ MUTANTS = [
     # files are written big-endian
     (
         "spcpm/serialize.py",
-        'check_matrix(np.asarray(m, dtype="<c16"))',
-        'check_matrix(np.asarray(m, dtype=">c16"))',
+        'astype("<c16", copy=False)',
+        'astype(">c16", copy=False)',
         ["tests/test_raw_format.py::test_byte_order_is_little_endian"],
     ),
     # the reader skips characters outside the base64 alphabet
@@ -273,6 +277,32 @@ MUTANTS = [
         "    shape = (-1, blocks.target.dim, blocks.source.dim)\n"
         '    object.__setattr__(choi, "_spectrum", (w[keep], ops.reshape(shape)))',
         ["tests/test_sp.py::test_every_valid_triple_is_an_sp_map_that_returns_it"],
+    ),
+    # the array gate skips its finiteness check, so NaN and inf reach the
+    # stores, the solvers and the files
+    (
+        "spcpm/linalg.py",
+        "    if not np.isfinite(arr).all():",
+        "    if False:",
+        [
+            "tests/test_api.py::test_rejections_are_spcpm_errors[checked_array]",
+            "tests/test_dilation.py::TestConstructor::test_refuses",
+            "tests/test_raw_format.py::test_encode_refuses_what_no_file_may_hold",
+            "tests/test_raw_format.py::test_bad_raw_matrices_are_format_errors",
+        ],
+    ),
+    # the array gate compares only the leading axis, so every later fixed
+    # axis is treated as free: Kraus operators and dilation pieces of the
+    # wrong size, and non-square matrices, pass
+    (
+        "spcpm/linalg.py",
+        "for got, want in zip(arr.shape, shape)",
+        "for got, want in zip(arr.shape[:1], shape)",
+        [
+            "tests/test_cpm.py::TestKrausRep::test_rejects_wrong_shape",
+            "tests/test_dilation.py::TestConstructor::test_refuses",
+            "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_square",
+        ],
     ),
 ]
 

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spcpm
 from spcpm import cpm, errors, linalg, serialize, sp
 from spcpm.cpm import ChoiRep, KrausRep
 from spcpm.dilation import UnitaryDilation
 from spcpm.errors import SpcpmError
-from spcpm.linalg import as_matrix
-from spcpm.spaces import DecomposedSpace
+from spcpm.sp import SPBlockRep
+from spcpm.spaces import DecomposedSpace, embed_block_operator
 
 C2 = DecomposedSpace(1, 1)
 IDENTITY = KrausRep(C2, C2, (np.eye(2),))
@@ -80,10 +81,16 @@ def test_eigen_wrappers_are_gone_from_linalg(name):
     assert not hasattr(linalg, name)
 
 
-def eigensolver_mentions():
+@pytest.mark.parametrize("name", ["as_matrix", "check_matrix", "frozen_matrix"])
+def test_array_helpers_are_gone_from_linalg(name):
+    # every array that enters the package passes the one gate checked_array
+    assert not hasattr(linalg, name)
+
+
+def source_mentions(names):
     """(module, innermost enclosing function, name) for every mention of
-    ``eigh`` or ``eigvalsh`` in the package source: attribute reads, bare
-    names, imports and string constants alike."""
+    one of ``names`` in the package source: attribute reads, bare names,
+    imports and string constants alike."""
     found = set()
 
     def visit(node, module, func):
@@ -99,7 +106,7 @@ def eigensolver_mentions():
             name = node.value
         else:
             name = None
-        if name in ("eigh", "eigvalsh"):
+        if name in names:
             found.add((module, func, name))
         for child in ast.iter_child_nodes(node):
             visit(child, module, func)
@@ -109,11 +116,25 @@ def eigensolver_mentions():
     return found
 
 
+def eigensolver_mentions():
+    """Every mention of ``eigh`` or ``eigvalsh`` (see :func:`source_mentions`)."""
+    return source_mentions({"eigh", "eigvalsh"})
+
+
 def test_eigensolvers_are_called_only_in_psd_spectrum():
     # linalg.psd_spectrum is the one spectral gate of the package
     assert eigensolver_mentions() == {
         ("linalg", "psd_spectrum", "eigh"),
         ("linalg", "psd_spectrum", "eigvalsh"),
+    }
+
+
+def test_isfinite_is_read_only_by_the_two_gates():
+    # linalg.checked_array is the one array gate, and check_tolerance the
+    # one gate of a scalar tolerance
+    assert source_mentions({"isfinite"}) == {
+        ("linalg", "checked_array", "isfinite"),
+        ("linalg", "check_tolerance", "isfinite"),
     }
 
 
@@ -178,14 +199,21 @@ def read_choi_file_with_basis(basis):
         return serialize.choi_from_obj(serialize.read_file(path))
 
 
+# the gate's type refusals: numpy's reason for a ragged nesting, the dtype
+# for strings, None and other objects
+RAGGED = "^{} is not an array of numbers: .*inhomogeneous shape"
+NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: DecomposedSpace(0, 1), "at least one-dimensional"),
-        (lambda: KrausRep(C2, C2, ()), "at least one operator"),
+        (lambda: KrausRep(C2, C2, ()), r"^Kraus operators must not be empty"),
         (lambda: UnitaryDilation(C2, np.ones((0, 1, 1)), np.ones((0, 1, 1))),
-         "at least one Kraus piece"),
-        (lambda: as_matrix([[np.inf]]), "must be finite"),
+         r"^a1 must not be empty"),
+        (lambda: linalg.checked_array([[np.inf]], (None, None), "matrix"),
+         "^matrix entries must be finite$"),
         (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
         (lambda: sp.random_sp_channel(C2, C2, 2.5, False, 1), "must be an integer"),
@@ -195,16 +223,76 @@ def read_choi_file_with_basis(basis):
         (lambda: sp.random_sp_channel(C2, C2, 1, False, 1.5), "seed must be"),
         (lambda: sp.random_sp_channel(C2, C2, 1, False, None), "seed must be"),
         (lambda: sp.random_sp_channel(C2, C2, 1, False, True), "seed must be"),
+        (lambda: cpm.apply(IDENTITY, [[1, 2], [3]]), RAGGED.format("input")),
+        (lambda: cpm.apply(IDENTITY, "ab"), NOT_NUMBERS.format("input")),
+        (lambda: KrausRep(C2, C2, ([[1, 0], [0]],)), RAGGED.format("Kraus operators")),
+        (lambda: KrausRep(C2, C2, None), NOT_NUMBERS.format("Kraus operators")),
+        (lambda: ChoiRep(C2, C2, [[1, 2], [3]]), RAGGED.format("coefficient matrix")),
+        (lambda: SPBlockRep(C2, C2, "a", [[1]], [[0]]), NOT_NUMBERS.format("block1")),
+        (lambda: linalg.block_psd_check([[1, 2], [3]], [[1]], [[0]]),
+         RAGGED.format("first diagonal block")),
+        (lambda: UnitaryDilation(C2, [[[1]], [[1, 2]]], [[[1]]]), RAGGED.format("a1")),
     ],
     ids=[
-        "space", "kraus", "dilation", "as_matrix", "basis", "random_k",
+        "space", "kraus", "dilation", "checked_array", "basis", "random_k",
         "random_k_float", "random_k_bool", "random_k_str", "random_seed_negative",
         "random_seed_float", "random_seed_none", "random_seed_bool",
+        "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
+        "blocks_str", "block_psd_ragged", "dilation_ragged",
     ],
 )
 def test_rejections_are_spcpm_errors(call, message):
     with pytest.raises(SpcpmError, match=message):
         call()
+
+
+# nested lists of numbers, strings and None: every shape from ragged to
+# valid, with entries from finite to meaningless
+NESTED = st.recursive(
+    st.one_of(
+        st.integers(-3, 3),
+        st.floats(),
+        st.complex_numbers(max_magnitude=4),
+        st.sampled_from(["", "1", "ab"]),
+        st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=12,
+)
+
+C21 = DecomposedSpace(2, 1)
+
+# every array entry point, each fed the value at one array argument; the
+# sizes are those of a 2+1 space, where a 3x3 nesting is a valid input
+ARRAY_ENTRY_POINTS = {
+    "KrausRep": lambda x: KrausRep(C21, C21, x),
+    "ChoiRep": lambda x: ChoiRep(C2, C2, x),
+    "SPBlockRep.block1": lambda x: SPBlockRep(C21, C21, x, [[1]], np.zeros((4, 1))),
+    "SPBlockRep.cross": lambda x: SPBlockRep(C2, C2, [[1]], [[1]], x),
+    "UnitaryDilation.a1": lambda x: UnitaryDilation(C21, x, np.ones((1, 1, 1))),
+    "UnitaryDilation.a2": lambda x: UnitaryDilation(C2, np.ones((1, 1, 1)), x),
+    "apply": lambda x: cpm.apply(KrausRep(C21, C21, (np.eye(3),)), x),
+    "block_psd_failure.a": lambda x: linalg.block_psd_failure(x, [[1]], [[0]]),
+    "block_psd_failure.c": lambda x: linalg.block_psd_failure([[1]], [[1]], x),
+    "inv_sqrt_psd": linalg.inv_sqrt_psd,
+    "embed_block_operator": lambda x: embed_block_operator(x, C21, C21, 1, 1),
+    "encode_matrix": serialize.encode_matrix,
+    "decode_matrix": serialize.decode_matrix,
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=NESTED)
+@example(value=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+@example(value=[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_malformed_arrays_are_refused_as_spcpm_errors(value):
+    # each entry point accepts the value or refuses it with SpcpmError; any
+    # other exception fails the test at the entry's own line above
+    for call in ARRAY_ENTRY_POINTS.values():
+        try:
+            call(value)
+        except SpcpmError:
+            pass
 
 
 def test_random_sp_channel_accepts_a_numpy_integer_k():

@@ -53,16 +53,21 @@ def unit(d, i, j):
 
 class TestKrausRep:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            SpcpmError, match=re.escape("Kraus operators must not be empty, got shape (0,)")
+        ):
             KrausRep(C2, C2, ())
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(SpcpmError, match="Kraus operator has shape"):
+        with pytest.raises(
+            SpcpmError,
+            match=re.escape("Kraus operators has shape (1, 3, 3), expected (*, 2, 2)"),
+        ):
             KrausRep(C2, C2, (np.eye(3),))
 
     def test_rejects_non_finite(self):
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(SpcpmError, match="^matrix entries must be finite$"):
             KrausRep(C2, C2, (bad,))
 
     def test_ops_are_read_only(self):
@@ -88,19 +93,25 @@ class TestKrausRep:
         assert np.array_equal(from_tuple.ops, stack)
 
     def test_rejects_a_stack_of_wrong_shape(self):
-        with pytest.raises(SpcpmError, match="Kraus operator has shape"):
+        with pytest.raises(
+            SpcpmError,
+            match=re.escape("Kraus operators has shape (2, 3, 2), expected (*, 2, 2)"),
+        ):
             KrausRep(C2, C2, np.zeros((2, 3, 2)))
 
-    def test_rejects_a_ragged_sequence_by_naming_the_operator(self):
-        # not numpy's inhomogeneous-shape ValueError from the whole sequence
+    def test_rejects_a_ragged_sequence_with_numpys_reason(self):
+        # numpy's inhomogeneous-shape ValueError, worded as an SpcpmError
         with pytest.raises(
-            SpcpmError, match=re.escape("Kraus operator has shape (3, 3), expected (2, 2)")
+            SpcpmError,
+            match=r"^Kraus operators is not an array of numbers: .*inhomogeneous shape",
         ):
             KrausRep(C2, C2, (np.eye(2), np.eye(3)))
 
     def test_rejects_a_single_matrix_given_as_the_stack(self):
         # a 2-D array is read as a stack of its rows
-        with pytest.raises(SpcpmError, match=r"Kraus operator has shape \(2,\)"):
+        with pytest.raises(
+            SpcpmError, match=re.escape("Kraus operators has shape (2, 2), expected (*, 2, 2)")
+        ):
             KrausRep(C2, C2, np.eye(2))
 
     def test_caller_writes_do_not_reach_the_rep(self):

@@ -484,12 +484,12 @@ class TestConstructor:
     @pytest.mark.parametrize(
         "a1, a2, match",
         [
-            (np.eye(2), np.ones((1, 1, 1)), "a1 must be a 3-D stack of pieces, got ndim=2"),
-            (np.ones((1, 2, 2)), np.ones((1, 1, 1, 1)), "a2 must be a 3-D stack"),
-            (np.ones((1, 3, 3)), np.ones((1, 1, 1)), r"a1 holds pieces of shape \(3, 3\), expected \(2, 2\)"),
-            (np.ones((1, 2, 2)), np.ones((1, 1, 2)), r"a2 holds pieces of shape \(1, 2\), expected \(1, 1\)"),
+            (np.eye(2), np.ones((1, 1, 1)), r"a1 has shape \(2, 2\), expected \(\*, 2, 2\)"),
+            (np.ones((1, 2, 2)), np.ones((1, 1, 1, 1)), r"a2 has shape \(1, 1, 1, 1\), expected \(\*, 1, 1\)"),
+            (np.ones((1, 3, 3)), np.ones((1, 1, 1)), r"a1 has shape \(1, 3, 3\), expected \(\*, 2, 2\)"),
+            (np.ones((1, 2, 2)), np.ones((1, 1, 2)), r"a2 has shape \(1, 1, 2\), expected \(\*, 1, 1\)"),
             (np.ones((2, 2, 2)), np.ones((3, 1, 1)), "a1 and a2 hold 2 and 3 pieces"),
-            (np.ones((0, 2, 2)), np.ones((0, 1, 1)), "at least one Kraus piece"),
+            (np.ones((0, 2, 2)), np.ones((0, 1, 1)), r"a1 must not be empty, got shape \(0, 2, 2\)"),
             (np.ones((6, 2, 2)), np.ones((6, 1, 1)), r"holds 6 pieces per block, more than d1² \+ d2² = 5"),
             (np.full((1, 2, 2), np.nan), np.ones((1, 1, 1)), "finite"),
             (np.ones((1, 2, 2)), np.full((1, 1, 1), complex(0, np.inf)), "finite"),

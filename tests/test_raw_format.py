@@ -84,9 +84,9 @@ def test_views_and_real_inputs_encode_as_their_complex128_copies():
     [
         (np.array([[1.0, np.nan]]), "finite"),
         (np.array([[1.0], [complex(0.0, np.inf)]]), "finite"),
-        (np.zeros((0, 3)), "empty"),
-        (np.zeros((2, 2, 2)), "2-D"),
-        (np.zeros(3), "2-D"),
+        (np.zeros((0, 3)), r"^matrix must not be empty, got shape \(0, 3\)$"),
+        (np.zeros((2, 2, 2)), r"^matrix has shape \(2, 2, 2\), expected \(\*, \*\)$"),
+        (np.zeros(3), r"^matrix has shape \(3,\), expected \(\*, \*\)$"),
     ],
     ids=["nan", "inf", "empty", "3-d", "1-d"],
 )

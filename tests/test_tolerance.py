@@ -41,9 +41,10 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0], ids=str)
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True, np.True_], ids=repr)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_meaningless_tolerance_is_refused(entry, value):
+    # a bool is no tolerance, though it would pass as 1.0
     with pytest.raises(SpcpmError, match="must be finite and > 0"):
         ENTRY_POINTS[entry](value)
 
@@ -166,7 +167,7 @@ def test_check_tolerance_returns_valid_values(value):
     assert linalg.check_tolerance(value) == value
 
 
-@pytest.mark.parametrize("value", [None, "1e-9", 1j])
+@pytest.mark.parametrize("value", [None, "1e-9", 1j, True, np.True_])
 def test_check_tolerance_refuses_non_numbers(value):
     with pytest.raises(SpcpmError, match="rtol must be"):
         linalg.check_tolerance(value, "rtol")

@@ -14,8 +14,9 @@ Exit codes, decided in :func:`main` from the error class:
 * 2 -- usage or format error: any other :class:`SpcpmError`, including an
   input file that cannot be read or parsed and an ``--out`` path that
   cannot be written;
-* 3 -- numeric failure: :class:`SingularMatrixError` (the sampler's
-  normalizer stayed singular) or a dilation that fails its own audit.
+* 3 -- numeric failure: :class:`SingularMatrixError` (``gen --tp`` with
+  ``k·d_ti < d_si`` for a block i, so no draw can be normalized) or a
+  dilation that fails its own audit.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ caller acts on differently:
 * :class:`SourceTargetMismatchError` -- the dilation needs one
   decomposition on both sides;
 * :class:`SingularMatrixError` -- a matrix that must be positive definite
-  is not (the random sampler retries on it, and gives up with it).
+  is not (the random sampler raises it, before drawing, for a shape whose
+  normalizer is singular on every draw).
 """
 
 

@@ -12,7 +12,8 @@ derived.
 
 Only ``spcpm/4`` is read: any other tag (the earlier ``spcpm/1`` to
 ``spcpm/3`` included), an unreadable path and a malformed file raise
-:class:`SpcpmError`, and so does a path that cannot be written.
+:class:`SpcpmError`, and so do a path that cannot be written and a value
+other than a JSON object handed to a ``*_from_obj`` reader.
 """
 
 from __future__ import annotations
@@ -73,40 +74,41 @@ def decode_matrix(obj) -> np.ndarray:
     return checked_array(entries, (None, None), "matrix")
 
 
-def _encode_space(space: DecomposedSpace) -> list[int]:
-    return [space.d1, space.d2]
+def _header(kind: str, **spaces: DecomposedSpace) -> dict:
+    """The keys every file starts with: format, kind, then each space's
+    ``[d1, d2]`` under its key, in the order given."""
+    dims = {key: [space.d1, space.d2] for key, space in spaces.items()}
+    return {"format": FORMAT, "kind": kind, **dims}
 
 
-def _decode_space(obj, key: str) -> DecomposedSpace:
-    dims = obj.get(key)
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(is_integer(d) for d in dims)
-    ):
-        raise SpcpmError(f"{key} must be a pair of integers")
-    return DecomposedSpace(dims[0], dims[1])
-
-
-def _expect_kind(obj, kind: str) -> None:
+def _read_header(obj, kind: str, *keys: str) -> list[DecomposedSpace]:
+    """The spaces under ``keys`` of a ``kind`` object; anything else is refused."""
+    if not isinstance(obj, dict):
+        raise SpcpmError(f"a {kind!r} file must be a JSON object, got {type(obj).__name__}")
     if obj.get("kind") != kind:
         raise SpcpmError(f"expected a {kind!r} file, got kind={obj.get('kind')!r}")
+    spaces = []
+    for key in keys:
+        dims = obj.get(key)
+        if (
+            not isinstance(dims, list)
+            or len(dims) != 2
+            or not all(is_integer(d) for d in dims)
+        ):
+            raise SpcpmError(f"{key} must be a pair of integers")
+        spaces.append(DecomposedSpace(dims[0], dims[1]))
+    return spaces
 
 
 def channel_to_obj(rep: KrausRep) -> dict:
     return {
-        "format": FORMAT,
-        "kind": "channel",
-        "source_dims": _encode_space(rep.source),
-        "target_dims": _encode_space(rep.target),
+        **_header("channel", source_dims=rep.source, target_dims=rep.target),
         "kraus": [encode_matrix(op) for op in rep.ops],
     }
 
 
 def channel_from_obj(obj) -> KrausRep:
-    _expect_kind(obj, "channel")
-    source = _decode_space(obj, "source_dims")
-    target = _decode_space(obj, "target_dims")
+    source, target = _read_header(obj, "channel", "source_dims", "target_dims")
     raw_ops = obj.get("kraus")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise SpcpmError("kraus must be a nonempty list of matrices")
@@ -115,19 +117,14 @@ def channel_from_obj(obj) -> KrausRep:
 
 def choi_to_obj(rep: ChoiRep) -> dict:
     return {
-        "format": FORMAT,
-        "kind": "choi",
-        "source_dims": _encode_space(rep.source),
-        "target_dims": _encode_space(rep.target),
+        **_header("choi", source_dims=rep.source, target_dims=rep.target),
         "basis": MATRIX_UNIT_BASIS,
         "matrix": encode_matrix(rep.matrix),
     }
 
 
 def choi_from_obj(obj) -> ChoiRep:
-    _expect_kind(obj, "choi")
-    source = _decode_space(obj, "source_dims")
-    target = _decode_space(obj, "target_dims")
+    source, target = _read_header(obj, "choi", "source_dims", "target_dims")
     if obj.get("basis") != MATRIX_UNIT_BASIS:
         raise SpcpmError(f"unsupported basis tag: {obj.get('basis')!r}")
     return ChoiRep(source, target, decode_matrix(obj.get("matrix")))
@@ -135,10 +132,7 @@ def choi_from_obj(obj) -> ChoiRep:
 
 def blocks_to_obj(blocks: SPBlockRep) -> dict:
     return {
-        "format": FORMAT,
-        "kind": "blocks",
-        "source_dims": _encode_space(blocks.source),
-        "target_dims": _encode_space(blocks.target),
+        **_header("blocks", source_dims=blocks.source, target_dims=blocks.target),
         "block1": encode_matrix(blocks.block1),
         "block2": encode_matrix(blocks.block2),
         "cross": encode_matrix(blocks.cross),
@@ -146,9 +140,7 @@ def blocks_to_obj(blocks: SPBlockRep) -> dict:
 
 
 def blocks_from_obj(obj) -> SPBlockRep:
-    _expect_kind(obj, "blocks")
-    source = _decode_space(obj, "source_dims")
-    target = _decode_space(obj, "target_dims")
+    source, target = _read_header(obj, "blocks", "source_dims", "target_dims")
     return SPBlockRep(
         source,
         target,
@@ -164,10 +156,7 @@ def orthonormal_to_obj(
     target: DecomposedSpace,
 ) -> dict:
     return {
-        "format": FORMAT,
-        "kind": "orthonormal",
-        "source_dims": _encode_space(source),
-        "target_dims": _encode_space(target),
+        **_header("orthonormal", source_dims=source, target_dims=target),
         "weights": [float(r) for r, _ in pairs],
         "kraus": [encode_matrix(y) for _, y in pairs],
     }
@@ -175,9 +164,7 @@ def orthonormal_to_obj(
 
 def dilation_to_obj(dil: UnitaryDilation) -> dict:
     return {
-        "format": FORMAT,
-        "kind": "dilation",
-        "dims": _encode_space(dil.space),
+        **_header("dilation", dims=dil.space),
         "a1": encode_matrix(dil.a1.reshape(-1, dil.space.d1)),
         "a2": encode_matrix(dil.a2.reshape(-1, dil.space.d2)),
     }
@@ -194,8 +181,7 @@ def _decode_stack(obj, name: str, db: int) -> np.ndarray:
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
-    _expect_kind(obj, "dilation")
-    space = _decode_space(obj, "dims")
+    (space,) = _read_header(obj, "dilation", "dims")
     return UnitaryDilation(
         space, _decode_stack(obj, "a1", space.d1), _decode_stack(obj, "a2", space.d2)
     )

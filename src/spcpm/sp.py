@@ -306,6 +306,20 @@ def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
     )
 
 
+def _check_tp_shape(source: DecomposedSpace, target: DecomposedSpace, k: int) -> None:
+    """Refuse a trace-preserving draw of k operators if k·d_ti < d_si for a
+    block i: block i of S = sum_k V_k† V_k is A_i† A_i, A_i the (k·d_ti) x d_si
+    stack of the operators' block-i pieces, so S is singular on every draw."""
+    for block in (1, 2):
+        dt, ds = target.block_dim(block), source.block_dim(block)
+        if k * dt < ds:
+            raise SingularMatrixError(
+                f"no trace-preserving channel has k={k} Kraus operators here: "
+                f"block {block} needs k·d_t{block} >= d_s{block}, "
+                f"but {k}·{dt} = {k * dt} < {ds}"
+            )
+
+
 def random_sp_channel(
     source: DecomposedSpace,
     target: DecomposedSpace,
@@ -321,11 +335,10 @@ def random_sp_channel(
     imaginary parts of operator k's block 1, then those of its block 2, in
     row-major order.  With ``tp`` the list is right-normalized by
     S^(-1/2) where S = sum_k V_k† V_k; S is block diagonal, so normalization
-    stays inside the SP set and makes the channel trace preserving.  If S
-    stays numerically singular after 8 fresh draws (which happens when the
-    block shapes cannot support a trace-preserving channel at this k), a
-    :class:`SingularMatrixError` is raised.  ``seed`` must be a non-negative
-    integer, so that every channel drawn can be drawn again.
+    stays inside the SP set and makes the channel trace preserving.  A shape
+    whose S is singular on every draw (:func:`_check_tp_shape`) raises
+    :class:`SingularMatrixError` before drawing.  ``seed`` must be a
+    non-negative integer, so that every channel drawn can be drawn again.
     """
     if not is_integer(k):
         raise SpcpmError(f"number of Kraus operators must be an integer, got {k!r}")
@@ -333,27 +346,21 @@ def random_sp_channel(
         raise SpcpmError("need at least one Kraus operator")
     if not (is_integer(seed) and seed >= 0):
         raise SpcpmError(f"seed must be a non-negative integer, got {seed!r}")
+    if tp:
+        _check_tp_shape(source, target, k)
     rng = np.random.default_rng(seed)
     t1, t2 = target.block_slice(1), target.block_slice(2)
     s1, s2 = source.block_slice(1), source.block_slice(2)
     n1, n2 = target.d1 * source.d1, target.d2 * source.d2
-    for _ in range(8):
-        draw = rng.standard_normal((k, 2 * (n1 + n2)))
-        re1, im1, re2, im2 = np.split(draw, [n1, 2 * n1, 2 * n1 + n2], axis=1)
-        ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
-        ops[:, t1, s1] = (re1 + 1j * im1).reshape(k, target.d1, source.d1)
-        ops[:, t2, s2] = (re2 + 1j * im2).reshape(k, target.d2, source.d2)
-        if not tp:
-            return KrausRep(source, target, ops)
-        s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
-        try:
-            normalizer = inv_sqrt_psd(s)
-        except SingularMatrixError:
-            continue
-        return KrausRep(source, target, ops @ normalizer)
-    raise SingularMatrixError(
-        "trace-preserving normalizer stayed singular after 8 attempts"
-    )
+    draw = rng.standard_normal((k, 2 * (n1 + n2)))
+    re1, im1, re2, im2 = np.split(draw, [n1, 2 * n1, 2 * n1 + n2], axis=1)
+    ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
+    ops[:, t1, s1] = (re1 + 1j * im1).reshape(k, target.d1, source.d1)
+    ops[:, t2, s2] = (re2 + 1j * im2).reshape(k, target.d2, source.d2)
+    if not tp:
+        return KrausRep(source, target, ops)
+    s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+    return KrausRep(source, target, ops @ inv_sqrt_psd(s))
 
 
 def _kraus_bound(source: DecomposedSpace, target: DecomposedSpace) -> int:

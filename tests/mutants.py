@@ -115,6 +115,37 @@ MUTANTS = [
             "tests/test_cli.py::TestGen::test_negative_seed_exits_2",
         ],
     ),
+    # the trace-preserving shape rule refuses its own boundary k·d_ti = d_si
+    (
+        "spcpm/sp.py",
+        "        if k * dt < ds:",
+        "        if k * dt <= ds:",
+        [
+            "tests/test_kraus_stack.py::test_tp_refuses_exactly_the_shapes_the_rule_names",
+            "tests/test_kraus_stack.py::test_one_draw_per_attempt_matches_per_operator_draws",
+        ],
+    ),
+    # the trace-preserving shape rule checks block 1 only, so a shape short
+    # in block 2 is drawn before inv_sqrt_psd refuses it
+    (
+        "spcpm/sp.py",
+        "    for block in (1, 2):\n        dt, ds = target.block_dim(block)",
+        "    for block in (1,):\n        dt, ds = target.block_dim(block)",
+        ["tests/test_kraus_stack.py::test_tp_refuses_exactly_the_shapes_the_rule_names"],
+    ),
+    # the file readers skip their object check, so a JSON list, string or
+    # null escapes as a bare AttributeError
+    (
+        "spcpm/serialize.py",
+        "    if not isinstance(obj, dict):\n        raise SpcpmError(f\"a {kind!r} file",
+        "    if False:\n        raise SpcpmError(f\"a {kind!r} file",
+        [
+            "tests/test_api.py::test_rejections_are_spcpm_errors[channel_from_list]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[choi_from_str]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[blocks_from_NoneType]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[dilation_from_list]",
+        ],
+    ),
     # a fractional, boolean or string Kraus count reaches numpy
     (
         "spcpm/sp.py",

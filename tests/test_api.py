@@ -199,6 +199,15 @@ def read_choi_file_with_basis(basis):
         return serialize.choi_from_obj(serialize.read_file(path))
 
 
+# the four file readers by the kind they read, and JSON values that are not
+# objects
+READERS = {
+    "channel": serialize.channel_from_obj,
+    "choi": serialize.choi_from_obj,
+    "blocks": serialize.blocks_from_obj,
+    "dilation": serialize.dilation_from_obj,
+}
+NON_OBJECTS = ([1], "abc", None)
 # the gate's type refusals: numpy's reason for a ragged nesting, the dtype
 # for strings, None and other objects
 RAGGED = "^{} is not an array of numbers: .*inhomogeneous shape"
@@ -232,6 +241,12 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         (lambda: linalg.block_psd_check([[1, 2], [3]], [[1]], [[0]]),
          RAGGED.format("first diagonal block")),
         (lambda: UnitaryDilation(C2, [[[1]], [[1, 2]]], [[[1]]]), RAGGED.format("a1")),
+        *[
+            (lambda reader=reader, bad=bad: reader(bad),
+             f"^a '{kind}' file must be a JSON object, got {type(bad).__name__}$")
+            for kind, reader in READERS.items()
+            for bad in NON_OBJECTS
+        ],
     ],
     ids=[
         "space", "kraus", "dilation", "checked_array", "basis", "random_k",
@@ -239,6 +254,7 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         "random_seed_float", "random_seed_none", "random_seed_bool",
         "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
         "blocks_str", "block_psd_ragged", "dilation_ragged",
+        *[f"{kind}_from_{type(bad).__name__}" for kind in READERS for bad in NON_OBJECTS],
     ],
 )
 def test_rejections_are_spcpm_errors(call, message):

@@ -10,15 +10,22 @@ arithmetic in the same order, so every result must be bit-identical; this
 also pins the README promise that ``gen`` writes the same files for the
 same seed.  ``is_trace_preserving`` alone sums differently: it reads
 S = sum_k V_k† V_k as one (K dt, ds) product, which agrees with the running
-sum up to rounding and decides exactly at its own defect.  The sampler reads all of an attempt's entries from one
-standard-normal draw; the per-operator reference draws them operator by
-operator, block 1 before block 2, real before imaginary parts.
+sum up to rounding and decides exactly at its own defect.  The sampler
+reads all of its entries from one standard-normal draw; the per-operator
+reference draws them operator by operator, block 1 before block 2, real
+before imaginary parts.  The reference retries a singular normalizer with
+up to 8 draws, so matching it shows that the sampler's shape rule, decided
+before its one draw, refuses nothing that 8 draws could normalize.
 """
+
+import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import spcpm.sp
 from spcpm.cpm import apply, compose, is_trace_preserving
 from spcpm.errors import SingularMatrixError
 from spcpm.linalg import inv_sqrt_psd
@@ -167,6 +174,9 @@ def sampled_or_singular(sampler, source, target, k, tp, seed):
 )
 # 3+1 -> 1+1 at k=1: S has rank 1 on the 3-dim source block on every draw
 @example((3, 1), (1, 1), 1, True, 0)
+# k·d_ti = d_si for one block: the smallest shapes the rule accepts
+@example((2, 1), (1, 1), 2, True, 0)
+@example((1, 2), (1, 1), 2, True, 0)
 def test_one_draw_per_attempt_matches_per_operator_draws(src, tgt, k, tp, seed):
     source, target = DecomposedSpace(*src), DecomposedSpace(*tgt)
     want = sampled_or_singular(loop_random_sp_channel, source, target, k, tp, seed)
@@ -177,3 +187,32 @@ def test_one_draw_per_attempt_matches_per_operator_draws(src, tgt, k, tp, seed):
         assert isinstance(got, str)
     else:
         assert np.array_equal(got, want)
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a refused shape reached the draw")
+
+
+def test_tp_refuses_exactly_the_shapes_the_rule_names(monkeypatch):
+    """tp=True refuses k operators exactly when k·d_ti < d_si for a block i,
+    naming the first such block, before the generator is made."""
+    refused = 0
+    for src, tgt, k in itertools.product(DRAW_SPLITS, DRAW_SPLITS, range(1, 7)):
+        source, target = DecomposedSpace(*src), DecomposedSpace(*tgt)
+        short = [
+            (i, target.block_dim(i), source.block_dim(i))
+            for i in (1, 2)
+            if k * target.block_dim(i) < source.block_dim(i)
+        ]
+        if not short:
+            assert is_trace_preserving(random_sp_channel(source, target, k, True, 0))
+            continue
+        refused += 1
+        i, dt, ds = short[0]
+        rule = f"block {i} needs k·d_t{i} >= d_s{i}, but {k}·{dt} = {k * dt} < {ds}"
+        with monkeypatch.context() as patch:
+            patch.setattr(spcpm.sp, "inv_sqrt_psd", unreachable)
+            patch.setattr(np.random, "default_rng", unreachable)
+            with pytest.raises(SingularMatrixError, match=re.escape(rule) + "$"):
+                random_sp_channel(source, target, k, True, 0)
+    assert 0 < refused < len(DRAW_SPLITS) ** 2 * 6

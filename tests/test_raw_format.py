@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from spcpm import serialize
 from spcpm.cli import main
-from spcpm.cpm import KrausRep
+from spcpm.cpm import KrausRep, kraus_to_choi, orthonormal_kraus
+from spcpm.dilation import build_dilation
+from spcpm.sp import blocks_from_sp, random_sp_channel
 from spcpm.errors import SpcpmError
 from spcpm.spaces import DecomposedSpace
 
@@ -143,3 +145,28 @@ def test_nan_bits_in_a_file_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# key order: json.dumps writes keys in insertion order, so the order of each
+# writer's keys is part of the file bytes
+
+
+def test_every_writer_keeps_its_key_order():
+    space = DecomposedSpace(2, 1)
+    rep = random_sp_channel(space, space, 2, True, 5)
+    dims = ["format", "kind", "source_dims", "target_dims"]
+    objs = {
+        "channel": (serialize.channel_to_obj(rep), dims + ["kraus"]),
+        "choi": (serialize.choi_to_obj(kraus_to_choi(rep)), dims + ["basis", "matrix"]),
+        "blocks": (serialize.blocks_to_obj(blocks_from_sp(rep)),
+                   dims + ["block1", "block2", "cross"]),
+        "orthonormal": (serialize.orthonormal_to_obj(orthonormal_kraus(rep), space, space),
+                        dims + ["weights", "kraus"]),
+        "dilation": (serialize.dilation_to_obj(build_dilation(rep)),
+                     ["format", "kind", "dims", "a1", "a2"]),
+    }
+    for kind, (obj, keys) in objs.items():
+        assert list(obj) == keys, kind
+        assert obj["format"] == "spcpm/4" and obj["kind"] == kind
+        assert obj[keys[2]] == [2, 1]

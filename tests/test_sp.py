@@ -345,8 +345,8 @@ class TestRandomSpChannel:
 
     def test_structurally_singular_normalizer_raises(self):
         # one operator from a 2-dim block into a 1-dim block can never give a
-        # full-rank normalizer
-        with pytest.raises(SingularMatrixError, match="normalizer stayed singular"):
+        # full-rank normalizer: 1·1 < 2 is refused by the shape rule
+        with pytest.raises(SingularMatrixError, match="block 1 needs k·d_t1 >= d_s1, but 1·1 = 1 < 2$"):
             random_sp_channel(DecomposedSpace(2, 1), DecomposedSpace(1, 1), 1, True, 111)
 
 

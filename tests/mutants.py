@@ -335,6 +335,45 @@ MUTANTS = [
             "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_square",
         ],
     ),
+    # the file readers skip the format tag, so an object tagged for another
+    # format, or not tagged, loads as spcpm/4
+    (
+        "spcpm/serialize.py",
+        '    if obj.get("format") != FORMAT:\n'
+        '        raise SpcpmError(f"unsupported format tag: {obj.get(\'format\')!r}")\n'
+        '    if obj.get("kind") != kind:',
+        '    if obj.get("kind") != kind:',
+        [
+            "tests/test_api.py::test_rejections_are_spcpm_errors[channel_tag_spcpm9]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[choi_tag_missing]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[blocks_tag_spcpm9]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[dilation_tag_missing]",
+        ],
+    ),
+    # an overwrite is not cut to its new length, so a shorter file keeps the
+    # tail of the longer one it replaced
+    (
+        "spcpm/serialize.py",
+        "                f.truncate(len(data))",
+        "                pass",
+        ["tests/test_raw_format.py::test_overwrite_leaves_exactly_the_new_bytes"],
+    ),
+    # every path is cut, so /dev/null (and a pipe or a terminal) cannot be
+    # written
+    (
+        "spcpm/serialize.py",
+        "            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):",
+        "            if True:",
+        ["tests/test_raw_format.py::test_a_file_that_cannot_be_cut_is_written"],
+    ),
+    # files are truncated to zero at open again, which on ext4 starts
+    # writeback at every close
+    (
+        "spcpm/serialize.py",
+        "os.O_WRONLY | os.O_CREAT, 0o666",
+        "os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666",
+        ["tests/test_raw_format.py::test_files_are_opened_without_truncation"],
+    ),
 ]
 
 

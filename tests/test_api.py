@@ -4,6 +4,7 @@ the return types of the predicates."""
 import ast
 import inspect
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -208,6 +209,27 @@ READERS = {
     "dilation": serialize.dilation_from_obj,
 }
 NON_OBJECTS = ([1], "abc", None)
+# a valid object of each kind, and the format tags its reader must refuse:
+# one from the future and none at all
+VALID_OBJECTS = {
+    "channel": serialize.channel_to_obj(IDENTITY),
+    "choi": serialize.choi_to_obj(ChoiRep(C2, C2, np.eye(4))),
+    "blocks": serialize.blocks_to_obj(sp.blocks_from_sp(IDENTITY)),
+    "dilation": serialize.dilation_to_obj(
+        UnitaryDilation(C2, np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+    ),
+}
+BAD_TAGS = {"spcpm9": "spcpm/9", "missing": None}
+
+
+def retagged(kind, tag):
+    """The valid ``kind`` object with its format tag replaced, or deleted
+    for ``None``."""
+    obj = dict(VALID_OBJECTS[kind])
+    del obj["format"]
+    return obj if tag is None else {"format": tag, **obj}
+
+
 # the gate's type refusals: numpy's reason for a ragged nesting, the dtype
 # for strings, None and other objects
 RAGGED = "^{} is not an array of numbers: .*inhomogeneous shape"
@@ -247,6 +269,12 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
             for kind, reader in READERS.items()
             for bad in NON_OBJECTS
         ],
+        *[
+            (lambda reader=reader, obj=retagged(kind, tag): reader(obj),
+             rf"^unsupported format tag: {re.escape(repr(tag))}$")
+            for kind, reader in READERS.items()
+            for tag in BAD_TAGS.values()
+        ],
     ],
     ids=[
         "space", "kraus", "dilation", "checked_array", "basis", "random_k",
@@ -255,6 +283,7 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
         "blocks_str", "block_psd_ragged", "dilation_ragged",
         *[f"{kind}_from_{type(bad).__name__}" for kind in READERS for bad in NON_OBJECTS],
+        *[f"{kind}_tag_{name}" for kind in READERS for name in BAD_TAGS],
     ],
 )
 def test_rejections_are_spcpm_errors(call, message):

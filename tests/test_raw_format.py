@@ -2,6 +2,8 @@
 
 import base64
 import json
+import os
+import stat
 import struct
 import sys
 
@@ -170,3 +172,58 @@ def test_every_writer_keeps_its_key_order():
         assert list(obj) == keys, kind
         assert obj["format"] == "spcpm/4" and obj["kind"] == kind
         assert obj[keys[2]] == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# writing: a file is rewritten in place and cut to its new length
+
+
+def one_plus_one_channel():
+    c2 = DecomposedSpace(1, 1)
+    return serialize.channel_to_obj(KrausRep(c2, c2, (np.eye(2),)))
+
+
+def long_channel():
+    c33 = DecomposedSpace(3, 3)
+    return serialize.channel_to_obj(random_sp_channel(c33, c33, 6, False, 5))
+
+
+@pytest.mark.parametrize("first, second", [(long_channel, one_plus_one_channel),
+                                           (one_plus_one_channel, long_channel)],
+                         ids=["long-then-short", "short-then-long"])
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path, first, second):
+    path = tmp_path / "over.json"
+    serialize.write_file(path, first())
+    obj = second()
+    serialize.write_file(path, obj)
+    assert path.read_bytes() == (json.dumps(obj) + "\n").encode()
+
+
+def test_a_file_that_cannot_be_cut_is_written():
+    # ftruncate refuses /dev/null with EINVAL; pipes and terminals likewise
+    serialize.write_file(os.devnull, one_plus_one_channel())
+
+
+def test_files_are_opened_without_truncation(tmp_path, monkeypatch):
+    # a truncate to zero and a write in one open is what made ext4 flush
+    flags = []
+    real_open = serialize.os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.os, "open", recording_open)
+    path = tmp_path / "over.json"
+    serialize.write_file(path, long_channel())
+    serialize.write_file(path, one_plus_one_channel())
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_overwrite_keeps_the_permission_bits(tmp_path):
+    path = tmp_path / "private.json"
+    serialize.write_file(path, long_channel())
+    path.chmod(0o600)
+    serialize.write_file(path, one_plus_one_channel())
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600

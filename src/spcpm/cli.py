@@ -3,7 +3,10 @@
 Subcommands: ``gen`` (sample a random SP channel), ``verify`` (run the SP
 verifiers), ``convert`` (change representation), ``compose``, ``dilate`` and
 ``kraus-rank``.  Channels travel as JSON files; reports go to standard
-output, diagnostics to standard error.
+output, diagnostics to standard error.  When ``--out`` is standard output
+itself (``/dev/stdout``, or the file standard output is redirected to), the
+``wrote …`` confirmation goes to standard error instead, so standard output
+holds exactly the file.
 
 Exit codes, decided in :func:`main` from the error class:
 
@@ -22,6 +25,7 @@ Exit codes, decided in :func:`main` from the error class:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import serialize
@@ -74,6 +78,17 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _wrote(out, message: str) -> None:
+    """Confirm a write to ``out`` on stdout, or on stderr when ``out`` is
+    the file stdout writes to, whose bytes the message would corrupt.  A
+    stdout without a file descriptor is never the same file."""
+    try:
+        same = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(out))
+    except (OSError, ValueError):
+        same = False
+    print(message, file=sys.stderr if same else sys.stdout)
+
+
 def _parse_dims(text: str) -> list[int]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -106,7 +121,7 @@ def cmd_gen(args) -> int:
     target = DecomposedSpace(args.dims[2], args.dims[3])
     rep = random_sp_channel(source, target, args.kraus, args.tp, args.seed)
     serialize.write_file(args.out, serialize.channel_to_obj(rep))
-    print(f"wrote channel with {args.kraus} Kraus operators to {args.out}")
+    _wrote(args.out, f"wrote channel with {args.kraus} Kraus operators to {args.out}")
     return EXIT_OK
 
 
@@ -143,7 +158,7 @@ def cmd_convert(args) -> int:
     else:  # blocks
         obj = serialize.blocks_to_obj(blocks_from_sp(rep, args.tol))
     serialize.write_file(args.out, obj)
-    print(f"wrote {args.to} representation to {args.out}")
+    _wrote(args.out, f"wrote {args.to} representation to {args.out}")
     return EXIT_OK
 
 
@@ -152,7 +167,7 @@ def cmd_compose(args) -> int:
     rep_b = _load_channel(args.file_b)
     composed = compose(rep_b, rep_a)
     serialize.write_file(args.out, serialize.channel_to_obj(composed))
-    print(f"wrote composition (second after first) to {args.out}")
+    _wrote(args.out, f"wrote composition (second after first) to {args.out}")
     return EXIT_OK
 
 
@@ -168,7 +183,8 @@ def cmd_dilate(args) -> int:
         )
         return EXIT_NUMERIC
     serialize.write_file(args.out, serialize.dilation_to_obj(dil))
-    print(f"wrote dilation with ancilla dimension {dil.ancilla_dim} to {args.out}")
+    message = f"wrote dilation with ancilla dimension {dil.ancilla_dim} to {args.out}"
+    _wrote(args.out, message)
     return EXIT_OK
 
 

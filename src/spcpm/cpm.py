@@ -152,7 +152,10 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str):
     if not live.any():
         empty = np.zeros((0, *shape), dtype=np.complex128)
         return frozen_copy(np.zeros(0)), frozen_copy(empty)
-    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, subject)
+    # gathered in C order: the gate's Frobenius sums follow memory order, and
+    # a column-major block would round them differently
+    block = m.compress(live, axis=0).compress(live, axis=1)
+    w, v = psd_spectrum(block, vectors, subject)
     keep = w > rank_cutoff(w)
     if not vectors:
         return w[keep], None

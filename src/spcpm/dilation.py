@@ -32,12 +32,19 @@ E_i = G_i - I (both d_i x d_i), the blocks of u_i² - I are E_i, -E_i A_i†,
 
 U is unitary exactly when each A_i is an isometry, which is the trace
 preservation of the split list: sum_k V_{i,k}† V_{i,k} = P_i.
+
+The induced Kraus list of a dilation is derived once and kept with it, so
+the audit and :func:`apply_dilation` read one list and one coefficient
+matrix.  The audit's agreement residual is one pass over the squared moduli
+of the difference of the coefficient matrices: the sum
+``np.linalg.norm(..., axis=(0, 2))`` takes, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,6 +76,11 @@ class UnitaryDilation:
     U = diag(u1, u2), ``u_i`` being V_i restricted to its support
     P_i x I_anc, a (d_i·anc)-square unitary; ``u``, ``v1`` and ``v2`` are
     built from the two blocks.  Each derived array is a fresh read-only copy.
+
+    The induced Kraus list (:func:`kraus_from_dilation`) is derived once, on
+    first use, and kept as long as the dilation, like ``KrausRep``'s
+    coefficient matrix: it is not a field, takes no part in equality or
+    ``repr`` and is never serialized.
     """
 
     space: DecomposedSpace
@@ -90,6 +102,17 @@ class UnitaryDilation:
                 f"a dilation holds {len(self.a1)} pieces per block, more than "
                 f"d1² + d2² = {most}, the largest minimal Kraus rank"
             )
+
+    @cached_property
+    def _induced(self) -> KrausRep:
+        """The induced Kraus list, built on first use (see
+        :func:`kraus_from_dilation`)."""
+        space = self.space
+        ops = np.zeros((self.ancilla_dim, space.dim, space.dim), dtype=np.complex128)
+        for block, pieces in ((1, self.a1), (2, self.a2)):
+            sb = space.block_slice(block)
+            ops[1:, sb, sb] = pieces
+        return KrausRep(space, space, ops)
 
     @property
     def ancilla_dim(self) -> int:
@@ -179,13 +202,12 @@ def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:
 def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
     """Kraus operators of the induced channel, one per ancilla coordinate:
     the ancilla blocks U[:, k, :, 0] against the reference column, zero for
-    k = 0 and block diagonal with the stored pieces a_i[k - 1] for k >= 1."""
-    space = dil.space
-    ops = np.zeros((dil.ancilla_dim, space.dim, space.dim), dtype=np.complex128)
-    for block, pieces in ((1, dil.a1), (2, dil.a2)):
-        sb = space.block_slice(block)
-        ops[1:, sb, sb] = pieces
-    return KrausRep(space, space, ops)
+    k = 0 and block diagonal with the stored pieces a_i[k - 1] for k >= 1.
+
+    Built once per ``dil``: every call returns the same :class:`KrausRep`,
+    so the audit and :func:`apply_dilation` share it and its coefficient
+    matrix."""
+    return dil._induced
 
 
 def _isometry_defect(pieces: np.ndarray) -> float:
@@ -213,7 +235,10 @@ def _dilation_failure(
         return "isometry", defect
     d = dil.space.dim
     diff = kraus_to_choi(kraus_from_dilation(dil)).matrix - kraus_to_choi(rep).matrix
-    worst = float(np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2)).max())
+    per_unit = diff.reshape(d, d, d, d)
+    # the sum np.linalg.norm(per_unit, axis=(0, 2)) takes, without its wrapper
+    mass = np.add.reduce((per_unit.conj() * per_unit).real, axis=(0, 2))
+    worst = float(np.sqrt(mass).max())
     if worst > tol:
         return "agreement", worst
     return None

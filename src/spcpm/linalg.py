@@ -89,7 +89,9 @@ def checked_array(x, shape: tuple, what: str) -> np.ndarray:
 def _checked_square(x, what: str) -> np.ndarray:
     """:func:`checked_array` of a square matrix of any size."""
     arr = checked_array(x, (None, None), what)
-    return checked_array(arr, (len(arr),) * 2, what)
+    if arr.shape[0] != arr.shape[1]:
+        raise SpcpmError(f"{what} has shape {arr.shape}, expected {(len(arr),) * 2}")
+    return arr
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -114,13 +116,14 @@ def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
     or when the smallest eigenvalue lies below the floor ``-rank_cutoff(w)``
     (with the eigenvalue and the floor).
     """
-    asymmetry = frobenius(arr - arr.conj().T)
+    adjoint = arr.conj().T
+    asymmetry = frobenius(arr - adjoint)
     if asymmetry > DEFAULT_RTOL * max(1.0, frobenius(arr)):
         raise SpcpmError(
             f"{subject} is not Hermitian within tol={DEFAULT_RTOL:g} "
             f"(asymmetry {asymmetry:.3e})"
         )
-    sym = (arr + arr.conj().T) / 2.0
+    sym = (arr + adjoint) / 2.0
     if vectors:
         w, v = np.linalg.eigh(sym)
     else:

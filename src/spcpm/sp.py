@@ -142,23 +142,20 @@ def is_sp_definition(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
 def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
     """Worst relative cross-block component over the Kraus operators.
 
-    Reads the (K, dt, ds) operator stack itself: the two
-    cross-block slices of every operator are normed at once, each relative
-    to max(1, ||V_k||_F).
+    Reads the (K, dt, ds) operator stack itself in one pass: |V|² is formed
+    once, and every operator's two cross-block masses and its total mass
+    are sums over slices of it, each cross norm relative to
+    max(1, ||V_k||_F).  Each norm is the square root of the sum that
+    ``np.linalg.norm(x, axis=(1, 2))`` takes, so it carries the same bits.
     """
-    source, target, ops = rep.source, rep.target, rep.ops
+    d_t1, d_s1 = rep.target.d1, rep.source.d1
     pairs = ((2, 1), (1, 2))
-    cross = np.stack(
-        [
-            np.linalg.norm(
-                ops[:, target.block_slice(ti), source.block_slice(sj)], axis=(1, 2)
-            )
-            for ti, sj in pairs
-        ],
-        axis=1,
-    )
-    relative = cross / np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))[:, None]
-    k, pair = np.unravel_index(np.argmax(relative), relative.shape)
+    sq = (rep.ops.conj() * rep.ops).real
+    cross = np.empty((len(sq), 2))
+    cross[:, 0] = sq[:, d_t1:, :d_s1].sum(axis=(1, 2))
+    cross[:, 1] = sq[:, :d_t1, d_s1:].sum(axis=(1, 2))
+    relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(sq.sum(axis=(1, 2))))[:, None]
+    k, pair = divmod(int(np.argmax(relative)), 2)
     if relative[k, pair] == 0.0:
         return 0.0, "no cross-block component"
     ti, sj = pairs[pair]
@@ -353,7 +350,8 @@ def random_sp_channel(
     s1, s2 = source.block_slice(1), source.block_slice(2)
     n1, n2 = target.d1 * source.d1, target.d2 * source.d2
     draw = rng.standard_normal((k, 2 * (n1 + n2)))
-    re1, im1, re2, im2 = np.split(draw, [n1, 2 * n1, 2 * n1 + n2], axis=1)
+    re1, im1 = draw[:, :n1], draw[:, n1 : 2 * n1]
+    re2, im2 = draw[:, 2 * n1 : 2 * n1 + n2], draw[:, 2 * n1 + n2 :]
     ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
     ops[:, t1, s1] = (re1 + 1j * im1).reshape(k, target.d1, source.d1)
     ops[:, t2, s2] = (re2 + 1j * im2).reshape(k, target.d2, source.d2)

@@ -210,9 +210,8 @@ MUTANTS = [
     # fires
     (
         "spcpm/linalg.py",
-        "    asymmetry = frobenius(arr - arr.conj().T)",
-        "    arr = (arr + arr.conj().T) / 2.0\n"
-        "    asymmetry = frobenius(arr - arr.conj().T)",
+        "    adjoint = arr.conj().T\n",
+        "    arr = (arr + arr.conj().T) / 2.0\n    adjoint = arr.conj().T\n",
         [
             "tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_hermitian",
             "tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol",
@@ -250,8 +249,8 @@ MUTANTS = [
     # the residual tolerance instead of the rank cutoff of psd_spectrum
     (
         "spcpm/cpm.py",
-        "    w, v = psd_spectrum(m[np.ix_(live, live)], vectors, subject)",
-        "    w, v = np.linalg.eigh(m[np.ix_(live, live)])\n"
+        "    w, v = psd_spectrum(block, vectors, subject)",
+        "    w, v = np.linalg.eigh(block)\n"
         "    if w[0] < -DEFAULT_TOL * max(1.0, abs(w).max()):\n"
         '        raise SpcpmError("coefficient matrix is not positive semi-definite")',
         ["tests/test_tolerance.py::test_coefficient_psd_floor_is_default_rtol"],
@@ -373,6 +372,33 @@ MUTANTS = [
         "os.O_WRONLY | os.O_CREAT, 0o666",
         "os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666",
         ["tests/test_raw_format.py::test_files_are_opened_without_truncation"],
+    ),
+    # the block check reads only the lower-left cross slice, so leakage from
+    # source block 2 into target block 1 goes unseen
+    (
+        "spcpm/sp.py",
+        "    cross[:, 1] = sq[:, :d_t1, d_s1:].sum(axis=(1, 2))",
+        "    cross[:, 1] = 0.0",
+        ["tests/test_sp.py::test_blocks_route_keeps_the_bits_of_the_norm_formula"],
+    ),
+    # a matrix that is not square passes the square gate and escapes the
+    # spectral gate as numpy's broadcasting error
+    (
+        "spcpm/linalg.py",
+        "    if arr.shape[0] != arr.shape[1]:",
+        "    if False:",
+        ["tests/test_linalg.py::TestInvSqrtPsd::test_rejects_non_square"],
+    ),
+    # the induced Kraus list holds block 1's pieces only
+    (
+        "spcpm/dilation.py",
+        "        for block, pieces in ((1, self.a1), (2, self.a2)):",
+        "        for block, pieces in ((1, self.a1),):",
+        [
+            "tests/test_dilation.py::"
+            "test_induced_operators_are_the_stacks_after_a_zero_reference_operator",
+            "tests/test_dilation.py::test_apply_after_the_audit_builds_no_kraus_list",
+        ],
     ),
 ]
 

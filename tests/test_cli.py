@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface and the JSON formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spcpm
 from spcpm import serialize
 from spcpm.cli import _build_parser, main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
@@ -175,6 +180,44 @@ class TestGen:
         code = main(["gen", "--dims", "2,1,1,1", "--kraus", "1", "--tp",
                      "--seed", "1", "--out", str(out)])
         assert code == 3
+
+
+def run_spcpm(args, stdout):
+    """Run the console entry point in a fresh interpreter, standard output to
+    ``stdout``; returns the finished process."""
+    src = str(Path(spcpm.__file__).resolve().parent.parent)
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-m", "spcpm.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+class TestOutIsStandardOutput:
+    """With ``--out /dev/stdout`` the confirmation goes to stderr, so stdout
+    holds exactly the file, whether it is a pipe or a regular file."""
+
+    GEN = ["gen", "--dims", "1,1,1,1", "--kraus", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_stdout_holds_exactly_the_file(self, tmp_path, capsys, stdout):
+        fresh = tmp_path / "fresh.json"
+        assert main(self.GEN + ["--out", str(fresh)]) == 0
+        assert capsys.readouterr().out == f"wrote channel with 1 Kraus operators to {fresh}\n"
+        args = self.GEN + ["--out", "/dev/stdout"]
+        if stdout == "pipe":
+            run = run_spcpm(args, subprocess.PIPE)
+            got = run.stdout
+        else:
+            piped = tmp_path / "piped.json"
+            with open(piped, "wb") as f:
+                run = run_spcpm(args, f)
+            got = piped.read_bytes()
+        assert run.returncode == 0
+        assert got == fresh.read_bytes()
+        assert run.stderr == b"wrote channel with 1 Kraus operators to /dev/stdout\n"
 
 
 class TestVerify:

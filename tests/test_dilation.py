@@ -1,5 +1,7 @@
 """Tests for the unitary dilation of trace-preserving SP channels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +335,94 @@ def test_induced_operators_are_the_stacks_after_a_zero_reference_operator():
     assert ops[1:, :2, :2].tobytes() == dil.a1.tobytes()
     assert ops[1:, 2:, 2:].tobytes() == dil.a2.tobytes()
     assert not np.any(ops[:, :2, 2:]) and not np.any(ops[:, 2:, :2])
+
+
+def test_induced_kraus_list_is_derived_once():
+    dil = build_dilation(full_rank_tp_channel(2, 3, 975))
+    assert kraus_from_dilation(dil) is kraus_from_dilation(dil)
+
+
+def test_apply_after_the_audit_builds_no_kraus_list(monkeypatch):
+    # the audit derives the induced list; applying the dilation reads it
+    rep = full_rank_tp_channel(2, 2, 976)
+    dil = build_dilation(rep)
+    assert verify_dilation(dil, rep)
+    built = []
+    post_init = KrausRep.__post_init__
+    monkeypatch.setattr(
+        KrausRep, "__post_init__", lambda self: (built.append(self), post_init(self))
+    )
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
+    out = apply_dilation(dil, rho)
+    assert built == []
+    assert out.tobytes() == apply(kraus_from_dilation(dil), rho).tobytes()
+    assert np.allclose(out, apply(rep, rho), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        KrausRep(C2, C2, (np.eye(2),)),
+        full_rank_tp_channel(2, 3, 977),
+    ],
+    ids=["1+1", "2+3"],
+)
+def test_the_induced_list_is_no_part_of_the_dilation(tmp_path, rep):
+    # the memo is not a field: equality, repr and the file ignore it
+    dil = build_dilation(rep)
+    obj, text = serialize.dilation_to_obj(dil), repr(dil)
+    kraus_from_dilation(dil)
+    assert [f.name for f in dataclasses.fields(dil)] == ["space", "a1", "a2"]
+    assert repr(dil) == text
+    assert serialize.dilation_to_obj(dil) == obj
+    path = tmp_path / "dil.json"
+    serialize.write_file(path, serialize.dilation_to_obj(dil))
+    read = serialize.read_file(path)
+    assert list(read) == list(obj) == ["format", "kind", "dims", "a1", "a2"]
+    back = serialize.dilation_from_obj(read)
+    assert back.space == dil.space
+    assert back.a1.tobytes() == dil.a1.tobytes()
+    assert back.a2.tobytes() == dil.a2.tobytes()
+    if dil.ancilla_dim == 2:
+        # one piece of one entry per block, so the generated == can compare
+        # the stacks; it raises on larger ones
+        assert back == dil and dil == back
+
+
+def norm_formula_agreement(dil, rep):
+    """The audit's agreement residual as ``np.linalg.norm(axis=(0, 2))``."""
+    d = dil.space.dim
+    diff = kraus_to_choi(kraus_from_dilation(dil)).matrix - kraus_to_choi(rep).matrix
+    return float(np.linalg.norm(diff.reshape(d, d, d, d), axis=(0, 2)).max())
+
+
+def block_rotation(rng, db, angle):
+    """A unitary exp(i angle H) on a block, H a random Hermitian matrix."""
+    h = crandn(rng, db, db)
+    w, v = np.linalg.eigh(h + h.conj().T)
+    return (v * np.exp(1j * angle * w)) @ v.conj().T
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(1, 1), (2, 2), (3, 3), (1, 3), (2, 1)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["dilation", "channel"]),
+    st.floats(-8.0, 0.0),
+)
+def test_agreement_residual_keeps_the_bits_of_the_norm_formula(split, seed, perturbed, size):
+    # a dilation whose stacks are turned by a block unitary stays a unitary
+    # but induces another channel; a noisy channel is not the one dilated
+    rng = np.random.default_rng(seed)
+    rep = full_rank_tp_channel(*split, seed)
+    dil = build_dilation(rep)
+    if perturbed == "dilation":
+        dil = tampered(dil, a1=dil.a1 @ block_rotation(rng, split[0], 10.0**size))
+    else:
+        rep = KrausRep(rep.source, rep.target, rep.ops + 10.0**size * crandn(rng, *rep.ops.shape))
+    condition, residual = _dilation_failure(dil, rep, 1e-12)
+    assert condition == "agreement"
+    assert np.float64(residual).tobytes() == np.float64(norm_formula_agreement(dil, rep)).tobytes()
 
 
 class TestStackReader:

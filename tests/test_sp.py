@@ -774,3 +774,77 @@ def placed(src, tgt, f):
     full[np.ix_(units, units)] = f
     return full
 
+
+
+def norm_formula_kraus_blocks(rep):
+    """The blocks route as three ``np.linalg.norm(axis=(1, 2))`` calls and an
+    ``np.stack``: (worst residual, label) with the bits the one-pass route
+    must keep."""
+    source, target, ops = rep.source, rep.target, rep.ops
+    pairs = ((2, 1), (1, 2))
+    cross = np.stack(
+        [
+            np.linalg.norm(ops[:, target.block_slice(ti), source.block_slice(sj)], axis=(1, 2))
+            for ti, sj in pairs
+        ],
+        axis=1,
+    )
+    relative = cross / np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))[:, None]
+    k, pair = np.unravel_index(np.argmax(relative), relative.shape)
+    if relative[k, pair] == 0.0:
+        return 0.0, "no cross-block component"
+    ti, sj = pairs[pair]
+    return float(relative[k, pair]), f"||P_t{ti} V[{k}] P_s{sj}||_F / max(1, ||V[{k}]||_F)"
+
+
+BLOCK_ROUTE_SPLITS = [
+    ((1, 1), (1, 1)),
+    ((2, 2), (2, 2)),
+    ((3, 3), (3, 3)),
+    ((1, 3), (2, 2)),
+    ((3, 1), (1, 4)),
+    ((2, 3), (3, 1)),
+    ((4, 4), (4, 4)),
+]
+
+
+def leaky_twin(ops, tgt, angle=1e-3):
+    """Each operator left-multiplied by a rotation between the last basis
+    vector of target block 1 and the first of block 2."""
+    r = np.eye(tgt.dim, dtype=np.complex128)
+    i, j = tgt.d1 - 1, tgt.d1
+    r[i, i] = r[j, j] = np.cos(angle)
+    r[i, j], r[j, i] = -np.sin(angle), np.sin(angle)
+    return r @ ops
+
+
+@st.composite
+def kraus_stacks(draw):
+    """SP stacks, leaky twins, leakage from source block 2 into target
+    block 1 only, and dense noise, scaled so that ||V_k|| falls on either
+    side of 1."""
+    (s1, s2), (t1, t2) = draw(st.sampled_from(BLOCK_ROUTE_SPLITS))
+    src, tgt = DecomposedSpace(s1, s2), DecomposedSpace(t1, t2)
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["sp", "leaky", "upper-right", "dense"]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(seed)
+    ops = np.array(random_sp_channel(src, tgt, k, False, seed).ops)
+    if kind == "leaky":
+        ops = leaky_twin(ops, tgt)
+    elif kind == "upper-right":
+        ops[:, :t1, s1:] += 1e-4 * crandn(rng, k, t1, s2)
+    elif kind == "dense":
+        ops = crandn(rng, k, tgt.dim, src.dim)
+    return KrausRep(src, tgt, scale * ops)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kraus_stacks())
+def test_blocks_route_keeps_the_bits_of_the_norm_formula(rep):
+    residual, label = kraus_blocks_violation(rep)
+    ref_residual, ref_label = norm_formula_kraus_blocks(rep)
+    assert type(residual) is float
+    assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+    assert label == ref_label

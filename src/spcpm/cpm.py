@@ -28,6 +28,17 @@ dilation) read, one ``eigh`` per matrix.  ``sp.sp_from_blocks`` stores the
 decomposition its positivity gate made, so generation and conversion share
 one ``eigh`` and one verdict.  That memo too is not a field and lives as long
 as its :class:`ChoiRep`.
+
+:func:`compose` works on the coefficient matrices as well: the composite's
+is one contraction of the two memoized ones, dt²·dm²·ds² multiply-adds
+whatever the operator counts, and its Kraus list is :func:`choi_to_kraus` of
+it: minimal, at most ds·dt operators, with the rank cutoff applied, so a
+chain of compositions does not grow.  It costs that contraction and one
+``eigh`` even when both lists hold one operator.
+
+``==`` and ``hash`` compare bits (``linalg.BitEquality``): the same type,
+spaces, array shapes and array bytes.  Two lists of the same channel are
+generally not ``==``; :func:`channels_equal` compares channels.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import numpy as np
 from .errors import SpcpmError
 from .linalg import (
     DEFAULT_TOL,
+    BitEquality,
     check_tolerance,
     checked_array,
     frobenius,
@@ -49,8 +61,8 @@ from .linalg import (
 )
 from .spaces import DecomposedSpace
 
-@dataclass(frozen=True)
-class KrausRep:
+@dataclass(frozen=True, eq=False)
+class KrausRep(BitEquality):
     """A CPM as a finite list of operators from source to target space.
 
     ``ops`` is one read-only ``complex128`` array of shape (K, dt, ds),
@@ -77,8 +89,8 @@ class KrausRep:
         return ChoiRep(self.source, self.target, stacked.T @ stacked.conj())
 
 
-@dataclass(frozen=True)
-class ChoiRep:
+@dataclass(frozen=True, eq=False)
+class ChoiRep(BitEquality):
     """A CPM as a coefficient matrix over the row-major matrix-unit basis of
     maps source -> target, whose element m = i * d_S + j is |t_i><s_j|.
 
@@ -208,14 +220,25 @@ def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:
 
 
 def compose(b: KrausRep, a: KrausRep) -> KrausRep:
-    """Channel composition b after a: all pairwise products W_l V_k, with l
-    the slow index, from one broadcast matrix product."""
+    """Channel composition b after a, as a minimal Kraus list.
+
+    The composite's coefficient matrix is one contraction of the two
+    memoized ones, C[(i,a),(j,b)] = sum_{c,e} C_b[(i,c),(j,e)] C_a[(c,a),(e,b)]:
+    after transposes a single (dt², dm²) @ (dm², ds²) product, whatever the
+    operator counts.  The result is :func:`choi_to_kraus` of that matrix, so
+    it holds at most ds·dt operators (the Kraus rank), with the rank cutoff
+    and phase gauge of every minimal list.
+    """
     if a.target.dim != b.source.dim:
         raise SpcpmError(
             f"cannot compose: inner dimensions {a.target.dim} and {b.source.dim} differ"
         )
-    ops = b.ops[:, None] @ a.ops[None]
-    return KrausRep(a.source, b.target, ops.reshape(-1, b.target.dim, a.source.dim))
+    dt, dm, ds = b.target.dim, b.source.dim, a.source.dim
+    outer = kraus_to_choi(b).matrix.reshape(dt, dm, dt, dm).transpose(0, 2, 1, 3)
+    inner = kraus_to_choi(a).matrix.reshape(dm, ds, dm, ds).transpose(0, 2, 1, 3)
+    product = outer.reshape(dt * dt, dm * dm) @ inner.reshape(dm * dm, ds * ds)
+    matrix = product.reshape(dt, dt, ds, ds).transpose(0, 2, 1, 3).reshape(dt * ds, -1)
+    return choi_to_kraus(ChoiRep(a.source, b.target, matrix))
 
 
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:

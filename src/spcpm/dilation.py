@@ -56,13 +56,20 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import DEFAULT_TOL, check_tolerance, checked_array, frobenius, frozen_copy
+from .linalg import (
+    DEFAULT_TOL,
+    BitEquality,
+    check_tolerance,
+    checked_array,
+    frobenius,
+    frozen_copy,
+)
 from .sp import _kraus_bound, is_sp_kraus_blocks
 from .spaces import DecomposedSpace
 
 
-@dataclass(frozen=True)
-class UnitaryDilation:
+@dataclass(frozen=True, eq=False)
+class UnitaryDilation(BitEquality):
     """A unitary U = V1 + V2 on system x ancilla, stored as its two stacks
     of in-block Kraus pieces.
 

@@ -23,6 +23,9 @@ and an eigenvalue counts as zero when its magnitude is at most
 ``rank_cutoff(w) = DEFAULT_RTOL * max(1, max|w|)``, down to which a PSD
 matrix may go negative.  No function takes it as an argument.
 
+:class:`BitEquality` gives the frozen value types that hold such arrays
+their ``==`` and ``hash``: by type and bits, never by channel.
+
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
 directly or in the first callee the value is handed to.
@@ -31,6 +34,7 @@ directly or in the first callee the value is handed to.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -99,6 +103,33 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
     held in immutable ``bytes``, so neither it nor its base can be made
     writeable again."""
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
+class BitEquality:
+    """``==`` and ``hash`` by bits, for the frozen dataclasses whose array
+    fields are :func:`frozen_copy` copies.
+
+    Two objects are equal when they are of the same type and every field is
+    equal, an array field by dtype, shape and bytes (so ``-0.0`` and ``0.0``
+    differ, as in the file format's round trip); ``hash`` reads the same.
+    Memos (cached properties) are not fields and take no part.  The
+    dataclasses are declared with ``eq=False``, which keeps these methods.
+    Channel equality is ``cpm.channels_equal``, not this.
+    """
+
+    def _bits(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other) -> bool:
+        # False, not NotImplemented: an array on the right would broadcast
+        return type(other) is type(self) and self._bits() == other._bits()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._bits()))
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .cpm import (
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_TOL,
+    BitEquality,
     _block_matrix,
     check_tolerance,
     checked_array,
@@ -45,8 +46,8 @@ from .linalg import (
 from .spaces import DecomposedSpace, is_integer
 
 
-@dataclass(frozen=True)
-class SPBlockRep:
+@dataclass(frozen=True, eq=False)
+class SPBlockRep(BitEquality):
     """An SP map as coefficient blocks over the two intra-block operator bases.
 
     ``block1`` is the coefficient matrix over the matrix units of maps

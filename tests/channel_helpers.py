@@ -2,7 +2,8 @@
 
 Each is the plain form of a statement the tests check the library against:
 mixing a Kraus list by a unitary (the unitary freedom of Kraus
-representations) and evaluating a map from its coefficient matrix.
+representations), evaluating a map from its coefficient matrix, and
+composing two channels by all pairwise products of their operators.
 Callers pass well-formed arguments; neither validates them.
 """
 
@@ -22,3 +23,10 @@ def apply_choi(rep, q):
     basis."""
     ds, dt = rep.source.dim, rep.target.dim
     return np.einsum("ijkl,jl->ik", rep.matrix.reshape(dt, ds, dt, ds), q)
+
+
+def pairwise_compose(b, a):
+    """b after a as the list of all products W_l V_k, with l the slow index:
+    the composite's Kraus list by definition, of K_a·K_b operators."""
+    ops = b.ops[:, None] @ a.ops[None]
+    return KrausRep(a.source, b.target, ops.reshape(-1, b.target.dim, a.source.dim))

@@ -355,7 +355,10 @@ class TestCompose:
         u1, u2 = haar_unitary(rng, 2), haar_unitary(rng, 2)
         composed = compose(KrausRep(C2, C2, (u2,)), KrausRep(C2, C2, (u1,)))
         assert len(composed.ops) == 1
-        np.testing.assert_allclose(composed.ops[0], u2 @ u1, atol=1e-13)
+        # the minimal list fixes its own global phase
+        want = u2 @ u1
+        phase = np.vdot(want, composed.ops[0]) / abs(np.vdot(want, composed.ops[0]))
+        np.testing.assert_allclose(composed.ops[0], phase * want, atol=1e-13)
 
     def test_pointwise_agreement(self):
         rng = np.random.default_rng(57)

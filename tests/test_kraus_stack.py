@@ -3,17 +3,18 @@
 
 The references below are the per-operator loop forms the library used
 before: a running sum of sandwiches for ``apply``, a running sum of V_k† V_k
-for the sampler's normalizer, a list of pairwise products for ``compose``,
-and one ``embed_block_operator`` per operator and block for
-``split_kraus_blocks`` and the sampler.  The stacked forms do the same
-arithmetic in the same order, so every result must be bit-identical; this
-also pins the README promise that ``gen`` writes the same files for the
-same seed.  ``is_trace_preserving`` alone sums differently: it reads
-S = sum_k V_k† V_k as one (K dt, ds) product, which agrees with the running
-sum up to rounding and decides exactly at its own defect.  The sampler
-reads all of its entries from one standard-normal draw; the per-operator
-reference draws them operator by operator, block 1 before block 2, real
-before imaginary parts.  The reference retries a singular normalizer with
+for the sampler's normalizer, and one ``embed_block_operator`` per operator
+and block for ``split_kraus_blocks`` and the sampler.  The stacked forms do
+the same arithmetic in the same order, so every result must be
+bit-identical; this also pins the README promise that ``gen`` writes the
+same files for the same seed.  ``is_trace_preserving`` alone sums
+differently: it reads S = sum_k V_k† V_k as one (K dt, ds) product, which
+agrees with the running sum up to rounding and decides exactly at its own
+defect.  ``compose`` returns a minimal list, not the pairwise products, so
+it is checked against them through the coefficient matrix
+(``test_compose.py``).  The sampler reads all of its entries from one
+standard-normal draw; the per-operator reference draws them operator by
+operator, block 1 before block 2, real before imaginary parts.  The reference retries a singular normalizer with
 up to 8 draws, so matching it shows that the sampler's shape rule, decided
 before its one draw, refuses nothing that 8 draws could normalize.
 """
@@ -26,11 +27,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spcpm.sp
-from spcpm.cpm import apply, compose, is_trace_preserving
+from spcpm.cpm import apply, is_trace_preserving
 from spcpm.errors import SingularMatrixError
 from spcpm.linalg import inv_sqrt_psd
 from spcpm.sp import random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace, embed_block_operator
+from test_compose import assert_composes_like_pairwise
 from test_sp import ORACLE_CASES
 
 ORACLE_IDS = [c[0] for c in ORACLE_CASES]
@@ -48,10 +50,6 @@ def loop_gram_sum(ops, dim):
     for op in ops:
         total += op.conj().T @ op
     return total
-
-
-def loop_compose(b, a):
-    return np.stack([w @ v for w in b.ops for v in a.ops])
 
 
 def loop_split(rep):
@@ -117,9 +115,9 @@ class TestStackedFormsMatchLoops:
 
     def test_compose(self, name, rep):
         inner = random_sp_channel(rep.source, rep.source, 3, False, 7100)
-        assert np.array_equal(compose(rep, inner).ops, loop_compose(rep, inner))
+        assert_composes_like_pairwise(rep, inner)
         outer = random_sp_channel(rep.target, rep.target, 2, True, 7200)
-        assert np.array_equal(compose(outer, rep).ops, loop_compose(outer, rep))
+        assert_composes_like_pairwise(outer, rep)
 
     def test_split_kraus_blocks(self, name, rep):
         if name.startswith("sp "):

@@ -14,7 +14,6 @@ from spcpm.cpm import (
     KrausRep,
     channels_equal,
     choi_to_kraus,
-    compose,
     kraus_rank,
     kraus_to_choi,
     orthonormal_kraus,
@@ -22,6 +21,7 @@ from spcpm.cpm import (
 from spcpm.errors import SpcpmError
 from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
+from channel_helpers import pairwise_compose
 from test_sp import ORACLE_CASES
 
 RTOL = 1e-10
@@ -80,7 +80,7 @@ COMPOSED = [c for c in ORACLE_CASES if c[0] in ("sp 2+2->2+2", "leaky 2+2->2+2")
 
 @pytest.mark.parametrize("name,rep", COMPOSED, ids=[c[0] for c in COMPOSED])
 def test_composites_with_more_operators_than_units_agree(name, rep):
-    twice = compose(rep, rep)
+    twice = pairwise_compose(rep, rep)
     assert len(twice.ops) > rep.source.dim * rep.target.dim
     assert_agrees_with_whole_matrix(kraus_to_choi(twice), twice)
 

@@ -119,7 +119,7 @@ class ChoiRep(BitEquality):
 def apply(rep: KrausRep, q) -> np.ndarray:
     """Apply the channel: sum_k V_k Q V_k†."""
     qa = checked_array(q, (rep.source.dim,) * 2, "input")
-    return (rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return np.add.reduce(rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1), axis=0)
 
 
 def kraus_to_choi(rep: KrausRep) -> ChoiRep:
@@ -144,7 +144,7 @@ def _live_units(m: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=0) | nonzero.any(axis=1)
 
 
-def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str):
+def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str, part=None):
     """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and,
     if ``vectors``, their eigenvectors as (dt, ds) operators (else ``None``),
     all from one :func:`psd_spectrum` of the coefficient matrix restricted
@@ -157,9 +157,13 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str):
     all-zero matrix is decomposed not at all.
     Each eigenvector's global phase is fixed so that its first entry above
     1e-12 of its largest magnitude is real positive (a reproducible gauge).
+
+    ``part``, when given, is ``(f, units)``: the matrix restricted to the
+    ascending unit indices ``units``, zero outside them.  The live units are
+    then looked for in ``f`` alone, which selects the same block bit for bit.
     """
-    m = rep.matrix
     shape = (rep.target.dim, rep.source.dim)
+    m, units = (rep.matrix, None) if part is None else part
     live = _live_units(m)
     if not live.any():
         empty = np.zeros((0, *shape), dtype=np.complex128)
@@ -168,16 +172,18 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str):
     # a column-major block would round them differently
     block = m.compress(live, axis=0).compress(live, axis=1)
     w, v = psd_spectrum(block, vectors, subject)
-    keep = w > rank_cutoff(w)
+    # w ascends, so the eigenvalues above the cutoff are its tail from here
+    start = w.searchsorted(rank_cutoff(w), side="right")
     if not vectors:
-        return w[keep], None
-    vecs = v[:, keep]
+        return w[start:], None
+    vecs = v[:, start:]
     mags = np.abs(vecs)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    first = (mags > 1e-12 * np.maximum.reduce(mags, axis=0)).argmax(axis=0)
     cols = np.arange(vecs.shape[1])
-    gauged = np.zeros((len(cols), len(m)), dtype=np.complex128)
-    gauged[:, live] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T
-    return frozen_copy(w[keep]), frozen_copy(gauged.reshape(-1, *shape))
+    gauged = np.zeros((len(cols), shape[0] * shape[1]), dtype=np.complex128)
+    on = live if units is None else units[live]
+    gauged[:, on] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T
+    return frozen_copy(w[start:]), frozen_copy(gauged.reshape(-1, *shape))
 
 
 def choi_to_kraus(rep: ChoiRep) -> KrausRep:
@@ -241,11 +247,20 @@ def compose(b: KrausRep, a: KrausRep) -> KrausRep:
     return choi_to_kraus(ChoiRep(a.source, b.target, matrix))
 
 
+def _gram_defect(stack: np.ndarray) -> np.ndarray:
+    """sum_k V_k† V_k - I for a (K, m, n) stack, as a fresh n x n array with
+    the bits of subtracting ``np.eye(n)``, which is not built."""
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n)  # the (K m, n) stack
+    gram = flat.conj().T @ flat
+    gram.ravel()[:: n + 1] -= 1.0  # the product is fresh and C-ordered: a view
+    return gram
+
+
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether sum_k V_k† V_k = I within ``tol`` (Frobenius)."""
     check_tolerance(tol)
-    flat = rep.ops.reshape(-1, rep.source.dim)  # the (K dt, ds) stack
-    return bool(frobenius(flat.conj().T @ flat - np.eye(rep.source.dim)) <= tol)
+    return bool(frobenius(_gram_defect(rep.ops)) <= tol)
 
 
 def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:

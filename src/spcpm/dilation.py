@@ -49,7 +49,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cpm import KrausRep, apply, choi_to_kraus, is_trace_preserving, kraus_to_choi
+from .cpm import (
+    KrausRep,
+    _gram_defect,
+    apply,
+    choi_to_kraus,
+    is_trace_preserving,
+    kraus_to_choi,
+)
 from .errors import (
     NotSPError,
     NotTracePreservingError,
@@ -220,8 +227,7 @@ def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
 def _isometry_defect(pieces: np.ndarray) -> float:
     """||u_i² - I||_F = ||E (E + 2I)||_F with E = A_i† A_i - I, from
     d_i x d_i matrices only (see the module docstring)."""
-    stacked = pieces.reshape(-1, pieces.shape[-1])
-    e = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    e = _gram_defect(pieces)
     return frobenius(e @ e + 2 * e)
 
 

@@ -19,7 +19,8 @@ Eigenvectors are computed only where they are read.
 
 One constant, ``DEFAULT_RTOL``, is every Hermiticity bound, PSD floor and
 rank cutoff: ``||M - M†||_F`` may reach ``DEFAULT_RTOL * max(1, ||M||_F)``,
-and an eigenvalue counts as zero when its magnitude is at most
+and an eigenvalue of a spectrum ``w`` (sorted ascending, as every caller
+has it from ``eigh``) counts as zero when its magnitude is at most
 ``rank_cutoff(w) = DEFAULT_RTOL * max(1, max|w|)``, down to which a PSD
 matrix may go negative.  No function takes it as an argument.
 
@@ -67,25 +68,31 @@ def check_tolerance(value: float, name: str = "tol") -> float:
 def checked_array(x, shape: tuple, what: str) -> np.ndarray:
     """``x`` as a ``complex128`` array, uncopied if it already is one.
 
+    A native-order ``complex128`` ``np.ndarray`` (no subclass) is ``x``
+    itself and skips ``asarray``, the dtype test and the cast; every input
+    then meets the same empty-axis, shape and finiteness checks.
+
     ``shape`` gives the size of each axis, ``None`` for any size.  Raises
     :class:`SpcpmError`, naming ``what``, unless ``x`` is an array of
     numbers (bool, integer, float or complex) with no empty axis, of
     ``len(shape)`` axes of the given sizes and with finite entries.
     """
-    try:
-        arr = np.asarray(x)
-    except ValueError as exc:  # a ragged nesting
-        raise SpcpmError(f"{what} is not an array of numbers: {exc}") from exc
-    if arr.dtype.kind not in "biufc":  # strings, None and other objects
-        raise SpcpmError(f"{what} is not an array of numbers: its dtype is {arr.dtype}")
+    arr = x
+    if type(x) is not np.ndarray or x.dtype != np.complex128:
+        try:
+            arr = np.asarray(x)
+        except ValueError as exc:  # a ragged nesting
+            raise SpcpmError(f"{what} is not an array of numbers: {exc}") from exc
+        if arr.dtype.kind not in "biufc":  # strings, None and other objects
+            raise SpcpmError(f"{what} is not an array of numbers: its dtype is {arr.dtype}")
+        arr = arr.astype(np.complex128, copy=False)
     if 0 in arr.shape:
         raise SpcpmError(f"{what} must not be empty, got shape {arr.shape}")
-    sizes_ok = all(want in (None, got) for got, want in zip(arr.shape, shape))
+    sizes_ok = all([want in (None, got) for got, want in zip(arr.shape, shape)])
     if arr.ndim != len(shape) or not sizes_ok:
         want = str(shape).replace("None", "*")
         raise SpcpmError(f"{what} has shape {arr.shape}, expected {want}")
-    arr = arr.astype(np.complex128, copy=False)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # .all() without its wrapper
         raise SpcpmError("matrix entries must be finite")
     return arr
 
@@ -133,8 +140,14 @@ class BitEquality:
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm of a float or complex array of any shape: the square
+    root of the sum ``np.linalg.norm`` takes, over the entries in memory
+    order, so it carries the same bits."""
+    flat = m.ravel(order="K")
+    if flat.dtype.kind != "c":
+        return math.sqrt(flat.dot(flat))
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
@@ -169,9 +182,13 @@ def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
 
 
 def rank_cutoff(w: np.ndarray) -> float:
-    """Magnitude at or below which an eigenvalue of ``w`` counts as zero:
-    ``DEFAULT_RTOL * max(1, max|w|)``."""
-    return DEFAULT_RTOL * max(1.0, float(np.max(np.abs(w))))
+    """Magnitude at or below which an eigenvalue of the ascending spectrum
+    ``w`` counts as zero: ``DEFAULT_RTOL * max(1, max|w|)``.
+
+    ``w`` must be sorted ascending, as ``eigh`` and ``eigvalsh`` return it:
+    ``max|w|`` is read from its two ends as ``max(-w[0], w[-1])``.
+    """
+    return DEFAULT_RTOL * max(1.0, float(max(-w[0], w[-1])))
 
 
 def _block_matrix(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

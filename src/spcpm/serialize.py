@@ -18,10 +18,15 @@ a value other than a JSON object handed to a ``*_from_obj`` reader.  The
 ``json.loads`` output gets the same refusal as :func:`read_file`.
 
 :func:`write_file` writes the one line of JSON and ``\n`` as UTF-8 bytes, the
-same on every platform.  An existing file is rewritten in place and cut to
-its new length, so its links and permission bits are kept; nothing is
-synced to disk, and a write that fails part-way leaves an incomplete file:
-the bytes written so far, then whatever followed them in the old file.
+same on every platform, with the system calls ``open``, ``write`` (repeated
+until every byte is taken), ``fstat``, ``ftruncate`` (only on a regular file
+that was longer) and ``close``.  An existing file is rewritten in place and
+cut to its new length, so its links and permission bits are kept; nothing
+is synced to disk, and a write that fails part-way leaves an incomplete
+file: the bytes written so far, then whatever followed them in the old file.
+:func:`read_file` makes ``open``, ``read`` (to end of file) and ``close``,
+so a pipe or ``/dev/stdin`` reads like a file, and decodes the bytes as
+strict UTF-8: a byte-order mark, UTF-16 and invalid bytes are refused.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import base64
 import json
 import os
 import stat
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .spaces import DecomposedSpace, is_integer
 FORMAT = "spcpm/4"
 #: The one coefficient basis of choi files: the row-major matrix units.
 MATRIX_UNIT_BASIS = "matrix-units"
+#: Bytes asked of each ``read`` call: a file up to this size takes two calls.
+_READ_SIZE = 1 << 16
 
 
 def encode_matrix(m) -> dict:
@@ -201,27 +207,60 @@ def dilation_from_obj(obj) -> UnitaryDilation:
 
 def write_file(path, obj: dict) -> None:
     """Write ``obj`` to ``path`` as one line of JSON, rewriting the file in
-    place: it is opened without ``O_TRUNC`` and cut to the new length after
-    the write.  ext4 (``auto_da_alloc``) starts writeback when a file that
-    was truncated to zero and written in the same open is closed; on Linux
-    6.18 with ext4 on a virtual disk that made an overwrite of an 830-byte
-    dilation file cost about 130 µs instead of about 33 µs.  A path that is not a regular file (``/dev/null``, a pipe,
-    a terminal) cannot be cut, so it is only written."""
-    data = (json.dumps(obj) + "\n").encode("utf-8")
+    place on the raw descriptor: ``open`` without ``O_TRUNC``, ``write``
+    until every byte is taken, ``fstat``, ``ftruncate`` to the new length
+    when the file is a regular one that was longer, and ``close``.  ext4
+    (``auto_da_alloc``) starts writeback when a file that was truncated to
+    zero and written in the same open is closed; on Linux 6.18 with ext4 on
+    a virtual disk that made an overwrite of an 830-byte dilation file cost
+    about 130 µs instead of about 33 µs.  A path that is not a regular file
+    (``/dev/null``, a pipe, a terminal) cannot be cut, so it is only
+    written."""
+    data = memoryview((json.dumps(obj) + "\n").encode("utf-8"))
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-            f.write(data)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                f.truncate(len(data))
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise SpcpmError(f"cannot write {path}: {exc}") from exc
 
 
+def _read_bytes(path) -> bytes:
+    """Every byte of ``path``: ``open``, ``read`` to end of file, ``close``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:  # it opens, then refuses its first read
+        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def read_file(path) -> dict:
+    """The JSON object in ``path``, with its ``spcpm/4`` tag checked.
+
+    The bytes come from :func:`_read_bytes` (no ``fstat``, ``isatty`` or
+    ``lseek``) and are decoded as strict UTF-8: a byte-order mark is not
+    skipped, so it is refused, and so are UTF-16 and UTF-32.  CRLF and CR
+    line ends read as LF, as in a text-mode read; only the positions in the
+    refusal of a malformed file can show that."""
     # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
     # Python's digit limit; RecursionError covers nesting too deep to parse
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = _read_bytes(path).decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise SpcpmError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):

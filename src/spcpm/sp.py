@@ -153,10 +153,12 @@ def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
     pairs = ((2, 1), (1, 2))
     sq = (rep.ops.conj() * rep.ops).real
     cross = np.empty((len(sq), 2))
-    cross[:, 0] = sq[:, d_t1:, :d_s1].sum(axis=(1, 2))
-    cross[:, 1] = sq[:, :d_t1, d_s1:].sum(axis=(1, 2))
-    relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(sq.sum(axis=(1, 2))))[:, None]
-    k, pair = divmod(int(np.argmax(relative)), 2)
+    # the sums .sum(axis=(1, 2)) takes, without its wrapper
+    cross[:, 0] = np.add.reduce(sq[:, d_t1:, :d_s1], axis=(1, 2))
+    cross[:, 1] = np.add.reduce(sq[:, :d_t1, d_s1:], axis=(1, 2))
+    total = np.add.reduce(sq, axis=(1, 2))
+    relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(total))[:, None]
+    k, pair = divmod(int(relative.argmax()), 2)
     if relative[k, pair] == 0.0:
         return 0.0, "no cross-block component"
     ti, sj = pairs[pair]
@@ -262,9 +264,10 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
     The assembled matrix [[block1, cross], [cross†, block2]] of the triple
     passes :func:`linalg.psd_spectrum` or raises its :class:`SpcpmError`
     (the message of :func:`linalg.block_psd_failure`).  That gate is the
-    ``eigh`` :func:`choi_to_kraus` would make, on the same live units: the
-    returned matrix keeps its decomposition, so converting it solves nothing
-    again and refuses nothing that generation accepted.
+    ``eigh`` :func:`choi_to_kraus` would make, on the same live units, found
+    in the triple itself rather than in the scattered matrix: the returned
+    matrix keeps its decomposition, so converting it solves nothing again and
+    refuses nothing that generation accepted.
     """
     f = _block_matrix(blocks.block1, blocks.block2, blocks.cross)
     m = blocks.source.dim * blocks.target.dim
@@ -273,7 +276,8 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
     units = np.flatnonzero(_same_block(blocks.source, blocks.target))
     full[np.ix_(units, units)] = f
     choi = ChoiRep(blocks.source, blocks.target, full)
-    object.__setattr__(choi, "_spectrum", _kept_eigenpairs(choi, True, "assembled block matrix"))
+    spectrum = _kept_eigenpairs(choi, True, "assembled block matrix", (f, units))
+    object.__setattr__(choi, "_spectrum", spectrum)
     return choi
 
 
@@ -346,19 +350,18 @@ def random_sp_channel(
         raise SpcpmError(f"seed must be a non-negative integer, got {seed!r}")
     if tp:
         _check_tp_shape(source, target, k)
-    rng = np.random.default_rng(seed)
-    t1, t2 = target.block_slice(1), target.block_slice(2)
-    s1, s2 = source.block_slice(1), source.block_slice(2)
     n1, n2 = target.d1 * source.d1, target.d2 * source.d2
-    draw = rng.standard_normal((k, 2 * (n1 + n2)))
-    re1, im1 = draw[:, :n1], draw[:, n1 : 2 * n1]
-    re2, im2 = draw[:, 2 * n1 : 2 * n1 + n2], draw[:, 2 * n1 + n2 :]
+    draw = np.random.default_rng(seed).standard_normal((k, 2 * (n1 + n2)))
     ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)
-    ops[:, t1, s1] = (re1 + 1j * im1).reshape(k, target.d1, source.d1)
-    ops[:, t2, s2] = (re2 + 1j * im2).reshape(k, target.d2, source.d2)
+    # views of the two blocks, whose real and imaginary parts take the draw
+    first, second = ops[:, : target.d1, : source.d1], ops[:, target.d1 :, source.d1 :]
+    first.real = draw[:, :n1].reshape(first.shape)
+    first.imag = draw[:, n1 : 2 * n1].reshape(first.shape)
+    second.real = draw[:, 2 * n1 : 2 * n1 + n2].reshape(second.shape)
+    second.imag = draw[:, 2 * n1 + n2 :].reshape(second.shape)
     if not tp:
         return KrausRep(source, target, ops)
-    s = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+    s = np.add.reduce(ops.conj().transpose(0, 2, 1) @ ops, axis=0)
     return KrausRep(source, target, ops @ inv_sqrt_psd(s))
 
 

@@ -6,6 +6,7 @@ import os
 import stat
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,3 +228,98 @@ def test_overwrite_keeps_the_permission_bits(tmp_path):
     path.chmod(0o600)
     serialize.write_file(path, one_plus_one_channel())
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+# ---------------------------------------------------------------------------
+# reads and writes on the raw descriptor
+
+
+def test_a_pipe_is_read_to_its_end():
+    # larger than a pipe's buffer and than one read call, so both loop
+    c44 = DecomposedSpace(4, 4)
+    obj = serialize.channel_to_obj(random_sp_channel(c44, c44, 96, False, 3))
+    data = (json.dumps(obj) + "\n").encode()
+    assert len(data) > 2 * 65536
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, data), os.close(write_end)))
+    writer.start()
+    try:
+        assert serialize.read_file(f"/dev/fd/{read_end}") == obj
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_a_short_write_is_continued(tmp_path, monkeypatch):
+    # a write may take fewer bytes than it was handed; here it takes one
+    real_write = os.write
+    monkeypatch.setattr(serialize.os, "write", lambda fd, data: real_write(fd, data[:1]))
+    path = tmp_path / "slow.json"
+    obj = long_channel()
+    serialize.write_file(path, obj)
+    monkeypatch.undo()
+    assert path.read_bytes() == (json.dumps(obj) + "\n").encode()
+
+
+def test_only_a_longer_file_is_cut(tmp_path, monkeypatch):
+    cuts = []
+    real_ftruncate = os.ftruncate
+
+    def recording_ftruncate(fd, length):
+        cuts.append(length)
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(serialize.os, "ftruncate", recording_ftruncate)
+    path = tmp_path / "cut.json"
+    short = one_plus_one_channel()
+    serialize.write_file(path, short)  # new
+    serialize.write_file(path, short)  # as long
+    assert cuts == []
+    serialize.write_file(path, long_channel())  # longer
+    assert cuts == []
+    serialize.write_file(path, short)  # shorter
+    assert cuts == [len(json.dumps(short)) + 1]
+    assert path.read_bytes() == (json.dumps(short) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-16-le"),
+        lambda text: text.encode("utf-32"),
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        lambda text: text.replace("channel", "chann\xe9l").encode("latin-1"),
+    ],
+    ids=["utf-16", "utf-16-le", "utf-32", "utf-8-bom", "latin-1"],
+)
+def test_only_strict_utf8_is_read(tmp_path, encode):
+    # json.loads would take the bytes of the first four and guess their encoding
+    text = json.dumps(one_plus_one_channel())
+    path = tmp_path / "encoded.json"
+    path.write_bytes(encode(text))
+    with pytest.raises(SpcpmError, match="^cannot read "):
+        serialize.read_file(path)
+
+
+def test_a_directory_is_refused_as_the_text_layer_words_it(tmp_path):
+    with pytest.raises(IsADirectoryError) as text_layer:
+        tmp_path.read_text(encoding="utf-8")
+    with pytest.raises(SpcpmError) as refusal:
+        serialize.read_file(tmp_path)
+    assert str(refusal.value) == f"cannot read {tmp_path}: {text_layer.value}"
+    assert "Is a directory" in str(refusal.value)
+
+
+@pytest.mark.parametrize("data", [b'{\r\n"a": 1,\r\n x}', b'{\r"a": \r1,\r x}', b'{"a": "\r"}'],
+                         ids=["crlf", "cr", "cr-in-string"])
+def test_line_ends_are_read_as_text_files_read_them(tmp_path, data):
+    # the refusal of malformed JSON gives the positions text-mode reading gives
+    path = tmp_path / "lines.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as text_mode:
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(SpcpmError) as refusal:
+        serialize.read_file(path)
+    assert str(refusal.value) == f"cannot read {path}: {text_mode.value}"

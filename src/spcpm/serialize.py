@@ -10,12 +10,13 @@ in-block Kraus pieces ``a1`` and ``a2``, each as a ``(K·d_i) x d_i`` matrix
 of the K pieces one below the other; its unitary and ancilla dimension are
 derived.
 
-Only ``spcpm/4`` is read: any other tag (the earlier ``spcpm/1`` to
-``spcpm/3`` included) or a missing one, an unreadable path and a malformed
-file raise :class:`SpcpmError`, and so do a path that cannot be written and
-a value other than a JSON object handed to a ``*_from_obj`` reader.  The
-``*_from_obj`` readers check the tag themselves, so a caller who hands them
-``json.loads`` output gets the same refusal as :func:`read_file`.
+Each fact about an input file is checked at one site: :func:`read_file`
+only reads, decodes and parses; a ``*_from_obj`` reader checks the header,
+a JSON object of its kind tagged ``spcpm/4`` (the earlier ``spcpm/1`` to
+``spcpm/3`` are refused), so ``json.loads`` output gets the same refusal
+as a file; and the constructor each decoded matrix is handed to
+gates the array.  Every refusal raises :class:`SpcpmError`, and so does a
+path that cannot be written.
 
 :func:`write_file` writes the one line of JSON and ``\n`` as UTF-8 bytes, the
 same on every platform, with the system calls ``open``, ``write`` (repeated
@@ -74,6 +75,7 @@ def _raw_entries(data: str, n: int) -> np.ndarray:
 
 
 def decode_matrix(obj) -> np.ndarray:
+    """The matrix of a matrix object; the constructor it is handed to gates it."""
     if not isinstance(obj, dict):
         raise SpcpmError("matrix object must be a JSON object")
     try:
@@ -86,8 +88,7 @@ def decode_matrix(obj) -> np.ndarray:
         raise SpcpmError("matrix dimensions must be positive")
     if not isinstance(data, str):
         raise SpcpmError("matrix data must be a base64 string")
-    entries = _raw_entries(data, rows * cols).reshape(rows, cols)
-    return checked_array(entries, (None, None), "matrix")
+    return _raw_entries(data, rows * cols).reshape(rows, cols)
 
 
 def _header(kind: str, **spaces: DecomposedSpace) -> dict:
@@ -239,32 +240,22 @@ def _read_bytes(path) -> bytes:
         chunks = []
         while chunk := os.read(fd, _READ_SIZE):
             chunks.append(chunk)
-    except IsADirectoryError as exc:  # it opens, then refuses its first read
-        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         os.close(fd)
     return b"".join(chunks)
 
 
-def read_file(path) -> dict:
-    """The JSON object in ``path``, with its ``spcpm/4`` tag checked.
+def read_file(path):
+    """The JSON value in ``path``: its bytes from :func:`_read_bytes` (no
+    ``fstat``, ``isatty`` or ``lseek``), decoded as strict UTF-8 and parsed.
 
-    The bytes come from :func:`_read_bytes` (no ``fstat``, ``isatty`` or
-    ``lseek``) and are decoded as strict UTF-8: a byte-order mark is not
-    skipped, so it is refused, and so are UTF-16 and UTF-32.  CRLF and CR
-    line ends read as LF, as in a text-mode read; only the positions in the
-    refusal of a malformed file can show that."""
+    A byte-order mark is not skipped, so it is refused, and so are UTF-16
+    and UTF-32.  CR and CRLF line ends are JSON whitespace.  Nothing about
+    the value is checked here: the ``*_from_obj`` reader it is handed to
+    checks the header, and the constructor it builds gates the arrays."""
     # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
     # Python's digit limit; RecursionError covers nesting too deep to parse
     try:
-        text = _read_bytes(path).decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        obj = json.loads(text)
+        return json.loads(_read_bytes(path).decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise SpcpmError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SpcpmError("top-level JSON value must be an object")
-    if obj.get("format") != FORMAT:
-        raise SpcpmError(f"unsupported format tag: {obj.get('format')!r}")
-    return obj

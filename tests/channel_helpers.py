@@ -1,15 +1,77 @@
-"""Channel operations the tests need and the library does not export.
+"""Builders and channel operations the tests need and the library does not
+export.
 
-Each is the plain form of a statement the tests check the library against:
-mixing a Kraus list by a unitary (the unitary freedom of Kraus
-representations), evaluating a map from its coefficient matrix, and
-composing two channels by all pairwise products of their operators.
-Callers pass well-formed arguments; neither validates them.
+The channel operations are each the plain form of a statement the tests
+check the library against: mixing a Kraus list by a unitary (the unitary
+freedom of Kraus representations), evaluating a map from its coefficient
+matrix, and composing two channels by all pairwise products of their
+operators.  The builders make the random and fixed inputs several test
+modules share; each random one draws from the generator its caller passes.
+Callers pass well-formed arguments; nothing here validates them.
 """
 
 import numpy as np
 
 from spcpm.cpm import KrausRep
+from spcpm.sp import random_sp_channel
+from spcpm.spaces import DecomposedSpace, embed_block_operator
+
+
+def crandn(rng, *shape):
+    """Complex Gaussian entries: real and imaginary parts standard normal."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_unitary(rng, n):
+    """A Haar-random n x n unitary: QR of a Gaussian matrix, phases fixed."""
+    q, r = np.linalg.qr(crandn(rng, n, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def unit(d, i, j):
+    """The d x d matrix unit |i><j|."""
+    e = np.zeros((d, d), dtype=np.complex128)
+    e[i, j] = 1.0
+    return e
+
+
+def random_psd(rng, n, rank):
+    """An n x n PSD matrix of the given rank, G G† for a Gaussian G."""
+    g = crandn(rng, n, rank)
+    return g @ g.conj().T
+
+
+def dephasing_channel(p):
+    """Mixture of the identity and the block-parity unitary on C^2."""
+    space = DecomposedSpace(1, 1)
+    ops = (np.sqrt(p) * np.eye(2), np.sqrt(1 - p) * np.diag([1.0, -1.0]))
+    return KrausRep(space, space, ops)
+
+
+def full_rank_tp_channel(d1, d2, seed):
+    """A TP SP channel on d1+d2 with d1² + d2² operators, the full rank."""
+    space = DecomposedSpace(d1, d2)
+    return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
+
+
+def perturb_cross_block(rep, rng, scale=1e-2):
+    """Add cross-block noise to every Kraus operator."""
+    src, tgt = rep.source, rep.target
+    ops = []
+    for op in rep.ops:
+        noise = embed_block_operator(
+            crandn(rng, tgt.d1, src.d2), src, tgt, 2, 1
+        ) + embed_block_operator(crandn(rng, tgt.d2, src.d1), src, tgt, 1, 2)
+        ops.append(op + scale * noise)
+    return KrausRep(src, tgt, tuple(ops))
+
+
+def tp_renormalized(rep):
+    """The Kraus list V_k S^{-1/2}, S = sum_k V_k†V_k: trace preserving."""
+    s = sum(op.conj().T @ op for op in rep.ops)
+    w, v = np.linalg.eigh(s)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
 
 
 def unitary_mix(rep, u):

@@ -348,6 +348,10 @@ MUTANTS = [
             "tests/test_api.py::test_rejections_are_spcpm_errors[choi_tag_missing]",
             "tests/test_api.py::test_rejections_are_spcpm_errors[blocks_tag_spcpm9]",
             "tests/test_api.py::test_rejections_are_spcpm_errors[dilation_tag_missing]",
+            "tests/test_cli.py::TestFileFormat::test_first_format_is_refused",
+            "tests/test_cli.py::TestFileFormat::test_earlier_formats_are_refused[spcpm/2]",
+            "tests/test_cli.py::TestFileFormat::test_earlier_formats_are_refused[spcpm/3]",
+            "tests/test_cli.py::TestFileFormat::test_unknown_format_tag_is_refused",
         ],
     ),
     # an overwrite is not cut to its new length, so a shorter file keeps the
@@ -421,12 +425,68 @@ MUTANTS = [
     # UTF-32 and a UTF-8 byte-order mark instead of refusing them
     (
         "spcpm/serialize.py",
-        '        text = _read_bytes(path).decode("utf-8")\n'
-        '        if "\\r" in text:\n'
-        '            text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")\n'
-        "        obj = json.loads(text)\n",
-        "        obj = json.loads(_read_bytes(path))\n",
+        '        return json.loads(_read_bytes(path).decode("utf-8"))\n',
+        "        return json.loads(_read_bytes(path))\n",
         ["tests/test_raw_format.py::test_only_strict_utf8_is_read"],
+    ),
+    # the file readers skip the kind, so a blocks file reads as a channel
+    # that has no Kraus list
+    (
+        "spcpm/serialize.py",
+        '    if obj.get("kind") != kind:\n'
+        '        raise SpcpmError(f"expected a {kind!r} file, got kind={obj.get(\'kind\')!r}")\n',
+        "",
+        ["tests/test_api.py::test_rejections_are_spcpm_errors[channel_from_blocks]"],
+    ),
+    # the channel reader takes any Kraus value: an empty list reaches the
+    # constructor's empty-stack refusal, a string is read one character at
+    # a time
+    (
+        "spcpm/serialize.py",
+        "    if not isinstance(raw_ops, list) or not raw_ops:",
+        "    if False:",
+        [
+            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus_list_empty]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus_list_str]",
+        ],
+    ),
+    # a matrix object without data reads as one whose data is not a string
+    (
+        "spcpm/serialize.py",
+        'obj["cols"], obj["data"]',
+        'obj["cols"], obj.get("data")',
+        ["tests/test_api.py::test_rejections_are_spcpm_errors[matrix_no_data]"],
+    ),
+    # a size that is not an integer escapes the dims parser, and argparse
+    # words the refusal without int()'s reason
+    (
+        "spcpm/cli.py",
+        "        return [int(p) for p in parts]\n    except ValueError as exc:",
+        "        return [int(p) for p in parts]\n    except TypeError as exc:",
+        ["tests/test_cli.py::test_bad_usage_exits_2"],
+    ),
+    # block extraction skips its coefficient check, so a channel whose
+    # copies each pass the Kraus block check leaks into the triple
+    (
+        "spcpm/sp.py",
+        "    if off_mass > tol * max(1.0, frobenius(full)):",
+        "    if False:",
+        [
+            "tests/test_tolerance.py::"
+            "test_a_later_check_refuses_what_the_kraus_block_check_passes[blocks_from_sp]"
+        ],
+    ),
+    # the dilation skips the block check of the minimal Kraus list, whose
+    # operators may leak more than the list they were reduced from
+    (
+        "spcpm/dilation.py",
+        "    if not is_sp_kraus_blocks(minimal, tol):\n"
+        '        raise NotSPError("channel has cross-block Kraus components above tolerance")\n',
+        "",
+        [
+            "tests/test_tolerance.py::"
+            "test_a_later_check_refuses_what_the_kraus_block_check_passes[build_dilation]"
+        ],
     ),
 ]
 

@@ -36,47 +36,21 @@ from spcpm.sp import (
     sp_from_blocks,
     sp_kraus_bound_holds,
 )
-from spcpm.spaces import DecomposedSpace, embed_block_operator
-from channel_helpers import unitary_mix
+from spcpm.spaces import DecomposedSpace
+from channel_helpers import (
+    crandn,
+    haar_unitary,
+    perturb_cross_block,
+    tp_renormalized,
+    unit,
+    unitary_mix,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] {name}: {status}{' (' + detail + ')' if detail else ''}")
     assert ok, f"{name}: {detail}"
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(crandn(rng, n, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def perturb_cross_block(rep, rng, scale=1e-2):
-    src, tgt = rep.source, rep.target
-    ops = []
-    for op in rep.ops:
-        noise = embed_block_operator(
-            crandn(rng, tgt.d1, src.d2), src, tgt, 2, 1
-        ) + embed_block_operator(crandn(rng, tgt.d2, src.d1), src, tgt, 1, 2)
-        ops.append(op + scale * noise)
-    return KrausRep(src, tgt, tuple(ops))
-
-
-def renormalize_tp(rep):
-    s = sum(op.conj().T @ op for op in rep.ops)
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
-
-
-def unit(d, i, j):
-    e = np.zeros((d, d), dtype=np.complex128)
-    e[i, j] = 1.0
-    return e
 
 
 def min_tp_kraus(source, target):
@@ -111,7 +85,7 @@ def test_criterion_1_verifier_equivalence():
         rep = random_sp_channel(source, target, k, tp, 20_000 + i)
         rep = perturb_cross_block(rep, rng)
         if i % 2 == 0:
-            rep = renormalize_tp(rep)
+            rep = tp_renormalized(rep)
         channels.append((rep, False))
 
     disagreements = 0

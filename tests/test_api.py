@@ -263,6 +263,16 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         (lambda: linalg.block_psd_check([[1, 2], [3]], [[1]], [[0]]),
          RAGGED.format("first diagonal block")),
         (lambda: UnitaryDilation(C2, [[[1]], [[1, 2]]], [[[1]]]), RAGGED.format("a1")),
+        (lambda: serialize.decode_matrix({"rows": 1, "cols": 1}),
+         r"^bad matrix object: 'data'$"),
+        (lambda: serialize.channel_from_obj(VALID_OBJECTS["blocks"]),
+         r"^expected a 'channel' file, got kind='blocks'$"),
+        *[
+            (lambda ops=ops: serialize.channel_from_obj({**VALID_OBJECTS["channel"],
+                                                         "kraus": ops}),
+             "^kraus must be a nonempty list of matrices$")
+            for ops in ([], "x")
+        ],
         *[
             (lambda reader=reader, bad=bad: reader(bad),
              f"^a '{kind}' file must be a JSON object, got {type(bad).__name__}$")
@@ -281,7 +291,8 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         "random_k_float", "random_k_bool", "random_k_str", "random_seed_negative",
         "random_seed_float", "random_seed_none", "random_seed_bool",
         "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
-        "blocks_str", "block_psd_ragged", "dilation_ragged",
+        "blocks_str", "block_psd_ragged", "dilation_ragged", "matrix_no_data",
+        "channel_from_blocks", "kraus_list_empty", "kraus_list_str",
         *[f"{kind}_from_{type(bad).__name__}" for kind in READERS for bad in NON_OBJECTS],
         *[f"{kind}_tag_{name}" for kind in READERS for name in BAD_TAGS],
     ],

@@ -36,7 +36,7 @@ from spcpm.sp import (
     trace_violation,
 )
 from spcpm.spaces import DecomposedSpace
-from test_sp import perturb_cross_block, tp_renormalized
+from channel_helpers import perturb_cross_block, tp_renormalized
 
 
 def sp_channel(d1=2, d2=3, seed=1100):

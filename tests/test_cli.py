@@ -77,7 +77,7 @@ class TestFileFormat:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(obj, indent=2) + "\n")
         with pytest.raises(SpcpmError, match="unsupported format tag: 'spcpm/1'"):
-            serialize.read_file(path)
+            serialize.channel_from_obj(serialize.read_file(path))
         assert main(["verify", str(path)]) == 2
 
     @pytest.mark.parametrize("tag", ["spcpm/2", "spcpm/3"])
@@ -88,7 +88,7 @@ class TestFileFormat:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(SpcpmError, match=f"unsupported format tag: '{tag}'"):
-            serialize.read_file(path)
+            serialize.channel_from_obj(serialize.read_file(path))
         assert main(["verify", str(path)]) == 2
         assert f"unsupported format tag: '{tag}'" in capsys.readouterr().err
 
@@ -98,7 +98,7 @@ class TestFileFormat:
         path = tmp_path / "future.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(SpcpmError, match="format tag"):
-            serialize.read_file(path)
+            serialize.channel_from_obj(serialize.read_file(path))
 
     def test_signed_zeros_survive(self):
         mat = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
@@ -420,10 +420,13 @@ class TestKrausRankCommand:
         assert "kraus rank: 4" in capsys.readouterr().out
 
 
-def test_bad_usage_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--dims", "1,1,1", "--kraus", "1", "--seed", "1", "--out", "x"])
-    assert exc.value.code == 2
+def test_bad_usage_exits_2(capsys):
+    # three sizes, then four of which one is not an integer
+    for dims in ("1,1,1", "1,x,1,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--dims", dims, "--kraus", "1", "--seed", "1", "--out", "x"])
+        assert exc.value.code == 2
+    assert "invalid literal for int() with base 10: 'x'" in capsys.readouterr().err
 
 
 TOL_COMMANDS = pytest.mark.parametrize(

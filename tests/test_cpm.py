@@ -19,18 +19,16 @@ from spcpm.cpm import (
 )
 from spcpm.errors import SpcpmError
 from spcpm.spaces import DecomposedSpace
-from channel_helpers import apply_choi, unitary_mix
+from channel_helpers import (
+    apply_choi,
+    crandn,
+    haar_unitary,
+    random_psd,
+    unit,
+    unitary_mix,
+)
 
 C2 = DecomposedSpace(1, 1)
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(crandn(rng, n, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_rep(rng, source, target, k):
@@ -38,17 +36,6 @@ def random_rep(rng, source, target, k):
     return KrausRep(
         source, target, tuple(scale * crandn(rng, target.dim, source.dim) for _ in range(k))
     )
-
-
-def random_psd(rng, n, rank):
-    g = crandn(rng, n, rank)
-    return g @ g.conj().T
-
-
-def unit(d, i, j):
-    e = np.zeros((d, d), dtype=np.complex128)
-    e[i, j] = 1.0
-    return e
 
 
 class TestKrausRep:

@@ -33,28 +33,9 @@ from spcpm.errors import (
 )
 from spcpm.sp import is_sp_definition, random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace
+from channel_helpers import crandn, dephasing_channel, full_rank_tp_channel, unit
 
 C2 = DecomposedSpace(1, 1)
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def dephasing_channel(p):
-    ops = (np.sqrt(p) * np.eye(2), np.sqrt(1 - p) * np.diag([1.0, -1.0]))
-    return KrausRep(C2, C2, ops)
-
-
-def unit(d, i, j):
-    e = np.zeros((d, d), dtype=np.complex128)
-    e[i, j] = 1.0
-    return e
-
-
-def full_rank_tp_channel(d1, d2, seed):
-    space = DecomposedSpace(d1, d2)
-    return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:

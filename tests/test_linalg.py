@@ -5,20 +5,12 @@ import pytest
 
 from spcpm import linalg
 from spcpm.errors import SingularMatrixError, SpcpmError
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from channel_helpers import crandn, random_psd
 
 
 def random_hermitian(rng, n):
     g = crandn(rng, n, n)
     return (g + g.conj().T) / 2
-
-
-def random_psd(rng, n, rank):
-    g = crandn(rng, n, rank)
-    return g @ g.conj().T
 
 
 def assemble(a, b, c):

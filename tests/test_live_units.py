@@ -21,14 +21,10 @@ from spcpm.cpm import (
 from spcpm.errors import SpcpmError
 from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
-from channel_helpers import pairwise_compose
+from channel_helpers import crandn, pairwise_compose
 from test_sp import ORACLE_CASES
 
 RTOL = 1e-10
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def whole_matrix_kept_eigenvalues(mat):

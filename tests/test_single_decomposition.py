@@ -30,15 +30,11 @@ from spcpm.cpm import (
 from spcpm.dilation import build_dilation
 from spcpm.errors import SpcpmError
 from spcpm.linalg import block_psd_check, block_psd_failure, psd_spectrum
-from spcpm.sp import random_sp_channel
 from spcpm.spaces import DecomposedSpace
+from channel_helpers import crandn, full_rank_tp_channel
 from test_sp import ORACLE_CASES
 
 RTOL = 1e-10
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def reference_is_psd(m, tol):
@@ -113,11 +109,6 @@ def reference_block_psd_failure(a, b, c, tol=RTOL):
     if not reference_is_psd(a - c @ reference_pinv(b, tol) @ c.conj().T, tol):
         return "Schur complement is not positive semi-definite"
     return None
-
-
-def full_rank_tp_channel(d1, d2, seed):
-    space = DecomposedSpace(d1, d2)
-    return random_sp_channel(space, space, d1 * d1 + d2 * d2, True, seed)
 
 
 DILATION_SPLITS = [(1, 3), (3, 1), (2, 2), (3, 3), (4, 4)]

@@ -42,42 +42,21 @@ from spcpm.sp import (
     trace_violation,
 )
 from spcpm.spaces import DecomposedSpace, embed_block_operator
-from channel_helpers import unitary_mix
+from channel_helpers import (
+    crandn,
+    dephasing_channel,
+    haar_unitary,
+    perturb_cross_block,
+    tp_renormalized,
+    unitary_mix,
+)
 
 C2 = DecomposedSpace(1, 1)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(crandn(rng, n, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def identity_channel(space):
     return KrausRep(space, space, (np.eye(space.dim),))
-
-
-def dephasing_channel(p):
-    """Mixture of the identity and the block-parity unitary on C^2."""
-    space = DecomposedSpace(1, 1)
-    ops = (np.sqrt(p) * np.eye(2), np.sqrt(1 - p) * np.diag([1.0, -1.0]))
-    return KrausRep(space, space, ops)
-
-
-def perturb_cross_block(rep, rng, scale=1e-2):
-    """Add cross-block noise to every Kraus operator."""
-    src, tgt = rep.source, rep.target
-    ops = []
-    for op in rep.ops:
-        noise = embed_block_operator(
-            crandn(rng, tgt.d1, src.d2), src, tgt, 2, 1
-        ) + embed_block_operator(crandn(rng, tgt.d2, src.d1), src, tgt, 1, 2)
-        ops.append(op + scale * noise)
-    return KrausRep(src, tgt, tuple(ops))
 
 
 class TestDefinitionVerifier:
@@ -475,13 +454,6 @@ def reference_kraus_blocks(rep):
                 worst = residual
                 label = f"||P_t{ti} V[{k}] P_s{sj}||_F / max(1, ||V[{k}]||_F)"
     return worst, label
-
-
-def tp_renormalized(rep):
-    s = sum(op.conj().T @ op for op in rep.ops)
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
 
 
 def tp_defect(rep):

@@ -12,9 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from spcpm import cpm, dilation, linalg, sp
+from spcpm import cpm, dilation, linalg, serialize, sp
+from spcpm.cli import main
 from spcpm.cpm import KrausRep
-from spcpm.errors import SingularMatrixError, SpcpmError
+from spcpm.errors import NotSPError, SingularMatrixError, SpcpmError
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -171,3 +172,39 @@ def test_check_tolerance_returns_valid_values(value):
 def test_check_tolerance_refuses_non_numbers(value):
     with pytest.raises(SpcpmError, match="rtol must be"):
         linalg.check_tolerance(value, "rtol")
+
+
+def leaky_rotation():
+    """Eight copies of R/√8, R the rotation by 1e-3 rad: trace preserving,
+    each copy leaking sin(1e-3)/√8 = 3.54e-4 across the blocks."""
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    return KrausRep(C2, C2, (np.array([[c, -s], [s, c]]) / math.sqrt(8),) * 8)
+
+
+@pytest.mark.parametrize(
+    "call, command, message",
+    [
+        (sp.blocks_from_sp, ["convert", "--to", "blocks"],
+         "off-block coefficient mass 2.828e-03 exceeds tolerance"),
+        (dilation.build_dilation, ["dilate"],
+         "channel has cross-block Kraus components above tolerance"),
+    ],
+    ids=["blocks_from_sp", "build_dilation"],
+)
+def test_a_later_check_refuses_what_the_kraus_block_check_passes(
+    tmp_path, capsys, call, command, message
+):
+    # at tol 5e-4 every copy passes the Kraus block check (residual 3.54e-4),
+    # but the coefficient matrix holds 2.83e-3 off-block mass against a bound
+    # of 5e-4 * max(1, ||C||_F) = 1e-3, and the one operator of the minimal
+    # list, R itself, has block residual sin(1e-3)/√2 = 7.07e-4
+    rep = leaky_rotation()
+    assert cpm.is_trace_preserving(rep, 1e-12) and sp.is_sp_kraus_blocks(rep, 5e-4)
+    with pytest.raises(NotSPError, match=f"^{message}$"):
+        call(rep, 5e-4)
+    path = tmp_path / "rotation.json"
+    serialize.write_file(path, serialize.channel_to_obj(rep))
+    out = tmp_path / "out.json"
+    assert main([command[0], str(path), *command[1:], "--out", str(out), "--tol", "5e-4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

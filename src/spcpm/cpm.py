@@ -24,10 +24,10 @@ factorizations that return operators compute eigenvectors.
 A :class:`ChoiRep` likewise decomposes itself once, on first use: the kept
 eigenvalues and gauged operators (:func:`_kept_eigenpairs`) are a read-only
 memo that :func:`choi_to_kraus` and :func:`orthonormal_kraus` (and so the
-dilation) read, one ``eigh`` per matrix.  ``sp.sp_from_blocks`` stores the
-decomposition its positivity gate made, so generation and conversion share
-one ``eigh`` and one verdict.  That memo too is not a field and lives as long
-as its :class:`ChoiRep`.
+dilation) read, one ``eigh`` per matrix.  ``sp.sp_from_blocks`` reads it as
+its positivity gate, so generation and conversion share one ``eigh`` and one
+verdict.  That memo too is not a field and lives as long as its
+:class:`ChoiRep`, which alone writes it.
 
 :func:`compose` works on the coefficient matrices as well: the composite's
 is one contraction of the two memoized ones, dt²·dm²·ds² multiply-adds
@@ -111,9 +111,8 @@ class ChoiRep(BitEquality):
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """The kept eigenvalues and gauged operators of the matrix
-        (:func:`_kept_eigenpairs`), read-only, decomposed on first use unless
-        ``sp.sp_from_blocks`` stored its own."""
-        return _kept_eigenpairs(self, True, "coefficient matrix")
+        (:func:`_kept_eigenpairs`), read-only, decomposed on first use."""
+        return _kept_eigenpairs(self, True)
 
 
 def apply(rep: KrausRep, q) -> np.ndarray:
@@ -131,47 +130,33 @@ def kraus_to_choi(rep: KrausRep) -> ChoiRep:
     return rep._choi
 
 
-def _live_units(m: np.ndarray) -> np.ndarray:
-    """Mask of the matrix units whose row or column of ``m`` holds a nonzero
-    entry.
-
-    Every nonzero entry of ``m`` and of ``m†`` lies in the live-by-live
-    submatrix, so a non-Hermitian input stays non-Hermitian there; the other
-    units only add exact zero eigenvalues.  An SP channel is live only on its
-    intra-block units.
-    """
-    nonzero = m != 0
-    return nonzero.any(axis=0) | nonzero.any(axis=1)
-
-
-def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str, part=None):
+def _kept_eigenpairs(rep: ChoiRep, vectors: bool):
     """Eigenvalues above the rank cutoff at ``DEFAULT_RTOL``, ascending, and,
     if ``vectors``, their eigenvectors as (dt, ds) operators (else ``None``),
     all from one :func:`psd_spectrum` of the coefficient matrix restricted
-    to its live units, whose refusals name ``subject``.  With ``vectors``
-    both arrays are read-only copies (:func:`linalg.frozen_copy`).
+    to its live units, whose refusals name the ``coefficient matrix``.  With
+    ``vectors`` both arrays are read-only copies (:func:`linalg.frozen_copy`).
 
-    The units outside the live set (:func:`_live_units`) contribute only zero
-    eigenvalues, so the PSD verdict, the cutoff and the kept set are those of
-    the whole matrix, and the kept eigenvectors are zero on those units; an
-    all-zero matrix is decomposed not at all.
-    Each eigenvector's global phase is fixed so that its first entry above
-    1e-12 of its largest magnitude is real positive (a reproducible gauge).
-
-    ``part``, when given, is ``(f, units)``: the matrix restricted to the
-    ascending unit indices ``units``, zero outside them.  The live units are
-    then looked for in ``f`` alone, which selects the same block bit for bit.
+    The live units are those whose row or column holds a nonzero entry.
+    Every nonzero entry of the matrix and of its adjoint lies in the
+    live-by-live block, so a non-Hermitian matrix stays non-Hermitian there,
+    and the other units contribute only zero eigenvalues: the PSD verdict,
+    the cutoff and the kept set are those of the whole matrix, and the kept
+    eigenvectors are zero on those units.  An all-zero matrix is decomposed
+    not at all.  Each eigenvector's global phase is fixed so that its first
+    entry above 1e-12 of its largest magnitude is real positive (a
+    reproducible gauge).
     """
     shape = (rep.target.dim, rep.source.dim)
-    m, units = (rep.matrix, None) if part is None else part
-    live = _live_units(m)
+    m = rep.matrix
+    live = m.any(axis=0) | m.any(axis=1)
     if not live.any():
         empty = np.zeros((0, *shape), dtype=np.complex128)
         return frozen_copy(np.zeros(0)), frozen_copy(empty)
     # gathered in C order: the gate's Frobenius sums follow memory order, and
     # a column-major block would round them differently
     block = m.compress(live, axis=0).compress(live, axis=1)
-    w, v = psd_spectrum(block, vectors, subject)
+    w, v = psd_spectrum(block, vectors, "coefficient matrix")
     # w ascends, so the eigenvalues above the cutoff are its tail from here
     start = w.searchsorted(rank_cutoff(w), side="right")
     if not vectors:
@@ -181,8 +166,7 @@ def _kept_eigenpairs(rep: ChoiRep, vectors: bool, subject: str, part=None):
     first = (mags > 1e-12 * np.maximum.reduce(mags, axis=0)).argmax(axis=0)
     cols = np.arange(vecs.shape[1])
     gauged = np.zeros((len(cols), shape[0] * shape[1]), dtype=np.complex128)
-    on = live if units is None else units[live]
-    gauged[:, on] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T
+    gauged[:, live] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T
     return frozen_copy(w[start:]), frozen_copy(gauged.reshape(-1, *shape))
 
 
@@ -210,7 +194,7 @@ def kraus_rank(rep: KrausRep) -> int:
     units (see :func:`_kept_eigenpairs`); never exceeds
     source.dim * target.dim.
     """
-    return len(_kept_eigenpairs(kraus_to_choi(rep), False, "coefficient matrix")[0])
+    return len(_kept_eigenpairs(kraus_to_choi(rep), False)[0])
 
 
 def orthonormal_kraus(rep: KrausRep) -> list[tuple[float, np.ndarray]]:

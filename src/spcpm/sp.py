@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpm import (
-    ChoiRep,
-    KrausRep,
-    _kept_eigenpairs,
-    is_trace_preserving,
-    kraus_rank,
-    kraus_to_choi,
-)
+from .cpm import ChoiRep, KrausRep, is_trace_preserving, kraus_rank, kraus_to_choi
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_TOL,
@@ -88,15 +81,6 @@ def _off_pattern(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray
     """Entries T[i, a, j, b] of the coefficient tensor an SP map leaves zero."""
     same = _same_block(source, target)
     return ~np.logical_and.outer(same, same)
-
-
-def _block_indices(
-    source: DecomposedSpace, target: DecomposedSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the two intra-block matrix-unit bases inside the full
-    row-major matrix-unit basis of maps source -> target."""
-    units = np.flatnonzero(_same_block(source, target))
-    return units[: source.d1 * target.d1], units[source.d1 * target.d1 :]
 
 
 def _image_tensor(rep: KrausRep) -> np.ndarray:
@@ -261,23 +245,20 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
 
     The triple is placed on the two intra-block basis slots; all other
     entries are zero.  Every SP map arises from exactly one valid triple.
-    The assembled matrix [[block1, cross], [cross†, block2]] of the triple
-    passes :func:`linalg.psd_spectrum` or raises its :class:`SpcpmError`
-    (the message of :func:`linalg.block_psd_failure`).  That gate is the
-    ``eigh`` :func:`choi_to_kraus` would make, on the same live units, found
-    in the triple itself rather than in the scattered matrix: the returned
-    matrix keeps its decomposition, so converting it solves nothing again and
-    refuses nothing that generation accepted.
+    The returned matrix's own decomposition (the memo that
+    :func:`cpm.choi_to_kraus` reads) is its positivity gate: an indefinite
+    triple raises the :class:`SpcpmError` of :func:`linalg.psd_spectrum`
+    for the coefficient matrix, so converting the result solves nothing
+    again and refuses nothing that generation accepted.
     """
-    f = _block_matrix(blocks.block1, blocks.block2, blocks.cross)
     m = blocks.source.dim * blocks.target.dim
     full = np.zeros((m, m), dtype=np.complex128)
-    # block 1's units precede block 2's, so these are the rows of f in order
+    # block 1's units precede block 2's, so these are the rows of the
+    # assembled triple in order
     units = np.flatnonzero(_same_block(blocks.source, blocks.target))
-    full[np.ix_(units, units)] = f
+    full[np.ix_(units, units)] = _block_matrix(blocks.block1, blocks.block2, blocks.cross)
     choi = ChoiRep(blocks.source, blocks.target, full)
-    spectrum = _kept_eigenpairs(choi, True, "assembled block matrix", (f, units))
-    object.__setattr__(choi, "_spectrum", spectrum)
+    choi._spectrum  # the positivity gate: decomposes the matrix or raises
     return choi
 
 
@@ -298,14 +279,11 @@ def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
         raise NotSPError(
             f"off-block coefficient mass {off_mass:.3e} exceeds tolerance"
         )
-    idx1, idx2 = _block_indices(source, target)
-    return SPBlockRep(
-        source,
-        target,
-        full[np.ix_(idx1, idx1)],
-        full[np.ix_(idx2, idx2)],
-        full[np.ix_(idx1, idx2)],
-    )
+    # the units sp_from_blocks scatters the triple to, block 1's first
+    units = np.flatnonzero(_same_block(source, target))
+    f = full[np.ix_(units, units)]
+    k = source.d1 * target.d1
+    return SPBlockRep(source, target, f[:k, :k], f[k:, k:], f[:k, k:])
 
 
 def _check_tp_shape(source: DecomposedSpace, target: DecomposedSpace, k: int) -> None:
@@ -339,8 +317,9 @@ def random_sp_channel(
     S^(-1/2) where S = sum_k V_k† V_k; S is block diagonal, so normalization
     stays inside the SP set and makes the channel trace preserving.  A shape
     whose S is singular on every draw (:func:`_check_tp_shape`) raises
-    :class:`SingularMatrixError` before drawing.  ``seed`` must be a
-    non-negative integer, so that every channel drawn can be drawn again.
+    :class:`SingularMatrixError` before drawing.  ``tp`` must be a bool
+    (Python's or numpy's), and ``seed`` a non-negative integer, so that
+    every channel drawn can be drawn again.
     """
     if not is_integer(k):
         raise SpcpmError(f"number of Kraus operators must be an integer, got {k!r}")
@@ -348,6 +327,8 @@ def random_sp_channel(
         raise SpcpmError("need at least one Kraus operator")
     if not (is_integer(seed) and seed >= 0):
         raise SpcpmError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(tp, (bool, np.bool_)):
+        raise SpcpmError(f"tp must be a bool, got {tp!r}")
     if tp:
         _check_tp_shape(source, target, k)
     n1, n2 = target.d1 * source.d1, target.d2 * source.d2

@@ -74,6 +74,16 @@ def tp_renormalized(rep):
     return KrausRep(rep.source, rep.target, tuple(op @ inv_sqrt for op in rep.ops))
 
 
+def block_units(source, target):
+    """The two intra-block unit lists of maps source -> target, by the
+    row-major rule m = i·d_S + a for target index i and source index a:
+    block 1's units (i < d_t1, a < d_s1), then block 2's."""
+    ds = source.dim
+    first = [i * ds + a for i in range(target.d1) for a in range(source.d1)]
+    second = [i * ds + a for i in range(target.d1, target.dim) for a in range(source.d1, ds)]
+    return np.array(first, dtype=int), np.array(second, dtype=int)
+
+
 def unitary_mix(rep, u):
     """The Kraus list V'_k = sum_k' u[k, k'] V_k', the same channel for a
     unitary ``u``."""

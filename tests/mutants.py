@@ -38,8 +38,8 @@ MUTANTS = [
     # whose column is not, so a non-Hermitian matrix looks Hermitian
     (
         "spcpm/cpm.py",
-        "    return nonzero.any(axis=0) | nonzero.any(axis=1)",
-        "    return nonzero.any(axis=1)",
+        "    live = m.any(axis=0) | m.any(axis=1)",
+        "    live = m.any(axis=1)",
         ["tests/test_live_units.py::test_zero_row_with_a_nonzero_column_is_refused"],
     ),
     # the audit's defect is the worst block's instead of the hypot of both
@@ -250,7 +250,7 @@ MUTANTS = [
     # the residual tolerance instead of the rank cutoff of psd_spectrum
     (
         "spcpm/cpm.py",
-        "    w, v = psd_spectrum(block, vectors, subject)",
+        '    w, v = psd_spectrum(block, vectors, "coefficient matrix")',
         "    w, v = np.linalg.eigh(block)\n"
         "    if w[0] < -DEFAULT_TOL * max(1.0, abs(w).max()):\n"
         '        raise SpcpmError("coefficient matrix is not positive semi-definite")',
@@ -268,46 +268,25 @@ MUTANTS = [
     # gate's Hermiticity bound and floor
     (
         "spcpm/cpm.py",
-        '    return len(_kept_eigenpairs(kraus_to_choi(rep), False, "coefficient matrix")[0])',
+        "    return len(_kept_eigenpairs(kraus_to_choi(rep), False)[0])",
         "    m = kraus_to_choi(rep).matrix\n"
-        "    live = _live_units(m)\n"
+        "    live = m.any(axis=0) | m.any(axis=1)\n"
         "    if not live.any():\n"
         "        return 0\n"
         "    w = np.linalg.eigvalsh(m[np.ix_(live, live)])\n"
         "    return int(np.count_nonzero(w > rank_cutoff(w)))",
         ["tests/test_api.py::test_eigensolvers_are_called_only_in_psd_spectrum"],
     ),
-    # generation skips the gate (and stores no decomposition), so an
-    # indefinite triple becomes a matrix that conversion refuses
+    # generation skips the gate (the memo is left unmade), so an indefinite
+    # triple becomes a matrix that conversion refuses
     (
         "spcpm/sp.py",
-        '    spectrum = _kept_eigenpairs(choi, True, "assembled block matrix", (f, units))\n'
-        '    object.__setattr__(choi, "_spectrum", spectrum)\n',
+        "    choi._spectrum  # the positivity gate: decomposes the matrix or raises\n",
         "",
         [
             "tests/test_tolerance.py::test_generation_accepts_exactly_what_conversion_accepts",
             "tests/test_sp.py::test_every_valid_triple_is_an_sp_map_that_returns_it",
         ],
-    ),
-    # generation stores a decomposition of the whole assembled matrix, dead
-    # units included, instead of conversion's live-unit one: the same
-    # channel, not the same bits
-    (
-        "spcpm/sp.py",
-        '    spectrum = _kept_eigenpairs(choi, True, "assembled block matrix", (f, units))\n'
-        '    object.__setattr__(choi, "_spectrum", spectrum)\n',
-        "    from .linalg import psd_spectrum, rank_cutoff\n"
-        '    w, v = psd_spectrum(f, True, "assembled block matrix")\n'
-        "    keep = w > rank_cutoff(w)\n"
-        "    vecs = v[:, keep]\n"
-        "    mags = np.abs(vecs)\n"
-        "    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)\n"
-        "    cols = np.arange(vecs.shape[1])\n"
-        "    ops = np.zeros((len(cols), m), dtype=np.complex128)\n"
-        "    ops[:, units] = (vecs * np.conj(vecs[first, cols] / mags[first, cols])).T\n"
-        "    shape = (-1, blocks.target.dim, blocks.source.dim)\n"
-        '    object.__setattr__(choi, "_spectrum", (w[keep], ops.reshape(shape)))\n',
-        ["tests/test_sp.py::test_every_valid_triple_is_an_sp_map_that_returns_it"],
     ),
     # the array gate skips its finiteness check, so NaN and inf reach the
     # stores, the solvers and the files
@@ -487,6 +466,14 @@ MUTANTS = [
             "tests/test_tolerance.py::"
             "test_a_later_check_refuses_what_the_kraus_block_check_passes[build_dilation]"
         ],
+    ),
+    # the extracted triple is split at block 2's size instead of block 1's,
+    # which only a split with d_s1·d_t1 != d_s2·d_t2 can tell
+    (
+        "spcpm/sp.py",
+        "    k = source.d1 * target.d1\n    return SPBlockRep(",
+        "    k = source.d2 * target.d2\n    return SPBlockRep(",
+        ["tests/test_sp.py::TestBlocksFromSp::test_round_trip_through_blocks"],
     ),
 ]
 

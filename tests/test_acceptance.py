@@ -26,7 +26,6 @@ from spcpm.dilation import apply_dilation, build_dilation, verify_dilation
 from spcpm.linalg import block_psd_check
 from spcpm.sp import (
     SPBlockRep,
-    _block_indices,
     blocks_from_sp,
     is_sp_commutation,
     is_sp_definition,
@@ -38,6 +37,7 @@ from spcpm.sp import (
 )
 from spcpm.spaces import DecomposedSpace
 from channel_helpers import (
+    block_units,
     crandn,
     haar_unitary,
     perturb_cross_block,
@@ -277,7 +277,7 @@ def test_criterion_6_sp_generator_bijection():
         k = max(1 + i % 4, min_tp_kraus(source, target) if tp else 1)
         rep = random_sp_channel(source, target, k, tp, 60_000 + i)
         full = kraus_to_choi(rep).matrix
-        idx1, idx2 = _block_indices(source, target)
+        idx1, idx2 = block_units(source, target)
         leak = np.array(full)
         leak[np.ix_(idx1, idx1)] = 0
         leak[np.ix_(idx1, idx2)] = 0

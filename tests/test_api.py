@@ -139,6 +139,13 @@ def test_isfinite_is_read_only_by_the_two_gates():
     }
 
 
+def test_frozen_objects_are_written_only_by_their_own_constructors():
+    # a memo is made by its owner: no function writes past a frozen
+    # dataclass's guard except that class's own __post_init__
+    mentions = source_mentions({"__setattr__"})
+    assert {func for _, func, _ in mentions} == {"__post_init__"}
+
+
 def test_five_error_classes_all_spcpm_errors():
     classes = {
         name for name, obj in vars(errors).items()
@@ -254,6 +261,11 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         (lambda: sp.random_sp_channel(C2, C2, 1, False, 1.5), "seed must be"),
         (lambda: sp.random_sp_channel(C2, C2, 1, False, None), "seed must be"),
         (lambda: sp.random_sp_channel(C2, C2, 1, False, True), "seed must be"),
+        *[
+            (lambda tp=tp: sp.random_sp_channel(C2, C2, 8, tp, 1),
+             rf"^tp must be a bool, got {re.escape(repr(tp))}$")
+            for tp in ("no", 1, None, 0.0)
+        ],
         (lambda: cpm.apply(IDENTITY, [[1, 2], [3]]), RAGGED.format("input")),
         (lambda: cpm.apply(IDENTITY, "ab"), NOT_NUMBERS.format("input")),
         (lambda: KrausRep(C2, C2, ([[1, 0], [0]],)), RAGGED.format("Kraus operators")),
@@ -290,6 +302,7 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         "space", "kraus", "dilation", "checked_array", "basis", "random_k",
         "random_k_float", "random_k_bool", "random_k_str", "random_seed_negative",
         "random_seed_float", "random_seed_none", "random_seed_bool",
+        "random_tp_str", "random_tp_int", "random_tp_none", "random_tp_float",
         "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
         "blocks_str", "block_psd_ragged", "dilation_ragged", "matrix_no_data",
         "channel_from_blocks", "kraus_list_empty", "kraus_list_str",
@@ -358,6 +371,11 @@ def test_random_sp_channel_accepts_a_numpy_integer_k():
 
 def test_random_sp_channel_accepts_a_numpy_integer_seed():
     got = sp.random_sp_channel(C2, C2, 3, True, np.int64(5))
+    assert np.array_equal(got.ops, sp.random_sp_channel(C2, C2, 3, True, 5).ops)
+
+
+def test_random_sp_channel_accepts_a_numpy_bool_tp():
+    got = sp.random_sp_channel(C2, C2, 3, np.bool_(True), 5)
     assert np.array_equal(got.ops, sp.random_sp_channel(C2, C2, 3, True, 5).ops)
 
 

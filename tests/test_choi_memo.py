@@ -5,7 +5,7 @@ coefficient matrix.
 the SP verifiers, the rank, the block extraction and channel equality all
 read the same read-only matrix.  A ``ChoiRep`` in turn keeps its kept
 eigenvalues and gauged operators, which ``choi_to_kraus`` and
-``orthonormal_kraus`` read and ``sp_from_blocks`` stores from its gate.
+``orthonormal_kraus`` read and ``sp_from_blocks`` reads as its gate.
 Frozen arrays are views of copies held in immutable ``bytes``, so no caller
 can switch their writes back on, through the array or through its base, and
 make a memo stale.
@@ -128,7 +128,7 @@ def test_choi_memo_is_not_a_field_and_never_reaches_a_file():
     assert "_spectrum" in vars(choi)  # the memo is set ...
     assert "_spectrum" not in {f.name for f in fields(ChoiRep)}  # ... but no field
     assert (repr(choi), serialize.choi_to_obj(choi)) == before
-    # generation stores its own decomposition, invisibly in the same way
+    # generation's gate leaves the memo made, invisibly in the same way
     generated = sp_from_blocks(blocks_from_sp(rep))
     assert "_spectrum" in vars(generated)
     fresh = ChoiRep(rep.source, rep.target, generated.matrix)

@@ -26,7 +26,6 @@ from spcpm.errors import (
 )
 from spcpm.sp import (
     SPBlockRep,
-    _block_indices,
     blocks_from_sp,
     commutation_violation,
     definition_violation,
@@ -43,6 +42,7 @@ from spcpm.sp import (
 )
 from spcpm.spaces import DecomposedSpace, embed_block_operator
 from channel_helpers import (
+    block_units,
     crandn,
     dephasing_channel,
     haar_unitary,
@@ -237,12 +237,12 @@ class TestSpFromBlocks:
             assert is_sp_commutation(rep)
 
     def test_rejects_invalid_triple(self):
-        with pytest.raises(SpcpmError, match="block matrix is not positive semi-definite"):
+        with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
             sp_from_blocks(SPBlockRep(C2, C2, np.eye(1), np.eye(1), 2 * np.eye(1)))
 
     def test_rejects_kernel_leak(self):
         # block1 = 0 forces cross = 0
-        with pytest.raises(SpcpmError, match="block matrix is not positive semi-definite"):
+        with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
             sp_from_blocks(SPBlockRep(C2, C2, np.zeros((1, 1)), np.eye(1), np.eye(1)))
 
 
@@ -289,7 +289,7 @@ class TestBlocksFromSp:
     def test_off_block_entries_vanish_for_sp(self):
         rep = random_sp_channel(DecomposedSpace(3, 2), DecomposedSpace(2, 3), 4, False, 107)
         full = kraus_to_choi(rep).matrix
-        idx1, idx2 = _block_indices(rep.source, rep.target)
+        idx1, idx2 = block_units(rep.source, rep.target)
         leak = np.array(full)
         leak[np.ix_(idx1, idx1)] = 0
         leak[np.ix_(idx1, idx2)] = 0
@@ -724,24 +724,22 @@ def test_every_valid_triple_is_an_sp_map_that_returns_it(
     assert sp_kraus_bound_holds(rep)
     # made indefinite by t v v†, t = v†Fv + 1e-2 scale for a unit vector v, so
     # v†F'v = -1e-2 scale, far below the floor: generation and conversion
-    # both refuse it, each naming its own subject
+    # both refuse it, in the same words
     v = crandn(np.random.default_rng(seed), len(f))
     v /= np.linalg.norm(v)
     f = f - ((v.conj() @ f @ v).real + 1e-2 * scale) * np.outer(v, v.conj())
     k = src.d1 * tgt.d1
     indefinite = SPBlockRep(src, tgt, f[:k, :k], f[k:, k:], f[:k, k:])
-    with pytest.raises(SpcpmError, match="^assembled block matrix is not positive semi-definite"):
+    with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite") as made:
         sp_from_blocks(indefinite)
-    full = np.zeros((src.dim * tgt.dim,) * 2, dtype=np.complex128)
-    units = np.concatenate(_block_indices(src, tgt))
-    full[np.ix_(units, units)] = f
-    with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
-        choi_to_kraus(ChoiRep(src, tgt, full))
+    with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite") as met:
+        choi_to_kraus(ChoiRep(src, tgt, placed(src, tgt, f)))
+    assert str(made.value) == str(met.value)
 
 
 def placed(src, tgt, f):
     """F written on the intra-block units of the full coefficient matrix."""
-    units = np.concatenate(_block_indices(src, tgt))
+    units = np.concatenate(block_units(src, tgt))
     full = np.zeros((src.dim * tgt.dim,) * 2, dtype=np.complex128)
     full[np.ix_(units, units)] = f
     return full

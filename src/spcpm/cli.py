@@ -8,18 +8,19 @@ itself (``/dev/stdout``, or the file standard output is redirected to), the
 ``wrote …`` confirmation goes to standard error instead, so standard output
 holds exactly the file.
 
-Exit codes, decided in :func:`main` from the error class:
+Exit codes.  A command returns one itself only for a verdict: ``verify``'s
+NOT SP (1) and ``dilate``'s failed self-audit (3).  Every refusal is raised
+and mapped by :func:`main` from its error class:
 
 * 0 -- success or affirmative verdict;
-* 1 -- domain-negative: ``verify`` finds the channel not SP, or a
-  :class:`NotSPError`, :class:`NotTracePreservingError` or
-  :class:`SourceTargetMismatchError` is raised;
+* 1 -- domain-negative: ``verify``'s NOT SP, or a :class:`NotSPError`,
+  :class:`NotTracePreservingError` or :class:`SourceTargetMismatchError`;
 * 2 -- usage or format error: any other :class:`SpcpmError`, including an
   input file that cannot be read or parsed and an ``--out`` path that
   cannot be written;
 * 3 -- numeric failure: :class:`SingularMatrixError` (``gen --tp`` with
-  ``k·d_ti < d_si`` for a block i, so no draw can be normalized) or a
-  dilation that fails its own audit.
+  ``k·d_ti < d_si`` for a block i, so no draw can be normalized) or
+  ``dilate``'s failed self-audit.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def cmd_verify(args) -> int:
     for method in methods:
         if method == "trace" and not is_trace_preserving(rep, tol):
             if args.method == "trace":
-                _err("trace method requires a trace-preserving channel")
-                return EXIT_USAGE
+                raise SpcpmError("trace method requires a trace-preserving channel")
             print("trace: skipped (channel is not trace preserving)")
             continue
         residual, label = VERIFIERS[method](rep)

@@ -66,6 +66,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     BitEquality,
+    _block_matrix,
     check_tolerance,
     checked_array,
     frobenius,
@@ -177,8 +178,8 @@ def _unitary_block(pieces: np.ndarray) -> np.ndarray:
 
 
 def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    zero = np.zeros((first.shape[0], second.shape[0]), dtype=np.complex128)
-    return frozen_copy(np.block([[first, zero], [zero.T, second]]))
+    zero = np.zeros((len(first), len(second)))  # real, so no -0.0 imaginary part
+    return frozen_copy(_block_matrix(first, second, zero))
 
 
 def build_dilation(rep: KrausRep, tol: float = DEFAULT_TOL) -> UnitaryDilation:

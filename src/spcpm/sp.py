@@ -77,12 +77,6 @@ def _same_block(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray:
     return same
 
 
-def _off_pattern(source: DecomposedSpace, target: DecomposedSpace) -> np.ndarray:
-    """Entries T[i, a, j, b] of the coefficient tensor an SP map leaves zero."""
-    same = _same_block(source, target)
-    return ~np.logical_and.outer(same, same)
-
-
 def _image_tensor(rep: KrausRep) -> np.ndarray:
     """Images of all source matrix units at once: T[i, a, j, b] = phi(E_ab)[i, j].
 
@@ -191,7 +185,8 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
     """
     source, target = rep.source, rep.target
     image = _image_tensor(rep)
-    off = _off_pattern(source, target)
+    same = _same_block(source, target)
+    off = ~np.logical_and.outer(same, same)  # entries T[i, a, j, b] an SP map leaves zero
     mass = np.sum(np.abs(image) ** 2, axis=(0, 2), where=off)
     a, b = np.unravel_index(np.argmax(mass), mass.shape)
     if mass[a, b] == 0.0:
@@ -273,14 +268,15 @@ def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
         raise NotSPError("channel has cross-block Kraus components above tolerance")
     source, target = rep.source, rep.target
     full = kraus_to_choi(rep).matrix
-    off = _off_pattern(source, target).reshape(full.shape)
+    same = _same_block(source, target)
+    off = ~np.logical_and.outer(same, same).reshape(full.shape)
     off_mass = float(np.sqrt(np.sum(np.abs(full) ** 2, where=off)))
     if off_mass > tol * max(1.0, frobenius(full)):
         raise NotSPError(
             f"off-block coefficient mass {off_mass:.3e} exceeds tolerance"
         )
     # the units sp_from_blocks scatters the triple to, block 1's first
-    units = np.flatnonzero(_same_block(source, target))
+    units = np.flatnonzero(same)
     f = full[np.ix_(units, units)]
     k = source.d1 * target.d1
     return SPBlockRep(source, target, f[:k, :k], f[k:, k:], f[:k, k:])

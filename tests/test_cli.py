@@ -15,8 +15,8 @@ from spcpm.cli import _build_parser, main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
 from spcpm.dilation import build_dilation, verify_dilation
 from spcpm.errors import SpcpmError
-from spcpm.linalg import DEFAULT_TOL
-from spcpm.sp import sp_from_blocks
+from spcpm.linalg import DEFAULT_TOL, block_psd_check
+from spcpm.sp import SPBlockRep, sp_from_blocks
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -24,6 +24,14 @@ C2 = DecomposedSpace(1, 1)
 
 def write_channel(path, rep):
     serialize.write_file(path, serialize.channel_to_obj(rep))
+
+
+def channel_file_bytes(ops):
+    """A 1+1 channel file holding the Kraus list ``ops`` as it is, whatever
+    the shapes of its matrices."""
+    obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
+    obj["kraus"] = [serialize.encode_matrix(op) for op in ops]
+    return (json.dumps(obj) + "\n").encode()
 
 
 def identity_file(tmp_path):
@@ -175,19 +183,27 @@ class TestGen:
         assert "error: seed must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_singular_normalizer_exit_code(self, tmp_path):
+    def test_singular_normalizer_exit_code(self, tmp_path, capsys):
         out = tmp_path / "never.json"
         code = main(["gen", "--dims", "2,1,1,1", "--kraus", "1", "--tp",
                      "--seed", "1", "--out", str(out)])
         assert code == 3
+        assert "block 1 needs k·d_t1 >= d_s1, but 1·1 = 1 < 2" in capsys.readouterr().err
+        assert not out.exists()
+        # at the boundary k·d_t1 = d_s1 the draw is normalized and verifies SP
+        boundary = tmp_path / "boundary.json"
+        assert main(["gen", "--dims", "2,1,1,1", "--kraus", "2", "--tp",
+                     "--seed", "1", "--out", str(boundary)]) == 0
+        assert main(["verify", str(boundary)]) == 0
 
 
-def run_spcpm(args, stdout):
+def run_spcpm(args, stdout, **env):
     """Run the console entry point in a fresh interpreter, standard output to
-    ``stdout``; returns the finished process."""
+    ``stdout`` and ``env`` added to the environment; returns the finished
+    process."""
     src = str(Path(spcpm.__file__).resolve().parent.parent)
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **env)
     return subprocess.run(
         [sys.executable, "-m", "spcpm.cli", *args],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
@@ -234,10 +250,12 @@ class TestVerify:
         assert "NOT SP" in report
         assert "residual" in report
 
-    def test_trace_method_on_non_tp_is_usage_error(self, tmp_path):
+    def test_trace_method_on_non_tp_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "subnorm.json"
         write_channel(path, KrausRep(C2, C2, (np.eye(2) / 2,)))
         assert main(["verify", str(path), "--method", "trace"]) == 2
+        refusal = "error: trace method requires a trace-preserving channel\n"
+        assert capsys.readouterr() == ("", refusal)
         # under "all" the other verifiers still decide the verdict
         assert main(["verify", str(path), "--method", "all"]) == 0
 
@@ -259,14 +277,24 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"format": "\xff"}', b"[" * 200_000, b'{"rows": ' + b"1" * 5000 + b"}"],
-        ids=["not-utf8", "deep-nesting", "long-integer"],
+        [
+            b'{"format": "\xff"}',
+            b"[" * 200_000,
+            b'{"rows": ' + b"1" * 5000 + b"}",
+            channel_file_bytes([np.eye(2), np.eye(3)]),
+            channel_file_bytes([np.ones((3, 4))]),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-integer", "ragged-kraus", "wide-kraus"],
     )
     def test_unreadable_file_exits_2(self, tmp_path, content, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        assert main(["verify", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "never.json"
+        for args in (["verify", str(path)],
+                     ["convert", str(path), "--to", "kraus-min", "--out", str(out)]):
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestConvert:
@@ -418,6 +446,68 @@ class TestKrausRankCommand:
         write_channel(path, KrausRep(C2, C2, tuple(ops)))
         assert main(["kraus-rank", str(path)]) == 0
         assert "kraus rank: 4" in capsys.readouterr().out
+
+
+class TestEightPlusEight:
+    """The CLI at 8+8 and full Kraus rank K = 128, the largest size it is
+    checked at: file sizes, the rank at the SP bound, the block triple's
+    round trip and refusal, and the outputs whose bits follow the BLAS
+    thread count."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("eight")
+        kinds = ("channel", "blocks", "dilation", "composite")
+        files = {kind: d / f"{kind}88.json" for kind in kinds}
+        channel = str(files["channel"])
+        for args in (
+            ["gen", "--dims", "8,8,8,8", "--kraus", "128", "--tp", "--seed", "7",
+             "--out", channel],
+            ["convert", channel, "--to", "blocks", "--out", str(files["blocks"])],
+            ["dilate", channel, "--out", str(files["dilation"])],
+            ["compose", channel, channel, "--out", str(files["composite"])],
+        ):
+            assert main(args) == 0
+        return files
+
+    def test_channel_verifies_sp(self, files):
+        assert main(["verify", str(files["channel"])]) == 0
+
+    @pytest.mark.parametrize("kind", ["dilation", "composite"])
+    def test_file_is_under_a_megabyte(self, files, kind):
+        assert files[kind].stat().st_size < 1_000_000
+
+    @pytest.mark.parametrize("kind", ["channel", "composite"])
+    def test_kraus_rank_is_the_sp_bound(self, files, kind, capsys):
+        assert main(["kraus-rank", str(files[kind])]) == 0
+        assert "kraus rank: 128" in capsys.readouterr().out.splitlines()
+
+    def test_blocks_file_converts_back_to_the_channel(self, files):
+        blocks = serialize.blocks_from_obj(serialize.read_file(files["blocks"]))
+        original = serialize.channel_from_obj(serialize.read_file(files["channel"]))
+        assert channels_equal(choi_to_kraus(sp_from_blocks(blocks)), original)
+
+    def test_negated_block2_is_refused(self, files):
+        b = serialize.blocks_from_obj(serialize.read_file(files["blocks"]))
+        bad = SPBlockRep(b.source, b.target, b.block1, -b.block2, b.cross)
+        assert not block_psd_check(bad.block1, bad.block2, bad.cross)
+        with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
+            sp_from_blocks(bad)
+
+    @pytest.mark.parametrize("command", ["convert", "compose"])
+    def test_thread_counts_agree_in_value(self, files, tmp_path, command):
+        # an eigh of 128 live units rounds by the BLAS thread split, so the
+        # bits may differ between thread counts and the channels may not
+        channel = str(files["channel"])
+        inputs = [channel, "--to", "kraus-min"] if command == "convert" else [channel, channel]
+        reps = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            args = [command, *inputs, "--out", str(out)]
+            run = run_spcpm(args, subprocess.PIPE, OPENBLAS_NUM_THREADS=threads)
+            assert run.returncode == 0, run.stderr
+            reps.append(serialize.channel_from_obj(serialize.read_file(out)))
+        assert channels_equal(*reps, 1e-12)
 
 
 def test_bad_usage_exits_2(capsys):

@@ -18,12 +18,9 @@ from spcpm.errors import SpcpmError
 from spcpm.linalg import inv_sqrt_psd
 from spcpm.sp import SPBlockRep, blocks_from_sp, random_sp_channel, sp_from_blocks
 from spcpm.spaces import DecomposedSpace
+from channel_helpers import crandn
 
 RNG = np.random.default_rng(2718)
-
-
-def crandn(*shape):
-    return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
 
 
 def bits(x) -> bytes:
@@ -35,12 +32,12 @@ NORM_INPUTS = {
     "real-1d-strided": RNG.standard_normal(60)[::7],
     "real-2d-C": RNG.standard_normal((5, 4)),
     "real-2d-F": np.asfortranarray(RNG.standard_normal((40, 30))),
-    "complex-1d": crandn(9),
-    "complex-2d-C": crandn(33, 17),
-    "complex-2d-F": np.asfortranarray(crandn(40, 30)),
-    "complex-2d-strided": crandn(64, 60)[::2, 1::3],
-    "complex-2d-transposed": crandn(30, 50).T,
-    "complex-3d-stack": crandn(8, 6, 6),
+    "complex-1d": crandn(RNG, 9),
+    "complex-2d-C": crandn(RNG, 33, 17),
+    "complex-2d-F": np.asfortranarray(crandn(RNG, 40, 30)),
+    "complex-2d-strided": crandn(RNG, 64, 60)[::2, 1::3],
+    "complex-2d-transposed": crandn(RNG, 30, 50).T,
+    "complex-3d-stack": crandn(RNG, 8, 6, 6),
     "complex-zero": np.zeros((3, 3), dtype=np.complex128),
 }
 
@@ -86,7 +83,7 @@ def test_rank_cutoff_is_the_max_abs_formula_on_any_ascending_spectrum(values):
 
 def test_rank_cutoff_of_eigh_spectra_is_the_max_abs_formula():
     for n in (1, 2, 5, 12):
-        g = crandn(n, n)
+        g = crandn(RNG, n, n)
         for m in (g + g.conj().T, -(g @ g.conj().T), g @ g.conj().T):
             w = np.linalg.eigvalsh(m)
             assert bits(linalg.rank_cutoff(w)) == bits(max_abs_cutoff(w))
@@ -159,8 +156,8 @@ def test_sampler_keeps_the_bits_of_the_former_formula(source, tp):
 
 
 def test_complex128_arrays_come_back_uncopied():
-    x = crandn(3, 4)
-    frozen = KrausRep(DecomposedSpace(1, 1), DecomposedSpace(1, 1), crandn(2, 2, 2)).ops
+    x = crandn(RNG, 3, 4)
+    frozen = KrausRep(DecomposedSpace(1, 1), DecomposedSpace(1, 1), crandn(RNG, 2, 2, 2)).ops
     for arr in (x, x[:, ::2], x.T, frozen):
         assert linalg.checked_array(arr, (None,) * arr.ndim, "m") is arr
 
@@ -218,9 +215,9 @@ def triples():
         rep = random_sp_channel(DecomposedSpace(a, b), DecomposedSpace(c, d), k, False, 5)
         yield blocks_from_sp(rep)
     c22 = DecomposedSpace(2, 2)
-    g = crandn(4, 2)
+    g = crandn(RNG, 4, 2)
     g[1] = 0.0  # unit 1 of block 1 is dead
-    h = crandn(4, 3)
+    h = crandn(RNG, 4, 3)
     yield SPBlockRep(c22, c22, gram(g), gram(h), np.zeros((4, 4)))
     yield SPBlockRep(c22, c22, gram(g), np.zeros((4, 4)), np.zeros((4, 4)))
     yield SPBlockRep(c22, c22, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))

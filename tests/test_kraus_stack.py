@@ -32,6 +32,7 @@ from spcpm.errors import SingularMatrixError
 from spcpm.linalg import inv_sqrt_psd
 from spcpm.sp import random_sp_channel, split_kraus_blocks
 from spcpm.spaces import DecomposedSpace, embed_block_operator
+from channel_helpers import crandn
 from test_compose import assert_composes_like_pairwise
 from test_sp import ORACLE_CASES
 
@@ -69,15 +70,11 @@ def loop_random_sp_channel(source, target, k, tp, seed):
     """The sampler with a list of embedded draws and a per-operator
     normalizer; returns the operator stack."""
     rng = np.random.default_rng(seed)
-
-    def crandn(rows, cols):
-        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
     for _ in range(8):
         ops = []
         for _ in range(k):
-            g1 = crandn(target.d1, source.d1)
-            g2 = crandn(target.d2, source.d2)
+            g1 = crandn(rng, target.d1, source.d1)
+            g2 = crandn(rng, target.d2, source.d2)
             ops.append(
                 embed_block_operator(g1, source, target, 1, 1)
                 + embed_block_operator(g2, source, target, 2, 2)

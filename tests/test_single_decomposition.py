@@ -152,7 +152,9 @@ def test_orthonormal_kraus_matches_gram_route(name, rep):
     assert len(pairs) == len(ref)
     w = np.array([r for r, _ in pairs])
     w_ref = np.array([r for r, _ in ref])
-    assert np.all(np.abs(w - w_ref) <= 1e-12 * np.abs(w_ref))
+    # one bound at the spectrum's scale, as test_live_units.py applies: a
+    # small eigenvalue moves by the rounding of a solve of any size
+    assert np.all(np.abs(w - w_ref) <= 1e-12 * np.max(np.abs(w_ref), initial=0.0))
     ys = np.stack([y.ravel() for _, y in pairs])
     assert np.max(np.abs(ys.conj() @ ys.T - np.eye(len(pairs)))) <= 1e-12
     rebuilt = KrausRep(rep.source, rep.target, tuple(np.sqrt(r) * y for r, y in pairs))

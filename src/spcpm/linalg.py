@@ -8,8 +8,10 @@ speed.
 
 :func:`checked_array` is the one array gate: every matrix and Kraus stack
 that enters the package passes it, as an array of numbers of a given shape,
-with no empty axis and finite entries.  It is the only place that reads
-``isfinite`` on an array or words a refusal of one.
+with no empty axis and finite entries.  Every input takes the same path;
+a ``complex128`` ndarray comes back as itself, any other as a converted
+copy.  It is the only place that reads ``isfinite`` on an array or words a
+refusal of one.
 
 :func:`psd_spectrum` is the one spectral gate: the only caller of ``eigh``
 and ``eigvalsh`` in the package, and the only place that words a
@@ -54,38 +56,38 @@ def check_tolerance(value: float, name: str = "tol") -> float:
 
     An infinite tolerance would accept every residual and a NaN, zero or
     negative one would reject every residual, so neither decides anything;
-    nor does a ``bool``, which would pass as 1.
+    nor does a ``bool``, which would pass as 1.  A number past the float
+    range is infinite as a bound; it is worded without its digits, which
+    may be too many for ``repr``.
     """
+    shown = None
     try:
         ok = math.isfinite(value) and value > 0
     except TypeError:
         ok = False
+    except OverflowError:
+        ok, shown = False, "a number past the float range"
     if not ok or isinstance(value, (bool, np.bool_)):
-        raise SpcpmError(f"{name} must be finite and > 0, got {value!r}")
+        raise SpcpmError(f"{name} must be finite and > 0, got {shown or repr(value)}")
     return value
 
 
 def checked_array(x, shape: tuple, what: str) -> np.ndarray:
-    """``x`` as a ``complex128`` array, uncopied if it already is one.
-
-    A native-order ``complex128`` ``np.ndarray`` (no subclass) is ``x``
-    itself and skips ``asarray``, the dtype test and the cast; every input
-    then meets the same empty-axis, shape and finiteness checks.
+    """``x`` as a ``complex128`` array, uncopied if it already is one:
+    ``asarray`` and the cast return a native ``complex128`` ndarray itself.
 
     ``shape`` gives the size of each axis, ``None`` for any size.  Raises
     :class:`SpcpmError`, naming ``what``, unless ``x`` is an array of
     numbers (bool, integer, float or complex) with no empty axis, of
     ``len(shape)`` axes of the given sizes and with finite entries.
     """
-    arr = x
-    if type(x) is not np.ndarray or x.dtype != np.complex128:
-        try:
-            arr = np.asarray(x)
-        except ValueError as exc:  # a ragged nesting
-            raise SpcpmError(f"{what} is not an array of numbers: {exc}") from exc
-        if arr.dtype.kind not in "biufc":  # strings, None and other objects
-            raise SpcpmError(f"{what} is not an array of numbers: its dtype is {arr.dtype}")
-        arr = arr.astype(np.complex128, copy=False)
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting
+        raise SpcpmError(f"{what} is not an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "biufc":  # strings, None and other objects
+        raise SpcpmError(f"{what} is not an array of numbers: its dtype is {arr.dtype}")
+    arr = arr.astype(np.complex128, copy=False)
     if 0 in arr.shape:
         raise SpcpmError(f"{what} must not be empty, got shape {arr.shape}")
     sizes_ok = all([want in (None, got) for got, want in zip(arr.shape, shape)])

@@ -4,6 +4,11 @@ A decomposition is a dimension split d = d1 + d2 with block 1 spanned by the
 first d1 standard basis vectors and block 2 by the rest.  Arbitrary
 orthogonal decompositions are handled by conjugating operators into this
 coordinate convention before entering the library.
+
+A block is named by the integer 1 or 2; a ``bool`` or a float is refused,
+as it is for the block dimensions.  A space gives each block's dimension,
+coordinate slice and projector; an operator's block is read or written
+through :meth:`DecomposedSpace.block_slice`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpcpmError
-from .linalg import checked_array
 
 
 def is_integer(value) -> bool:
@@ -44,7 +48,7 @@ class DecomposedSpace:
         return self.d1 + self.d2
 
     def _check_block(self, block: int) -> None:
-        if block not in (1, 2):
+        if not (is_integer(block) and block in (1, 2)):
             raise SpcpmError(f"block must be 1 or 2, got {block!r}")
 
     def block_dim(self, block: int) -> int:
@@ -61,22 +65,3 @@ class DecomposedSpace:
         diag = np.zeros(self.dim)
         diag[self.block_slice(block)] = 1.0
         return np.diag(diag).astype(np.complex128)
-
-
-def embed_block_operator(
-    x,
-    src: DecomposedSpace,
-    tgt: DecomposedSpace,
-    src_block: int,
-    tgt_block: int,
-) -> np.ndarray:
-    """Embed a block operator into the full space, zero everywhere else.
-
-    The result Y satisfies P_t Y P_s = Y for the named target and source
-    block projectors.
-    """
-    shape = (tgt.block_dim(tgt_block), src.block_dim(src_block))
-    arr = checked_array(x, shape, "block operator")
-    out = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
-    out[tgt.block_slice(tgt_block), src.block_slice(src_block)] = arr
-    return out

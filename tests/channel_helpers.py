@@ -14,7 +14,7 @@ import numpy as np
 
 from spcpm.cpm import KrausRep
 from spcpm.sp import random_sp_channel
-from spcpm.spaces import DecomposedSpace, embed_block_operator
+from spcpm.spaces import DecomposedSpace
 
 
 def crandn(rng, *shape):
@@ -59,9 +59,9 @@ def perturb_cross_block(rep, rng, scale=1e-2):
     src, tgt = rep.source, rep.target
     ops = []
     for op in rep.ops:
-        noise = embed_block_operator(
-            crandn(rng, tgt.d1, src.d2), src, tgt, 2, 1
-        ) + embed_block_operator(crandn(rng, tgt.d2, src.d1), src, tgt, 1, 2)
+        noise = np.zeros((tgt.dim, src.dim), dtype=np.complex128)
+        noise[tgt.block_slice(1), src.block_slice(2)] = crandn(rng, tgt.d1, src.d2)
+        noise[tgt.block_slice(2), src.block_slice(1)] = crandn(rng, tgt.d2, src.d1)
         ops.append(op + scale * noise)
     return KrausRep(src, tgt, tuple(ops))
 

@@ -392,13 +392,13 @@ MUTANTS = [
         "        values = (getattr(self, f.name) for f in fields(self)[:1])",
         ["tests/test_value_equality.py::test_objects_differing_in_one_field_compare_unequal"],
     ),
-    # the array gate's short path for complex128 arrays skips the finiteness
-    # check, so NaN and inf in such an array reach the stores and solvers
+    # the array gate skips the finiteness check for an array it returns as
+    # it is, so NaN and inf in a complex128 array reach the stores and solvers
     (
         "spcpm/linalg.py",
         "    if not np.logical_and.reduce(np.isfinite(arr), axis=None):",
         "    if arr is not x and not np.logical_and.reduce(np.isfinite(arr), axis=None):",
-        ["tests/test_fast_paths.py::test_short_path_words_every_refusal_as_the_general_path"],
+        ["tests/test_fast_paths.py::test_every_input_type_gets_the_same_refusal"],
     ),
     # the reader hands the file's bytes to json.loads, which guesses UTF-16,
     # UTF-32 and a UTF-8 byte-order mark instead of refusing them

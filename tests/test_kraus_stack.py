@@ -3,9 +3,9 @@
 
 The references below are the per-operator loop forms the library used
 before: a running sum of sandwiches for ``apply``, a running sum of V_k† V_k
-for the sampler's normalizer, and one ``embed_block_operator`` per operator
-and block for ``split_kraus_blocks`` and the sampler.  The stacked forms do
-the same arithmetic in the same order, so every result must be
+for the sampler's normalizer, and one block written into a zero operator per
+operator and block for ``split_kraus_blocks`` and the sampler.  The stacked
+forms do the same arithmetic in the same order, so every result must be
 bit-identical; this also pins the README promise that ``gen`` writes the
 same files for the same seed.  ``is_trace_preserving`` alone sums
 differently: it reads S = sum_k V_k† V_k as one (K dt, ds) product, which
@@ -14,9 +14,10 @@ defect.  ``compose`` returns a minimal list, not the pairwise products, so
 it is checked against them through the coefficient matrix
 (``test_compose.py``).  The sampler reads all of its entries from one
 standard-normal draw; the per-operator reference draws them operator by
-operator, block 1 before block 2, real before imaginary parts.  The reference retries a singular normalizer with
-up to 8 draws, so matching it shows that the sampler's shape rule, decided
-before its one draw, refuses nothing that 8 draws could normalize.
+operator, block 1 before block 2, real before imaginary parts.  The
+reference retries a singular normalizer with up to 8 draws, so matching it
+shows that the sampler's shape rule, decided before its one draw, refuses
+nothing that 8 draws could normalize.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from spcpm.cpm import apply, is_trace_preserving
 from spcpm.errors import SingularMatrixError
 from spcpm.linalg import inv_sqrt_psd
 from spcpm.sp import random_sp_channel, split_kraus_blocks
-from spcpm.spaces import DecomposedSpace, embed_block_operator
+from spcpm.spaces import DecomposedSpace
 from channel_helpers import crandn
 from test_compose import assert_composes_like_pairwise
 from test_sp import ORACLE_CASES
@@ -57,8 +58,10 @@ def loop_split(rep):
     source, target = rep.source, rep.target
 
     def piece(op, block):
-        inner = op[target.block_slice(block), source.block_slice(block)]
-        return embed_block_operator(inner, source, target, block, block)
+        rows, cols = target.block_slice(block), source.block_slice(block)
+        out = np.zeros((target.dim, source.dim), dtype=np.complex128)
+        out[rows, cols] = op[rows, cols]
+        return out
 
     return (
         np.stack([piece(op, 1) for op in rep.ops]),
@@ -67,18 +70,18 @@ def loop_split(rep):
 
 
 def loop_random_sp_channel(source, target, k, tp, seed):
-    """The sampler with a list of embedded draws and a per-operator
-    normalizer; returns the operator stack."""
+    """The sampler with a list of operators, each block drawn and written
+    into a zero operator, and a per-operator normalizer; returns the
+    operator stack."""
     rng = np.random.default_rng(seed)
     for _ in range(8):
         ops = []
         for _ in range(k):
-            g1 = crandn(rng, target.d1, source.d1)
-            g2 = crandn(rng, target.d2, source.d2)
-            ops.append(
-                embed_block_operator(g1, source, target, 1, 1)
-                + embed_block_operator(g2, source, target, 2, 2)
-            )
+            op = np.zeros((target.dim, source.dim), dtype=np.complex128)
+            for block in (1, 2):
+                rows, cols = target.block_slice(block), source.block_slice(block)
+                op[rows, cols] = crandn(rng, target.block_dim(block), source.block_dim(block))
+            ops.append(op)
         if not tp:
             return np.stack(ops)
         try:
@@ -147,6 +150,20 @@ def test_sampler_on_unequal_splits_is_bit_identical():
     for tp in (True, False):
         got = random_sp_channel(source, target, 9, tp, 11).ops
         assert np.array_equal(got, loop_random_sp_channel(source, target, 9, tp, 11))
+
+
+SMALL_SPLITS = [DecomposedSpace(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("tp", [True, False], ids=["tp", "non-tp"])
+@pytest.mark.parametrize("source", SMALL_SPLITS, ids=lambda s: f"{s.d1}+{s.d2}")
+def test_sampler_has_the_bytes_of_the_loop_form_on_every_small_split(source, tp):
+    for target in SMALL_SPLITS:
+        k = source.d1 + source.d2  # k·d_ti >= d_si for every target
+        for seed in range(4):
+            got = random_sp_channel(source, target, k, tp, seed).ops
+            want = loop_random_sp_channel(source, target, k, tp, seed)
+            assert got.tobytes() == want.tobytes()
 
 
 DRAW_SPLITS = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (4, 1), (1, 4), (8, 8)]

@@ -40,7 +40,7 @@ from spcpm.sp import (
     split_kraus_blocks,
     trace_violation,
 )
-from spcpm.spaces import DecomposedSpace, embed_block_operator
+from spcpm.spaces import DecomposedSpace
 from channel_helpers import (
     block_units,
     crandn,
@@ -392,7 +392,9 @@ def reference_definition(rep):
     worst = 0.0
     for src_block, tgt_block in ((2, 1), (1, 2)):
         for _, _, unit in matrix_units(rep.source.block_dim(src_block)):
-            q = embed_block_operator(unit, rep.source, rep.source, src_block, src_block)
+            q = np.zeros((rep.source.dim,) * 2, dtype=np.complex128)
+            block = rep.source.block_slice(src_block)
+            q[block, block] = unit
             image = apply(rep, q)
             worst = max(worst, abs(np.trace(rep.target.projector(tgt_block) @ image)))
     return worst

@@ -42,7 +42,17 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True, np.True_], ids=repr)
+# an integer past the float range: its repr may be too long to word
+HUGE = [
+    pytest.param(10**400, id="10**400"),
+    pytest.param(-(10**400), id="-10**400"),
+    pytest.param(10**5000, id="10**5000"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 0.0, -1.0, True, np.True_, *HUGE], ids=repr
+)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_meaningless_tolerance_is_refused(entry, value):
     # a bool is no tolerance, though it would pass as 1.0

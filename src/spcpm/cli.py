@@ -3,10 +3,8 @@
 Subcommands: ``gen`` (sample a random SP channel), ``verify`` (run the SP
 verifiers), ``convert`` (change representation), ``compose``, ``dilate`` and
 ``kraus-rank``.  Channels travel as JSON files; reports go to standard
-output, diagnostics to standard error.  When ``--out`` is standard output
-itself (``/dev/stdout``, or the file standard output is redirected to), the
-``wrote …`` confirmation goes to standard error instead, so standard output
-holds exactly the file.
+output, diagnostics (each ``wrote …`` confirmation too) to standard error,
+so ``--out /dev/stdout`` puts exactly the file on standard output.
 
 Exit codes.  A command returns one itself only for a verdict: ``verify``'s
 NOT SP (1) and ``dilate``'s failed self-audit (3).  Every refusal is raised
@@ -26,7 +24,6 @@ and mapped by :func:`main` from its error class:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import serialize
@@ -79,17 +76,6 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _wrote(out, message: str) -> None:
-    """Confirm a write to ``out`` on stdout, or on stderr when ``out`` is
-    the file stdout writes to, whose bytes the message would corrupt.  A
-    stdout without a file descriptor is never the same file."""
-    try:
-        same = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(out))
-    except (OSError, ValueError):
-        same = False
-    print(message, file=sys.stderr if same else sys.stdout)
-
-
 def _parse_dims(text: str) -> list[int]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -122,7 +108,7 @@ def cmd_gen(args) -> int:
     target = DecomposedSpace(args.dims[2], args.dims[3])
     rep = random_sp_channel(source, target, args.kraus, args.tp, args.seed)
     serialize.write_file(args.out, serialize.channel_to_obj(rep))
-    _wrote(args.out, f"wrote channel with {args.kraus} Kraus operators to {args.out}")
+    print(f"wrote channel with {args.kraus} Kraus operators to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -158,7 +144,7 @@ def cmd_convert(args) -> int:
     else:  # blocks
         obj = serialize.blocks_to_obj(blocks_from_sp(rep, args.tol))
     serialize.write_file(args.out, obj)
-    _wrote(args.out, f"wrote {args.to} representation to {args.out}")
+    print(f"wrote {args.to} representation to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -167,7 +153,7 @@ def cmd_compose(args) -> int:
     rep_b = _load_channel(args.file_b)
     composed = compose(rep_b, rep_a)
     serialize.write_file(args.out, serialize.channel_to_obj(composed))
-    _wrote(args.out, f"wrote composition (second after first) to {args.out}")
+    print(f"wrote composition (second after first) to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -184,7 +170,7 @@ def cmd_dilate(args) -> int:
         return EXIT_NUMERIC
     serialize.write_file(args.out, serialize.dilation_to_obj(dil))
     message = f"wrote dilation with ancilla dimension {dil.ancilla_dim} to {args.out}"
-    _wrote(args.out, message)
+    print(message, file=sys.stderr)
     return EXIT_OK
 
 

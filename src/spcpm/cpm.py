@@ -84,9 +84,12 @@ class KrausRep(BitEquality):
 
     @cached_property
     def _choi(self) -> ChoiRep:
-        """The coefficient matrix, built on first use (see :func:`kraus_to_choi`)."""
+        """The coefficient matrix, built on first use (see :func:`kraus_to_choi`).
+        A product past the float range is left to the gate to refuse."""
         stacked = self.ops.reshape(len(self.ops), -1)
-        return ChoiRep(self.source, self.target, stacked.T @ stacked.conj())
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = stacked.T @ stacked.conj()
+        return ChoiRep(self.source, self.target, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +229,8 @@ def compose(b: KrausRep, a: KrausRep) -> KrausRep:
     dt, dm, ds = b.target.dim, b.source.dim, a.source.dim
     outer = kraus_to_choi(b).matrix.reshape(dt, dm, dt, dm).transpose(0, 2, 1, 3)
     inner = kraus_to_choi(a).matrix.reshape(dm, ds, dm, ds).transpose(0, 2, 1, 3)
-    product = outer.reshape(dt * dt, dm * dm) @ inner.reshape(dm * dm, ds * ds)
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate refuses an overflow
+        product = outer.reshape(dt * dt, dm * dm) @ inner.reshape(dm * dm, ds * ds)
     matrix = product.reshape(dt, dt, ds, ds).transpose(0, 2, 1, 3).reshape(dt * ds, -1)
     return choi_to_kraus(ChoiRep(a.source, b.target, matrix))
 

@@ -95,7 +95,7 @@ def checked_array(x, shape: tuple, what: str) -> np.ndarray:
         want = str(shape).replace("None", "*")
         raise SpcpmError(f"{what} has shape {arr.shape}, expected {want}")
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # .all() without its wrapper
-        raise SpcpmError("matrix entries must be finite")
+        raise SpcpmError(f"{what} must have finite entries")
     return arr
 
 

@@ -313,7 +313,8 @@ def random_sp_channel(
     S^(-1/2) where S = sum_k V_k† V_k; S is block diagonal, so normalization
     stays inside the SP set and makes the channel trace preserving.  A shape
     whose S is singular on every draw (:func:`_check_tp_shape`) raises
-    :class:`SingularMatrixError` before drawing.  ``tp`` must be a bool
+    :class:`SingularMatrixError`, and a stack past numpy's index range
+    :class:`SpcpmError`, before drawing.  ``tp`` must be a bool
     (Python's or numpy's), and ``seed`` a non-negative integer, so that
     every channel drawn can be drawn again.
     """
@@ -327,6 +328,13 @@ def random_sp_channel(
         raise SpcpmError(f"tp must be a bool, got {tp!r}")
     if tp:
         _check_tp_shape(source, target, k)
+    # on Python ints: a numpy k would wrap; the draw never takes more bytes
+    nbytes = 16 * int(k) * target.dim * source.dim
+    if nbytes > np.iinfo(np.intp).max:
+        raise SpcpmError(
+            f"{k} Kraus operators of shape ({target.dim}, {source.dim}) need "
+            f"{nbytes} bytes, more than an array can hold"
+        )
     n1, n2 = target.d1 * source.d1, target.d2 * source.d2
     draw = np.random.default_rng(seed).standard_normal((k, 2 * (n1 + n2)))
     ops = np.zeros((k, target.dim, source.dim), dtype=np.complex128)

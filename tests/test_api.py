@@ -298,7 +298,7 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         (lambda: UnitaryDilation(C2, np.ones((0, 1, 1)), np.ones((0, 1, 1))),
          r"^a1 must not be empty"),
         (lambda: linalg.checked_array([[np.inf]], (None, None), "matrix"),
-         "^matrix entries must be finite$"),
+         "^matrix must have finite entries$"),
         (lambda: read_choi_file_with_basis("pauli"), "unsupported basis tag: 'pauli'"),
         (lambda: sp.random_sp_channel(C2, C2, 0, False, 1), "at least one Kraus"),
         (lambda: sp.random_sp_channel(C2, C2, 2.5, False, 1), "must be an integer"),

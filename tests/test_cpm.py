@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from spcpm import serialize
+from spcpm.cli import main
 from spcpm.cpm import (
     ChoiRep,
     KrausRep,
@@ -54,7 +56,7 @@ class TestKrausRep:
 
     def test_rejects_non_finite(self):
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        with pytest.raises(SpcpmError, match="^matrix entries must be finite$"):
+        with pytest.raises(SpcpmError, match="^Kraus operators must have finite entries$"):
             KrausRep(C2, C2, (bad,))
 
     def test_ops_are_read_only(self):
@@ -156,6 +158,20 @@ class TestKrausToChoi:
         rep = random_rep(rng, DecomposedSpace(2, 1), DecomposedSpace(1, 2), 3)
         back = choi_to_kraus(kraus_to_choi(rep))
         assert channels_equal(rep, back, 1e-10)
+
+    def test_product_past_the_float_range_is_refused_by_the_gate(self, tmp_path, capsys):
+        # finite entries whose products overflow: no RuntimeWarning (an error
+        # under this suite's filter), one refusal naming the coefficient matrix
+        rep = KrausRep(C2, C2, (1e160 * np.eye(2),))
+        refusal = "^coefficient matrix must have finite entries$"
+        with pytest.raises(SpcpmError, match=refusal):
+            kraus_to_choi(rep)
+        with pytest.raises(SpcpmError, match=refusal):
+            kraus_rank(rep)
+        path = tmp_path / "huge.json"
+        serialize.write_file(path, serialize.channel_to_obj(rep))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: coefficient matrix must have finite entries\n")
 
 
 class TestApplyChoi:
@@ -365,6 +381,11 @@ class TestCompose:
         b = random_rep(rng, C2, C2, 1)
         with pytest.raises(SpcpmError, match="cannot compose"):
             compose(b, a)
+
+    def test_contraction_past_the_float_range_is_refused_by_the_gate(self):
+        rep = KrausRep(C2, C2, (1e100 * np.eye(2),))
+        with pytest.raises(SpcpmError, match="^coefficient matrix must have finite entries$"):
+            compose(rep, rep)
 
 
 class TestIsTracePreserving:

@@ -149,9 +149,9 @@ def test_other_inputs_become_plain_native_complex128(x):
 
 
 REFUSALS = [
-    (np.array([[1.0, np.nan]]), (1, 2), "matrix entries must be finite"),
-    (np.array([[1.0], [np.inf]]), (2, 1), "matrix entries must be finite"),
-    (np.array([[complex(0, -np.inf)]]), (1, 1), "matrix entries must be finite"),
+    (np.array([[1.0, np.nan]]), (1, 2), "m must have finite entries"),
+    (np.array([[1.0], [np.inf]]), (2, 1), "m must have finite entries"),
+    (np.array([[complex(0, -np.inf)]]), (1, 1), "m must have finite entries"),
     (np.zeros((2, 3)), (2, 2), "m has shape (2, 3), expected (2, 2)"),
     (np.zeros((2, 2)), (None, None, None), "m has shape (2, 2), expected (*, *, *)"),
     (np.zeros((0, 2)), (None, 2), "m must not be empty, got shape (0, 2)"),

@@ -328,6 +328,13 @@ class TestRandomSpChannel:
         with pytest.raises(SingularMatrixError, match="block 1 needs k·d_t1 >= d_s1, but 1·1 = 1 < 2$"):
             random_sp_channel(DecomposedSpace(2, 1), DecomposedSpace(1, 1), 1, True, 111)
 
+    @pytest.mark.parametrize("k", [2**62, np.int64(2**62)], ids=["int", "int64"])
+    def test_stack_past_the_index_range_is_refused(self, k):
+        # numpy refuses this size before it allocates; a numpy k must not wrap
+        with pytest.raises(SpcpmError, match=f"^{2**62} Kraus operators of shape "
+                           r"\(2, 2\) need \d+ bytes, more than an array can hold$"):
+            random_sp_channel(C2, C2, k, False, 0)
+
 
 class TestKrausBound:
     def test_identity_channel_on_minimal_split(self):

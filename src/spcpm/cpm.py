@@ -237,10 +237,13 @@ def compose(b: KrausRep, a: KrausRep) -> KrausRep:
 
 def _gram_defect(stack: np.ndarray) -> np.ndarray:
     """sum_k V_k† V_k - I for a (K, m, n) stack, as a fresh n x n array with
-    the bits of subtracting ``np.eye(n)``, which is not built."""
+    the bits of subtracting ``np.eye(n)``, which is not built.  A product past
+    the float range holds ``inf`` or ``nan``, without a warning, so no norm of
+    it passes a tolerance."""
     n = stack.shape[-1]
     flat = stack.reshape(-1, n)  # the (K m, n) stack
-    gram = flat.conj().T @ flat
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = flat.conj().T @ flat
     gram.ravel()[:: n + 1] -= 1.0  # the product is fresh and C-ordered: a view
     return gram
 

@@ -72,7 +72,7 @@ from .linalg import (
     frobenius,
     frozen_copy,
 )
-from .sp import _kraus_bound, is_sp_kraus_blocks
+from .sp import _kraus_bound, is_sp_kraus_blocks, split_kraus_blocks
 from .spaces import DecomposedSpace
 
 
@@ -187,7 +187,7 @@ def build_dilation(rep: KrausRep, tol: float = DEFAULT_TOL) -> UnitaryDilation:
 
     The Kraus list is first reduced to a linearly independent one, so the
     ancilla dimension is the minimal K + 1 for this construction; the
-    dilation is its two stacks of in-block pieces.
+    dilation is its two stacks of in-block pieces (:func:`sp.split_kraus_blocks`).
     """
     if rep.source != rep.target:
         raise SourceTargetMismatchError(
@@ -197,11 +197,9 @@ def build_dilation(rep: KrausRep, tol: float = DEFAULT_TOL) -> UnitaryDilation:
         raise NotTracePreservingError("dilation requires a trace-preserving channel")
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("dilation requires a subspace-preserving channel")
-    minimal = choi_to_kraus(kraus_to_choi(rep))
-    if not is_sp_kraus_blocks(minimal, tol):
-        raise NotSPError("channel has cross-block Kraus components above tolerance")
+    first, second = split_kraus_blocks(choi_to_kraus(kraus_to_choi(rep)), tol)
     s1, s2 = rep.source.block_slice(1), rep.source.block_slice(2)
-    return UnitaryDilation(rep.source, minimal.ops[:, s1, s1], minimal.ops[:, s2, s2])
+    return UnitaryDilation(rep.source, first[:, s1, s1], second[:, s2, s2])
 
 
 def apply_dilation(dil: UnitaryDilation, q) -> np.ndarray:

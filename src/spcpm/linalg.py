@@ -14,8 +14,8 @@ copy.  It is the only place that reads ``isfinite`` on an array or words a
 refusal of one.
 
 :func:`psd_spectrum` is the one spectral gate: the only caller of ``eigh``
-and ``eigvalsh`` in the package, and the only place that words a
-Hermiticity or positivity refusal, always with the value and its bound.
+and ``eigvalsh`` in the package, and the only place that words a size,
+Hermiticity or positivity refusal, the last two with the value and its bound.
 Its input is a square matrix built from arrays that passed the array gate.
 Eigenvectors are computed only where they are read.
 
@@ -144,10 +144,12 @@ class BitEquality:
 def frobenius(m: np.ndarray) -> float:
     """Frobenius norm of a float or complex array of any shape: the square
     root of the sum ``np.linalg.norm`` takes, over the entries in memory
-    order, so it carries the same bits (a real array's ``im·im`` is 0)."""
+    order, so it carries the same bits (a real array's ``im·im`` is 0).
+    A sum of squares past the float range reads ``inf``, without a warning."""
     flat = m.ravel(order="K")
     re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    with np.errstate(over="ignore"):
+        return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
@@ -155,14 +157,19 @@ def psd_spectrum(arr: np.ndarray, vectors: bool, subject: str):
     ascending, and eigenvectors if ``vectors``, else ``v`` is ``None``
     (``eigvalsh`` computes none).
 
-    Raises :class:`SpcpmError`, naming ``subject``, when
+    Raises :class:`SpcpmError`, naming ``subject``, when ``||M||_F²``
+    passes the float range, when
     ``||M - M†||_F > DEFAULT_RTOL * max(1, ||M||_F)`` (with the asymmetry)
     or when the smallest eigenvalue lies below the floor ``-rank_cutoff(w)``
-    (with the eigenvalue and the floor).
+    (with the eigenvalue and the floor).  Below that range every entry is
+    under 1.4e154, so no sum, difference or eigenvalue of ``M`` overflows.
     """
+    norm = frobenius(arr)
+    if norm == math.inf:
+        raise SpcpmError(f"{subject} is too large: its squared Frobenius norm overflows")
     adjoint = arr.conj().T
     asymmetry = frobenius(arr - adjoint)
-    if asymmetry > DEFAULT_RTOL * max(1.0, frobenius(arr)):
+    if asymmetry > DEFAULT_RTOL * max(1.0, norm):
         raise SpcpmError(
             f"{subject} is not Hermitian within tol={DEFAULT_RTOL:g} "
             f"(asymmetry {asymmetry:.3e})"

@@ -32,7 +32,6 @@ from .linalg import (
     _block_matrix,
     check_tolerance,
     checked_array,
-    frobenius,
     frozen_copy,
     inv_sqrt_psd,
 )
@@ -126,16 +125,19 @@ def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
     are sums over slices of it, each cross norm relative to
     max(1, ||V_k||_F).  Each norm is the square root of the sum that
     ``np.linalg.norm(x, axis=(1, 2))`` takes, so it carries the same bits.
+    A square past the float range reads ``inf``, and a ratio of two such
+    norms ``nan``, without a warning; neither passes a tolerance.
     """
     d_t1, d_s1 = rep.target.d1, rep.source.d1
     pairs = ((2, 1), (1, 2))
-    sq = (rep.ops.conj() * rep.ops).real
-    cross = np.empty((len(sq), 2))
-    # the sums .sum(axis=(1, 2)) takes, without its wrapper
-    cross[:, 0] = np.add.reduce(sq[:, d_t1:, :d_s1], axis=(1, 2))
-    cross[:, 1] = np.add.reduce(sq[:, :d_t1, d_s1:], axis=(1, 2))
-    total = np.add.reduce(sq, axis=(1, 2))
-    relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(total))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (rep.ops.conj() * rep.ops).real
+        cross = np.empty((len(sq), 2))
+        # the sums .sum(axis=(1, 2)) takes, without its wrapper
+        cross[:, 0] = np.add.reduce(sq[:, d_t1:, :d_s1], axis=(1, 2))
+        cross[:, 1] = np.add.reduce(sq[:, :d_t1, d_s1:], axis=(1, 2))
+        total = np.add.reduce(sq, axis=(1, 2))
+        relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(total))[:, None]
     k, pair = divmod(int(relative.argmax()), 2)
     if relative[k, pair] == 0.0:
         return 0.0, "no cross-block component"
@@ -181,13 +183,15 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
     at its own block pair (block(a), block(b)): its residual is the Frobenius
     mass of phi(E[a, b]) outside that target block, which bounds the mass of
     every other block.  The mass is summed over the off-pattern entries
-    directly, so an exactly-SP channel gives exactly zero.
+    directly, so an exactly-SP channel gives exactly zero, and a mass past
+    the float range reads ``inf``, without a warning.
     """
     source, target = rep.source, rep.target
     image = _image_tensor(rep)
     same = _same_block(source, target)
     off = ~np.logical_and.outer(same, same)  # entries T[i, a, j, b] an SP map leaves zero
-    mass = np.sum(np.abs(image) ** 2, axis=(0, 2), where=off)
+    with np.errstate(over="ignore"):
+        mass = np.sum(np.abs(image) ** 2, axis=(0, 2), where=off)
     a, b = np.unravel_index(np.argmax(mass), mass.shape)
     if mass[a, b] == 0.0:
         return 0.0, "all block identities hold"
@@ -260,24 +264,21 @@ def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
 def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
     """Extract the block triple of an SP channel from its coefficient matrix.
 
-    Raises :class:`NotSPError` if the Kraus operators have cross-block
-    components or the matrix carries weight outside the two intra-block
-    bases beyond tolerance.
+    Raises :class:`NotSPError` when the ``blocks`` or the ``commutation``
+    route of ``spcpm verify`` says NOT SP at ``tol``, naming the latter's
+    residual and unit, which bound per unit the coefficients the triple drops.
     """
     if not is_sp_kraus_blocks(rep, tol):
         raise NotSPError("channel has cross-block Kraus components above tolerance")
-    source, target = rep.source, rep.target
-    full = kraus_to_choi(rep).matrix
-    same = _same_block(source, target)
-    off = ~np.logical_and.outer(same, same).reshape(full.shape)
-    off_mass = float(np.sqrt(np.sum(np.abs(full) ** 2, where=off)))
-    if off_mass > tol * max(1.0, frobenius(full)):
+    residual, where = commutation_violation(rep)
+    if residual > tol:
         raise NotSPError(
-            f"off-block coefficient mass {off_mass:.3e} exceeds tolerance"
+            f"commutation residual {residual:.3e} at {where} exceeds tol {tol:.1e}"
         )
+    source, target = rep.source, rep.target
     # the units sp_from_blocks scatters the triple to, block 1's first
-    units = np.flatnonzero(same)
-    f = full[np.ix_(units, units)]
+    units = np.flatnonzero(_same_block(source, target))
+    f = kraus_to_choi(rep).matrix[np.ix_(units, units)]
     k = source.d1 * target.d1
     return SPBlockRep(source, target, f[:k, :k], f[k:, k:], f[:k, k:])
 

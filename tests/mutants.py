@@ -260,8 +260,8 @@ MUTANTS = [
     # residual tolerance
     (
         "spcpm/linalg.py",
-        "    if asymmetry > DEFAULT_RTOL * max(1.0, frobenius(arr)):",
-        "    if asymmetry > DEFAULT_TOL * max(1.0, frobenius(arr)):",
+        "    if asymmetry > DEFAULT_RTOL * max(1.0, norm):",
+        "    if asymmetry > DEFAULT_TOL * max(1.0, norm):",
         ["tests/test_tolerance.py::test_inv_sqrt_psd_hermiticity_bound_is_default_rtol"],
     ),
     # the Kraus rank reads the live block with its own eigvalsh, past the
@@ -444,24 +444,25 @@ MUTANTS = [
         "        return [int(p) for p in parts]\n    except TypeError as exc:",
         ["tests/test_cli.py::test_bad_usage_exits_2"],
     ),
-    # block extraction skips its coefficient check, so a channel whose
+    # block extraction skips its commutation check, so a channel whose
     # copies each pass the Kraus block check leaks into the triple
     (
         "spcpm/sp.py",
-        "    if off_mass > tol * max(1.0, frobenius(full)):",
-        "    if False:",
+        "    if residual > tol:\n        raise NotSPError(",
+        "    if False:\n        raise NotSPError(",
         [
             "tests/test_tolerance.py::"
-            "test_a_later_check_refuses_what_the_kraus_block_check_passes[blocks_from_sp]"
+            "test_a_later_check_refuses_what_the_kraus_block_check_passes[blocks_from_sp]",
+            "tests/test_tolerance.py::test_blocks_conversion_refuses_by_the_residual_verify_reports",
         ],
     ),
-    # the dilation skips the block check of the minimal Kraus list, whose
-    # operators may leak more than the list they were reduced from
+    # the dilation splits its minimal Kraus list at a tolerance that passes
+    # every list, whose operators may leak more than the list they were
+    # reduced from
     (
         "spcpm/dilation.py",
-        "    if not is_sp_kraus_blocks(minimal, tol):\n"
-        '        raise NotSPError("channel has cross-block Kraus components above tolerance")\n',
-        "",
+        "split_kraus_blocks(choi_to_kraus(kraus_to_choi(rep)), tol)",
+        "split_kraus_blocks(choi_to_kraus(kraus_to_choi(rep)), 1e300)",
         [
             "tests/test_tolerance.py::"
             "test_a_later_check_refuses_what_the_kraus_block_check_passes[build_dilation]"
@@ -507,6 +508,34 @@ MUTANTS = [
         [
             "tests/test_cpm.py::TestKrausToChoi::"
             "test_product_past_the_float_range_is_refused_by_the_gate"
+        ],
+    ),
+    # the spectral gate skips its size refusal, so a matrix whose squared
+    # norm overflows is symmetrized to inf and solved into nan
+    (
+        "spcpm/linalg.py",
+        "    if norm == math.inf:",
+        "    if False:",
+        [
+            "tests/test_linalg.py::TestNormPastTheFloatRange::test_refusal_names_the_subject",
+            "tests/test_linalg.py::TestNormPastTheFloatRange::test_block_psd_check_answers_false",
+            "tests/test_sp.py::TestSpFromBlocks::test_triple_past_the_float_range_is_refused",
+            "tests/test_cli.py::TestKrausRankCommand::"
+            "test_squared_norm_past_the_float_range_exits_2",
+        ],
+    ),
+    # the Gram defect is formed without its errstate block, so a trace check
+    # of a channel whose product overflows warns before its verdict
+    (
+        "spcpm/cpm.py",
+        '    with np.errstate(over="ignore", invalid="ignore"):\n'
+        "        gram = flat.conj().T @ flat\n",
+        "    gram = flat.conj().T @ flat\n",
+        [
+            "tests/test_cli.py::TestHugeEntries::"
+            "test_command_keeps_its_verdict_or_refuses[verify --method trace-identity-1e+160]",
+            "tests/test_cli.py::TestHugeEntries::"
+            "test_command_keeps_its_verdict_or_refuses[dilate-ones-1e+200]",
         ],
     ),
 ]

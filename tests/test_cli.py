@@ -474,6 +474,64 @@ class TestKrausRankCommand:
         assert main(["kraus-rank", str(path)]) == 0
         assert "kraus rank: 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("op", [np.eye(2), np.ones((2, 2))], ids=["identity", "ones"])
+    def test_squared_norm_past_the_float_range_exits_2(self, tmp_path, capsys, op):
+        # one operator, rank 1, whose coefficient entries (1.44e308) are finite
+        # but whose Hermitian part and spectrum would overflow
+        path = tmp_path / "huge.json"
+        write_channel(path, KrausRep(C2, C2, (1.2e154 * op,)))
+        assert main(["kraus-rank", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: coefficient matrix is too large: its squared Frobenius norm overflows\n"
+        )
+
+
+class TestHugeEntries:
+    """Every command on the 1+1 channels c·I (SP) and c·ones (not SP), one
+    operator each and neither trace preserving, for scales c whose products
+    pass the float range: from c ≈ 1e77 the squared norm of the coefficient
+    matrix does, from c ≈ 1e154 its entries do.  Each command ends in a
+    documented exit code with its verdict kept or a worded refusal, and
+    without a numpy warning (pytest makes every warning an error)."""
+
+    # command -> the exit code of its verdict on (c·I, c·ones), 2 being the
+    # refusal any command may give instead
+    VERDICTS = {
+        "verify": (0, 1),
+        "verify --method definition": (0, 1),
+        "verify --method blocks": (0, 1),
+        "verify --method commutation": (0, 1),
+        "verify --method trace": (2, 2),
+        "convert --to choi": (0, 0),
+        "convert --to kraus-min": (0, 0),
+        "convert --to orthonormal": (0, 0),
+        "convert --to blocks": (0, 1),
+        "compose": (0, 0),
+        "dilate": (1, 1),
+        "kraus-rank": (0, 0),
+    }
+
+    @pytest.mark.parametrize("scale", [1e77, 1e100, 1e153, 1e160, 1e200], ids="{:g}".format)
+    @pytest.mark.parametrize("shape", ["identity", "ones"])
+    @pytest.mark.parametrize("command", VERDICTS)
+    def test_command_keeps_its_verdict_or_refuses(self, tmp_path, capsys, command, shape, scale):
+        op = np.eye(2) if shape == "identity" else np.ones((2, 2))
+        path = tmp_path / "huge.json"
+        write_channel(path, KrausRep(C2, C2, (scale * op,)))
+        name, *options = command.split()
+        files = [str(path)] * (2 if name == "compose" else 1)
+        out = [] if name in ("verify", "kraus-rank") else ["--out", str(tmp_path / "out.json")]
+        code = main([name, *files, *options, *out])
+        verdict = self.VERDICTS[command][shape == "ones"]
+        assert code in (verdict, 2)
+        stdout, stderr = capsys.readouterr()
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        if name == "kraus-rank":
+            assert stdout.startswith("kraus rank: 1\n") if code == 0 else stdout == ""
+        if name == "verify" and code != 2:
+            assert stdout.endswith(f"verdict: {'NOT SP' if code else 'SP'}\n")
+
 
 class TestEightPlusEight:
     """The CLI at 8+8 and full Kraus rank K = 128, the largest size it is

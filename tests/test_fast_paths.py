@@ -191,9 +191,9 @@ def triples():
 
 
 def test_generation_decomposes_the_triple_as_conversion_decomposes_the_matrix():
-    # the triple's own live units select the block a scan of the whole matrix
-    # selects, so the stored decomposition is bit for bit the one a fresh
-    # ChoiRep of the same matrix makes
+    # generation gates the triple with its ChoiRep's own decomposition, the
+    # memo conversion reads: bit for bit the decomposition a fresh ChoiRep of
+    # the same matrix makes, with and without dead units
     for triple in triples():
         made = sp_from_blocks(triple)
         fresh = ChoiRep(made.source, made.target, made.matrix)

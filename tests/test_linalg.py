@@ -153,6 +153,35 @@ class TestPsdSpectrum:
         )
 
 
+class TestNormPastTheFloatRange:
+    """Finite entries whose squared Frobenius norm passes the float range:
+    their Hermitian part and spectrum would overflow, so the gate refuses
+    them by name before it solves."""
+
+    def test_refusal_names_the_subject(self):
+        for vectors in (True, False):
+            with pytest.raises(SpcpmError) as info:
+                linalg.psd_spectrum(np.diag([1.5e308, 1.0]), vectors, "coefficient matrix")
+            assert str(info.value) == (
+                "coefficient matrix is too large: its squared Frobenius norm overflows"
+            )
+
+    def test_a_norm_below_the_range_is_decided(self):
+        w, _ = linalg.psd_spectrum(np.diag([1e154, 1.0]).astype(complex), False, "matrix")
+        assert w.tolist() == [1.0, 1e154]
+
+    def test_block_psd_check_answers_false(self):
+        # [[1, 1.7e308], [1.7e308, 1]] has the eigenvalue 1 - 1.7e308
+        assert linalg.block_psd_check(np.eye(1), np.eye(1), [[1.7e308]]) is False
+        assert linalg.block_psd_failure(np.eye(1), np.eye(1), [[1.7e308]]) == (
+            "assembled block matrix is too large: its squared Frobenius norm overflows"
+        )
+
+    def test_inv_sqrt_psd_refuses(self):
+        with pytest.raises(SpcpmError, match="^matrix is too large"):
+            linalg.inv_sqrt_psd(np.diag([1.5e308, 1.0]))
+
+
 class TestBlockPsdCheck:
     def test_borderline_true(self):
         # assembled [[1, 1], [1, 1]] has eigenvalues 0 and 2

@@ -245,6 +245,13 @@ class TestSpFromBlocks:
         with pytest.raises(SpcpmError, match="^coefficient matrix is not positive semi-definite"):
             sp_from_blocks(SPBlockRep(C2, C2, np.zeros((1, 1)), np.eye(1), np.eye(1)))
 
+    def test_triple_past_the_float_range_is_refused(self):
+        # finite and PSD, but its squared norm overflows; conversion of the
+        # matrix would refuse it, so generation does
+        blocks = SPBlockRep(C2, C2, [[1.5e308]], [[1.0]], [[0.0]])
+        with pytest.raises(SpcpmError, match="^coefficient matrix is too large"):
+            sp_from_blocks(blocks)
+
 
 class TestBlocksFromSp:
     def test_identity_channel(self):

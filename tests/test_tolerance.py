@@ -8,6 +8,7 @@ floor, the block triple's included, reads the one constant ``DEFAULT_RTOL``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,18 +185,25 @@ def test_check_tolerance_refuses_non_numbers(value):
         linalg.check_tolerance(value, "rtol")
 
 
-def leaky_rotation():
-    """Eight copies of R/√8, R the rotation by 1e-3 rad: trace preserving,
-    each copy leaking sin(1e-3)/√8 = 3.54e-4 across the blocks."""
+def leaky_rotation(scale=1.0):
+    """Eight copies of √scale·R/√8, R the rotation by 1e-3 rad: scale times
+    a trace-preserving channel, each copy leaking √scale·sin(1e-3)/√8 =
+    √scale·3.54e-4 across the blocks."""
     c, s = math.cos(1e-3), math.sin(1e-3)
-    return KrausRep(C2, C2, (np.array([[c, -s], [s, c]]) / math.sqrt(8),) * 8)
+    rotation = np.array([[c, -s], [s, c]])
+    return KrausRep(C2, C2, (math.sqrt(scale) * rotation / math.sqrt(8),) * 8)
+
+
+# the leaky rotation's worst identity: phi(E[0,0]) = scale·|r><r| with
+# r = (cos 1e-3, sin 1e-3) has mass scale·1.414e-3 outside block 1
+WORST_UNIT = "at P_t1 phi(E[0,0]) P_t1 vs phi(P_s1 E[0,0] P_s1)"
 
 
 @pytest.mark.parametrize(
     "call, command, message",
     [
         (sp.blocks_from_sp, ["convert", "--to", "blocks"],
-         "off-block coefficient mass 2.828e-03 exceeds tolerance"),
+         f"commutation residual 1.414e-03 {WORST_UNIT} exceeds tol 5.0e-04"),
         (dilation.build_dilation, ["dilate"],
          "channel has cross-block Kraus components above tolerance"),
     ],
@@ -205,16 +213,33 @@ def test_a_later_check_refuses_what_the_kraus_block_check_passes(
     tmp_path, capsys, call, command, message
 ):
     # at tol 5e-4 every copy passes the Kraus block check (residual 3.54e-4),
-    # but the coefficient matrix holds 2.83e-3 off-block mass against a bound
-    # of 5e-4 * max(1, ||C||_F) = 1e-3, and the one operator of the minimal
-    # list, R itself, has block residual sin(1e-3)/√2 = 7.07e-4
+    # but the image of E[0,0] has 1.41e-3 Frobenius mass outside block 1,
+    # the commutation residual, and the one operator of the minimal list,
+    # R itself, has block residual sin(1e-3)/√2 = 7.07e-4
     rep = leaky_rotation()
     assert cpm.is_trace_preserving(rep, 1e-12) and sp.is_sp_kraus_blocks(rep, 5e-4)
-    with pytest.raises(NotSPError, match=f"^{message}$"):
+    with pytest.raises(NotSPError, match=f"^{re.escape(message)}$"):
         call(rep, 5e-4)
     path = tmp_path / "rotation.json"
     serialize.write_file(path, serialize.channel_to_obj(rep))
     out = tmp_path / "out.json"
     assert main([command[0], str(path), *command[1:], "--out", str(out), "--tol", "5e-4"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_blocks_conversion_refuses_by_the_residual_verify_reports(tmp_path, capsys):
+    # ten times the leaky rotation at tol 5e-3: every copy passes the Kraus
+    # block check (relative residual 7.07e-4), and the image of E[0,0] has
+    # 1.414e-2 mass outside block 1, so verify says NOT SP by commutation and
+    # the conversion refuses by that residual and unit
+    path = tmp_path / "rotation.json"
+    serialize.write_file(path, serialize.channel_to_obj(leaky_rotation(10.0)))
+    assert main(["verify", str(path), "--tol", "5e-3"]) == 1
+    report = f"commutation: NOT SP (worst residual 1.414e-02 {WORST_UNIT}; tol 5.0e-03)"
+    assert report in capsys.readouterr().out.splitlines()
+    out = tmp_path / "blocks.json"
+    assert main(["convert", str(path), "--to", "blocks", "--out", str(out), "--tol", "5e-3"]) == 1
+    refusal = f"commutation residual 1.414e-02 {WORST_UNIT} exceeds tol 5.0e-03"
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
     assert not out.exists()

@@ -44,7 +44,7 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import DEFAULT_TOL, check_tolerance
+from .linalg import DEFAULT_TOL, check_tolerance, within
 from .sp import (
     _kraus_bound,
     definition_violation,
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
             print("trace: skipped (channel is not trace preserving)")
             continue
         residual, label = VERIFIERS[method](rep)
-        ok = residual <= tol
+        ok = within(residual, tol)
         verdict = verdict and ok
         status = "SP" if ok else "NOT SP"
         print(f"{method}: {status} (worst residual {residual:.3e} at {label}; tol {tol:.1e})")

@@ -52,12 +52,12 @@ from .errors import SpcpmError
 from .linalg import (
     DEFAULT_TOL,
     BitEquality,
-    check_tolerance,
     checked_array,
     frobenius,
     frozen_copy,
     psd_spectrum,
     rank_cutoff,
+    within,
 )
 from .spaces import DecomposedSpace
 
@@ -119,9 +119,12 @@ class ChoiRep(BitEquality):
 
 
 def apply(rep: KrausRep, q) -> np.ndarray:
-    """Apply the channel: sum_k V_k Q V_k†."""
+    """Apply the channel: sum_k V_k Q V_k†.  An image past the float range
+    is refused by the array gate as ``channel output``."""
     qa = checked_array(q, (rep.source.dim,) * 2, "input")
-    return np.add.reduce(rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add.reduce(rep.ops @ qa @ rep.ops.conj().transpose(0, 2, 1), axis=0)
+    return checked_array(out, (rep.target.dim,) * 2, "channel output")
 
 
 def kraus_to_choi(rep: KrausRep) -> ChoiRep:
@@ -248,10 +251,14 @@ def _gram_defect(stack: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _tp_defect(rep: KrausRep) -> tuple[float, str]:
+    """The trace-preservation residual ||sum_k V_k† V_k - I||_F and its label."""
+    return frobenius(_gram_defect(rep.ops)), "||sum_k V_k^dag V_k - I||_F"
+
+
 def is_trace_preserving(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether sum_k V_k† V_k = I within ``tol`` (Frobenius)."""
-    check_tolerance(tol)
-    return bool(frobenius(_gram_defect(rep.ops)) <= tol)
+    return within(_tp_defect(rep)[0], tol)
 
 
 def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:
@@ -261,8 +268,7 @@ def channels_equal(a: KrausRep, b: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     of the same channel can look arbitrarily different, the coefficient
     matrix cannot.
     """
-    check_tolerance(tol)
     if a.source.dim != b.source.dim or a.target.dim != b.target.dim:
         raise SpcpmError("channels act between different dimensions")
     diff = kraus_to_choi(a).matrix - kraus_to_choi(b).matrix
-    return bool(frobenius(diff) <= tol)
+    return within(frobenius(diff), tol)

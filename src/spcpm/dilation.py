@@ -52,9 +52,9 @@ import numpy as np
 from .cpm import (
     KrausRep,
     _gram_defect,
+    _tp_defect,
     apply,
     choi_to_kraus,
-    is_trace_preserving,
     kraus_to_choi,
 )
 from .errors import (
@@ -71,8 +71,10 @@ from .linalg import (
     checked_array,
     frobenius,
     frozen_copy,
+    require,
+    within,
 )
-from .sp import _kraus_bound, is_sp_kraus_blocks, split_kraus_blocks
+from .sp import _kraus_bound, kraus_blocks_violation, split_kraus_blocks
 from .spaces import DecomposedSpace
 
 
@@ -193,10 +195,8 @@ def build_dilation(rep: KrausRep, tol: float = DEFAULT_TOL) -> UnitaryDilation:
         raise SourceTargetMismatchError(
             "dilation requires identical source and target decompositions"
         )
-    if not is_trace_preserving(rep, tol):
-        raise NotTracePreservingError("dilation requires a trace-preserving channel")
-    if not is_sp_kraus_blocks(rep, tol):
-        raise NotSPError("dilation requires a subspace-preserving channel")
+    require(NotTracePreservingError, "trace preservation", _tp_defect(rep), tol)
+    require(NotSPError, "blocks", kraus_blocks_violation(rep), tol)
     first, second = split_kraus_blocks(choi_to_kraus(kraus_to_choi(rep)), tol)
     s1, s2 = rep.source.block_slice(1), rep.source.block_slice(2)
     return UnitaryDilation(rep.source, first[:, s1, s1], second[:, s2, s2])
@@ -225,9 +225,11 @@ def kraus_from_dilation(dil: UnitaryDilation) -> KrausRep:
 
 def _isometry_defect(pieces: np.ndarray) -> float:
     """||u_i² - I||_F = ||E (E + 2I)||_F with E = A_i† A_i - I, from
-    d_i x d_i matrices only (see the module docstring)."""
+    d_i x d_i matrices only (see the module docstring).  A product past the
+    float range holds ``inf`` or ``nan``, without a warning; neither passes."""
     e = _gram_defect(pieces)
-    return frobenius(e @ e + 2 * e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius(e @ e + 2 * e)
 
 
 def _dilation_failure(
@@ -243,7 +245,7 @@ def _dilation_failure(
     if rep.source != dil.space or rep.target != dil.space:
         return "agreement", math.inf
     defect = math.hypot(_isometry_defect(dil.a1), _isometry_defect(dil.a2))
-    if defect > tol:
+    if not within(defect, tol):
         return "isometry", defect
     d = dil.space.dim
     diff = kraus_to_choi(kraus_from_dilation(dil)).matrix - kraus_to_choi(rep).matrix
@@ -251,7 +253,7 @@ def _dilation_failure(
     # the sum np.linalg.norm(per_unit, axis=(0, 2)) takes, without its wrapper
     mass = np.add.reduce((per_unit.conj() * per_unit).real, axis=(0, 2))
     worst = float(np.sqrt(mass).max())
-    if worst > tol:
+    if not within(worst, tol):
         return "agreement", worst
     return None
 

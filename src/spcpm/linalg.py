@@ -31,7 +31,8 @@ their ``==`` and ``hash``: by type and bits, never by channel.
 
 Every ``tol`` argument of the library must be finite and > 0;
 :func:`check_tolerance` enforces that at each public entry point, either
-directly or in the first callee the value is handed to.
+directly or in the first callee the value is handed to.  A residual passes
+only when ``residual <= tol``, so never as NaN: :func:`within` alone decides.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ def check_tolerance(value: float, name: str = "tol") -> float:
     if not ok or isinstance(value, (bool, np.bool_)):
         raise SpcpmError(f"{name} must be finite and > 0, got {shown or repr(value)}")
     return value
+
+
+def within(residual: float, tol: float) -> bool:
+    """Whether ``residual <= tol``: the package's one comparison of a residual
+    with a checked tolerance (:func:`check_tolerance`), so a NaN never passes."""
+    check_tolerance(tol)
+    return bool(residual <= tol)
+
+
+def require(error: type, route: str, found: tuple[float, str], tol: float) -> None:
+    """Raise ``error`` naming ``route``, the residual, its identity and ``tol``
+    unless the pair ``found = (residual, identity)`` is :func:`within` ``tol``."""
+    residual, where = found
+    if not within(residual, tol):
+        raise error(f"{route} residual {residual:.3e} at {where} exceeds tol {tol:.1e}")
 
 
 def checked_array(x, shape: tuple, what: str) -> np.ndarray:

@@ -24,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpm import ChoiRep, KrausRep, is_trace_preserving, kraus_rank, kraus_to_choi
+from .cpm import ChoiRep, KrausRep, _tp_defect, kraus_rank, kraus_to_choi
 from .errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from .linalg import (
     DEFAULT_TOL,
     BitEquality,
     _block_matrix,
-    check_tolerance,
     checked_array,
     frozen_copy,
     inv_sqrt_psd,
+    require,
+    within,
 )
 from .spaces import DecomposedSpace, is_integer
 
@@ -113,8 +114,20 @@ def definition_violation(rep: KrausRep) -> tuple[float, str]:
 
 def is_sp_definition(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Weight-leakage test straight from the defining conditions."""
-    check_tolerance(tol)
-    return bool(definition_violation(rep)[0] <= tol)
+    return within(definition_violation(rep)[0], tol)
+
+
+def _block_masses(ops: np.ndarray, d_t1: int, d_s1: int) -> tuple:
+    """The two cross-block masses (K, 2) and the total masses (K,) of a
+    (K, dt, ds) stack, from one |V|²; a sum past the float range reads
+    ``inf``, without a warning."""
+    cross = np.empty((len(ops), 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (ops.conj() * ops).real
+        # the sums .sum(axis=(1, 2)) takes, without its wrapper
+        cross[:, 0] = np.add.reduce(sq[:, d_t1:, :d_s1], axis=(1, 2))
+        cross[:, 1] = np.add.reduce(sq[:, :d_t1, d_s1:], axis=(1, 2))
+        return cross, np.add.reduce(sq, axis=(1, 2))
 
 
 def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
@@ -125,19 +138,20 @@ def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
     are sums over slices of it, each cross norm relative to
     max(1, ||V_k||_F).  Each norm is the square root of the sum that
     ``np.linalg.norm(x, axis=(1, 2))`` takes, so it carries the same bits.
-    A square past the float range reads ``inf``, and a ratio of two such
-    norms ``nan``, without a warning; neither passes a tolerance.
+    An operator whose sum of squares passes the float range is divided
+    first by its largest real or imaginary part, which leaves its ratios
+    unchanged and every sum finite (and its norm at least 1), so the
+    residual of finite operators is finite.
     """
     d_t1, d_s1 = rep.target.d1, rep.source.d1
     pairs = ((2, 1), (1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = (rep.ops.conj() * rep.ops).real
-        cross = np.empty((len(sq), 2))
-        # the sums .sum(axis=(1, 2)) takes, without its wrapper
-        cross[:, 0] = np.add.reduce(sq[:, d_t1:, :d_s1], axis=(1, 2))
-        cross[:, 1] = np.add.reduce(sq[:, :d_t1, d_s1:], axis=(1, 2))
-        total = np.add.reduce(sq, axis=(1, 2))
-        relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(total))[:, None]
+    cross, total = _block_masses(rep.ops, d_t1, d_s1)
+    over = total == np.inf
+    if over.any():
+        big = rep.ops[over]
+        scale = np.maximum(abs(big.real), abs(big.imag)).max(axis=(1, 2))
+        cross[over], total[over] = _block_masses(big / scale[:, None, None], d_t1, d_s1)
+    relative = np.sqrt(cross) / np.maximum(1.0, np.sqrt(total))[:, None]
     k, pair = divmod(int(relative.argmax()), 2)
     if relative[k, pair] == 0.0:
         return 0.0, "no cross-block component"
@@ -151,8 +165,7 @@ def kraus_blocks_violation(rep: KrausRep) -> tuple[float, str]:
 def is_sp_kraus_blocks(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Kraus-operator test: every operator splits into two block-supported
     pieces, V_k = P_t1 V_k P_s1 + P_t2 V_k P_s2."""
-    check_tolerance(tol)
-    return bool(kraus_blocks_violation(rep)[0] <= tol)
+    return within(kraus_blocks_violation(rep)[0], tol)
 
 
 def split_kraus_blocks(
@@ -165,8 +178,7 @@ def split_kraus_blocks(
     V_k = P_t1 V_k P_s1 + P_t2 V_k P_s2, and on a single space the pieces
     V_{i,k} from which the dilation's partial isometries V_i are built.
     """
-    if not is_sp_kraus_blocks(rep, tol):
-        raise NotSPError("channel has cross-block Kraus components above tolerance")
+    require(NotSPError, "blocks", kraus_blocks_violation(rep), tol)
     first, second = np.zeros((2, *rep.ops.shape), dtype=np.complex128)
     for block, piece in ((1, first), (2, second)):
         tb, sb = rep.target.block_slice(block), rep.source.block_slice(block)
@@ -205,8 +217,7 @@ def commutation_violation(rep: KrausRep) -> tuple[float, str]:
 
 def is_sp_commutation(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Block-commutation test over a spanning set of inputs."""
-    check_tolerance(tol)
-    return bool(commutation_violation(rep)[0] <= tol)
+    return within(commutation_violation(rep)[0], tol)
 
 
 def trace_violation(rep: KrausRep) -> tuple[float, str]:
@@ -232,11 +243,8 @@ def trace_violation(rep: KrausRep) -> tuple[float, str]:
 
 def is_sp_trace(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Block-weight conservation test; only defined for trace-preserving maps."""
-    if not is_trace_preserving(rep, tol):
-        raise NotTracePreservingError(
-            "trace verifier requires a trace-preserving channel"
-        )
-    return bool(trace_violation(rep)[0] <= tol)
+    require(NotTracePreservingError, "trace preservation", _tp_defect(rep), tol)
+    return within(trace_violation(rep)[0], tol)
 
 
 def sp_from_blocks(blocks: SPBlockRep) -> ChoiRep:
@@ -265,16 +273,11 @@ def blocks_from_sp(rep: KrausRep, tol: float = DEFAULT_TOL) -> SPBlockRep:
     """Extract the block triple of an SP channel from its coefficient matrix.
 
     Raises :class:`NotSPError` when the ``blocks`` or the ``commutation``
-    route of ``spcpm verify`` says NOT SP at ``tol``, naming the latter's
-    residual and unit, which bound per unit the coefficients the triple drops.
+    route of ``spcpm verify`` says NOT SP at ``tol``, naming the route, its
+    residual and unit; the latter bounds per unit the coefficients dropped.
     """
-    if not is_sp_kraus_blocks(rep, tol):
-        raise NotSPError("channel has cross-block Kraus components above tolerance")
-    residual, where = commutation_violation(rep)
-    if residual > tol:
-        raise NotSPError(
-            f"commutation residual {residual:.3e} at {where} exceeds tol {tol:.1e}"
-        )
+    require(NotSPError, "blocks", kraus_blocks_violation(rep), tol)
+    require(NotSPError, "commutation", commutation_violation(rep), tol)
     source, target = rep.source, rep.target
     # the units sp_from_blocks scatters the triple to, block 1's first
     units = np.flatnonzero(_same_block(source, target))
@@ -359,6 +362,5 @@ def _kraus_bound(source: DecomposedSpace, target: DecomposedSpace) -> int:
 
 def sp_kraus_bound_holds(rep: KrausRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether the Kraus rank respects the SP bound (:func:`_kraus_bound`)."""
-    if not is_sp_kraus_blocks(rep, tol):
-        raise NotSPError("bound applies to subspace-preserving channels only")
+    require(NotSPError, "blocks", kraus_blocks_violation(rep), tol)
     return kraus_rank(rep) <= _kraus_bound(rep.source, rep.target)

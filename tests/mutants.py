@@ -242,8 +242,8 @@ MUTANTS = [
     # a non-trace-preserving channel is dilated
     (
         "spcpm/dilation.py",
-        "    if not is_trace_preserving(rep, tol):",
-        "    if False:",
+        '    require(NotTracePreservingError, "trace preservation", _tp_defect(rep), tol)\n',
+        "",
         ["tests/test_dilation.py::TestBuildDilation::test_rejects_non_tp"],
     ),
     # the coefficient matrix is decided in place, at a PSD floor read from
@@ -448,8 +448,8 @@ MUTANTS = [
     # copies each pass the Kraus block check leaks into the triple
     (
         "spcpm/sp.py",
-        "    if residual > tol:\n        raise NotSPError(",
-        "    if False:\n        raise NotSPError(",
+        '    require(NotSPError, "commutation", commutation_violation(rep), tol)\n',
+        "",
         [
             "tests/test_tolerance.py::"
             "test_a_later_check_refuses_what_the_kraus_block_check_passes[blocks_from_sp]",
@@ -536,6 +536,53 @@ MUTANTS = [
             "test_command_keeps_its_verdict_or_refuses[verify --method trace-identity-1e+160]",
             "tests/test_cli.py::TestHugeEntries::"
             "test_command_keeps_its_verdict_or_refuses[dilate-ones-1e+200]",
+        ],
+    ),
+    # the one comparison with tol is written as `not residual > tol`, so a
+    # NaN residual passes
+    (
+        "spcpm/linalg.py",
+        "    return bool(residual <= tol)",
+        "    return bool(not residual > tol)",
+        ["tests/test_dilation.py::TestFailedCondition::test_a_nan_isometry_defect_fails"],
+    ),
+    # a refusal drops the residual from its message
+    (
+        "spcpm/linalg.py",
+        'f"{route} residual {residual:.3e} at {where}',
+        'f"{route} residual at {where}',
+        [
+            "tests/test_tolerance.py::"
+            "test_every_refusal_names_its_route_residual_identity_and_tol"
+        ],
+    ),
+    # the audit's product is formed without its errstate block, so a
+    # dilation whose isometry defect overflows warns before its verdict
+    (
+        "spcpm/dilation.py",
+        '    with np.errstate(over="ignore", invalid="ignore"):\n'
+        "        return frobenius(e @ e + 2 * e)",
+        "    return frobenius(e @ e + 2 * e)",
+        ["tests/test_dilation.py::TestFailedCondition::test_a_nan_isometry_defect_fails"],
+    ),
+    # the channel's image skips the array gate, so an overflowing image is
+    # returned as inf instead of refused
+    (
+        "spcpm/cpm.py",
+        '    return checked_array(out, (rep.target.dim,) * 2, "channel output")',
+        "    return out",
+        ["tests/test_cpm.py::TestApply::test_image_past_the_float_range_is_refused"],
+    ),
+    # an operator whose sum of squares overflows is not rescaled, so the
+    # blocks residual reads inf/inf = nan, or x/inf = 0 for a leak
+    (
+        "spcpm/sp.py",
+        "    if over.any():",
+        "    if False:",
+        [
+            "tests/test_sp.py::test_blocks_route_is_finite_where_the_sums_overflow",
+            "tests/test_sp.py::test_a_leak_is_seen_where_only_the_total_overflows",
+            "tests/test_sp.py::test_blocks_route_is_scale_free_above_unit_norm",
         ],
     ),
 ]

@@ -108,22 +108,40 @@ def mentioned(node):
     return None
 
 
-def source_mentions(names):
-    """(module, innermost enclosing function, name) for every mention of
-    one of ``names`` in the package source (see :func:`mentioned`)."""
-    found = set()
+def source_nodes():
+    """(module, innermost enclosing function, node) for every node of the
+    package source."""
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if mentioned(node) in names:
-            found.add((module, func, mentioned(node)))
+        yield module, func, node
         for child in ast.iter_child_nodes(node):
-            visit(child, module, func)
+            yield from visit(child, module, func)
 
     for module, tree in package_trees().items():
-        visit(tree, module, None)
-    return found
+        yield from visit(tree, module, None)
+
+
+def source_mentions(names):
+    """(module, innermost enclosing function, name) for every mention of
+    one of ``names`` in the package source (see :func:`mentioned`)."""
+    return {
+        (module, func, mentioned(node))
+        for module, func, node in source_nodes()
+        if mentioned(node) in names
+    }
+
+
+def tolerance_comparisons():
+    """(module, innermost enclosing function) of each comparison in the
+    package source with an operand ``tol`` or ``<object>.tol``."""
+    return [
+        (module, func)
+        for module, func, node in source_nodes()
+        if isinstance(node, ast.Compare)
+        and any(mentioned(op) == "tol" for op in (node.left, *node.comparators))
+    ]
 
 
 def module_level_definitions(tree):
@@ -184,6 +202,12 @@ def test_isfinite_is_read_only_by_the_two_gates():
         ("linalg", "checked_array", "isfinite"),
         ("linalg", "check_tolerance", "isfinite"),
     }
+
+
+def test_a_residual_meets_its_tolerance_only_in_within():
+    # linalg.within is the one comparison of a residual with tol, written
+    # so that a NaN never passes; a hand-written `residual > tol` lets it
+    assert tolerance_comparisons() == [("linalg", "within")]
 
 
 def test_frozen_objects_are_written_only_by_their_own_constructors():

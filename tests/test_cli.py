@@ -532,6 +532,21 @@ class TestHugeEntries:
         if name == "verify" and code != 2:
             assert stdout.endswith(f"verdict: {'NOT SP' if code else 'SP'}\n")
 
+    def test_blocks_residual_is_finite_where_the_sums_overflow(self, tmp_path, capsys):
+        # both sums of squares of 1e160·ones overflow; verify and the blocks
+        # conversion still read the relative residual 1/2
+        path = tmp_path / "huge.json"
+        write_channel(path, KrausRep(C2, C2, (1e160 * np.ones((2, 2)),)))
+        at = "at ||P_t2 V[0] P_s1||_F / max(1, ||V[0]||_F)"
+        assert main(["verify", str(path), "--method", "blocks"]) == 1
+        report = f"blocks: NOT SP (worst residual 5.000e-01 {at}; tol 1.0e-09)\n"
+        assert capsys.readouterr().out == report + "verdict: NOT SP\n"
+        out = tmp_path / "out.json"
+        assert main(["convert", str(path), "--to", "blocks", "--out", str(out)]) == 1
+        refusal = f"error: blocks residual 5.000e-01 {at} exceeds tol 1.0e-09\n"
+        assert capsys.readouterr() == ("", refusal)
+        assert not out.exists()
+
 
 class TestEightPlusEight:
     """The CLI at 8+8 and full Kraus rank K = 128, the largest size it is

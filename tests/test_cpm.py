@@ -139,6 +139,13 @@ class TestApply:
         with pytest.raises(SpcpmError, match="input has shape"):
             apply(rep, np.eye(3))
 
+    def test_image_past_the_float_range_is_refused(self):
+        # 1e200·I sends I to 1e400·I: the array gate refuses the output, and
+        # no overflow warning is raised
+        rep = KrausRep(C2, C2, (1e200 * np.eye(2),))
+        with pytest.raises(SpcpmError, match="^channel output must have finite entries$"):
+            apply(rep, np.eye(2))
+
 
 class TestKrausToChoi:
     def test_identity_channel_rank_one(self):

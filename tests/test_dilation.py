@@ -529,6 +529,16 @@ class TestFailedCondition:
         failure = _dilation_failure(build_dilation(rep), elsewhere, 1e-9)
         assert failure == ("agreement", np.inf)
 
+    def test_a_nan_isometry_defect_fails(self):
+        # E = A†A - I is about 1e200·M†M, so E @ E sums +inf and -inf: the
+        # defect is nan, which passes no tolerance, and no warning is raised
+        piece = 1e100 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
+        dil = UnitaryDilation(DecomposedSpace(3, 1), piece[None], np.ones((1, 1, 1)))
+        rep = kraus_from_dilation(dil)
+        condition, residual = _dilation_failure(dil, rep, 1e-9)
+        assert condition == "isometry" and np.isnan(residual)
+        assert not verify_dilation(dil, rep)
+
     @pytest.mark.parametrize(
         "make_bad, condition",
         [

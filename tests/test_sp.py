@@ -826,6 +826,33 @@ def kraus_stacks(draw):
     return KrausRep(src, tgt, scale * ops)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e200, 1e308, 1e308 + 1e308j])
+def test_blocks_route_is_finite_where_the_sums_overflow(scale):
+    # every sum of squares of scale·ones passes the float range; the
+    # relative residual ||P_t2 V P_s1||_F / ||V||_F is still 1/2
+    rep = KrausRep(C2, C2, (scale * np.ones((2, 2)),))
+    assert kraus_blocks_violation(rep) == (0.5, "||P_t2 V[0] P_s1||_F / max(1, ||V[0]||_F)")
+
+
+def test_a_leak_is_seen_where_only_the_total_overflows():
+    # the cross-block sum 1e300 is finite and the total 2e310 is not, so a
+    # ratio of the raw sums reads 1e150 / inf = 0 and calls the channel SP
+    rep = KrausRep(C2, C2, (np.array([[1e155, 0.0], [1e150, 1e155]]),))
+    assert kraus_blocks_violation(rep)[0] == pytest.approx(1e-5 / np.sqrt(2), rel=1e-12)
+    assert not is_sp_kraus_blocks(rep)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kraus_stacks(), st.floats(0.0, 300.0))
+def test_blocks_route_is_scale_free_above_unit_norm(rep, exponent):
+    # once every ||V_k||_F >= 1, the residual of c·V is that of V for c >= 1,
+    # whether or not the sums of squares of c·V pass the float range
+    ops = rep.ops / np.minimum(1.0, np.linalg.norm(rep.ops, axis=(1, 2)))[:, None, None]
+    residual = kraus_blocks_violation(KrausRep(rep.source, rep.target, ops))[0]
+    scaled = KrausRep(rep.source, rep.target, 10.0**exponent * ops)
+    assert abs(kraus_blocks_violation(scaled)[0] - residual) <= 1e-12 * residual
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(kraus_stacks())
 def test_blocks_route_keeps_the_bits_of_the_norm_formula(rep):

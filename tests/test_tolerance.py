@@ -2,7 +2,7 @@
 
 An infinite tolerance accepts every residual (the block-swap channel would
 be "SP"), and a NaN, zero or negative one rejects every residual, so the
-library refuses them with SpcpmError before doing any work.  The rank
+library refuses them with SpcpmError.  The rank
 cutoff is no parameter: every rank decision, Hermiticity bound and PSD
 floor, the block triple's included, reads the one constant ``DEFAULT_RTOL``.
 """
@@ -16,7 +16,7 @@ import pytest
 from spcpm import cpm, dilation, linalg, serialize, sp
 from spcpm.cli import main
 from spcpm.cpm import KrausRep
-from spcpm.errors import NotSPError, SingularMatrixError, SpcpmError
+from spcpm.errors import NotSPError, NotTracePreservingError, SingularMatrixError, SpcpmError
 from spcpm.spaces import DecomposedSpace
 
 C2 = DecomposedSpace(1, 1)
@@ -205,7 +205,8 @@ WORST_UNIT = "at P_t1 phi(E[0,0]) P_t1 vs phi(P_s1 E[0,0] P_s1)"
         (sp.blocks_from_sp, ["convert", "--to", "blocks"],
          f"commutation residual 1.414e-03 {WORST_UNIT} exceeds tol 5.0e-04"),
         (dilation.build_dilation, ["dilate"],
-         "channel has cross-block Kraus components above tolerance"),
+         "blocks residual 7.071e-04 at ||P_t1 V[0] P_s2||_F / max(1, ||V[0]||_F) "
+         "exceeds tol 5.0e-04"),
     ],
     ids=["blocks_from_sp", "build_dilation"],
 )
@@ -243,3 +244,44 @@ def test_blocks_conversion_refuses_by_the_residual_verify_reports(tmp_path, caps
     refusal = f"commutation residual 1.414e-02 {WORST_UNIT} exceeds tol 5.0e-03"
     assert capsys.readouterr() == ("", f"error: {refusal}\n")
     assert not out.exists()
+
+
+# the rotation by 1e-3 rad as one operator: trace preserving, block
+# residual sin(1e-3)/√2 = 7.07e-4; and twice the identity: SP, not TP
+ROTATION = KrausRep(C2, C2, (math.sqrt(8) * leaky_rotation().ops[0],))
+DOUBLED = KrausRep(C2, C2, (2 * EYE,))
+
+
+@pytest.mark.parametrize(
+    "call, error, route, tol",
+    [
+        (lambda t: sp.split_kraus_blocks(ROTATION, t), NotSPError, "blocks", 1e-9),
+        (lambda t: sp.blocks_from_sp(ROTATION, t), NotSPError, "blocks", 1e-9),
+        (lambda t: sp.blocks_from_sp(leaky_rotation(), t), NotSPError, "commutation", 5e-4),
+        (lambda t: sp.sp_kraus_bound_holds(ROTATION, t), NotSPError, "blocks", 1e-9),
+        (lambda t: sp.is_sp_trace(DOUBLED, t), NotTracePreservingError,
+         "trace preservation", 1e-9),
+        (lambda t: dilation.build_dilation(DOUBLED, t), NotTracePreservingError,
+         "trace preservation", 1e-9),
+        (lambda t: dilation.build_dilation(ROTATION, t), NotSPError, "blocks", 1e-9),
+        # the minimal list of the leaky rotation is the rotation itself
+        (lambda t: dilation.build_dilation(leaky_rotation(), t), NotSPError, "blocks", 5e-4),
+    ],
+    ids=[
+        "split_kraus_blocks",
+        "blocks_from_sp-blocks",
+        "blocks_from_sp-commutation",
+        "sp_kraus_bound_holds",
+        "is_sp_trace",
+        "build_dilation-trace",
+        "build_dilation-blocks",
+        "build_dilation-minimal-list",
+    ],
+)
+def test_every_refusal_names_its_route_residual_identity_and_tol(call, error, route, tol):
+    # every NotSPError and NotTracePreservingError is one linalg.require
+    with pytest.raises(error) as caught:
+        call(tol)
+    found = re.fullmatch(rf"{route} residual (\S+) at .+ exceeds tol (\S+)", str(caught.value))
+    assert found, str(caught.value)
+    assert float(found[1]) > tol and found[2] == f"{tol:.1e}"

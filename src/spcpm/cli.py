@@ -29,6 +29,7 @@ import sys
 from . import serialize
 from .cpm import (
     KrausRep,
+    _tp_defect,
     choi_to_kraus,
     compose,
     is_trace_preserving,
@@ -44,7 +45,7 @@ from .errors import (
     SourceTargetMismatchError,
     SpcpmError,
 )
-from .linalg import DEFAULT_TOL, check_tolerance, within
+from .linalg import DEFAULT_TOL, check_tolerance, require, within
 from .sp import (
     _kraus_bound,
     definition_violation,
@@ -120,7 +121,9 @@ def cmd_verify(args) -> int:
     for method in methods:
         if method == "trace" and not is_trace_preserving(rep, tol):
             if args.method == "trace":
-                raise SpcpmError("trace method requires a trace-preserving channel")
+                # a usage error (2) that names the residual is_sp_trace names
+                route = "trace method requires a trace-preserving channel: trace preservation"
+                require(SpcpmError, route, _tp_defect(rep), tol)
             print("trace: skipped (channel is not trace preserving)")
             continue
         residual, label = VERIFIERS[method](rep)

@@ -1,22 +1,24 @@
 """JSON interchange for channels, coefficient matrices, block triples and
 dilations.
 
-Every file is compact JSON tagged ``"format": "spcpm/4"``.  A matrix is
-``{"rows": R, "cols": C, "data": <base64>}`` where ``data`` is the standard
-(RFC 4648) base64 of the row-major matrix as little-endian ``complex128``
-bytes, 16 per entry, so a write followed by a read reproduces every matrix
-bit-exactly, signed zeros included.  A dilation stores its two stacks of
-in-block Kraus pieces ``a1`` and ``a2``, each as a ``(K·d_i) x d_i`` matrix
-of the K pieces one below the other; its unitary and ancilla dimension are
+Every file is compact JSON tagged ``"format": "spcpm/5"``, and its header
+(the dims pairs) fixes the shape of every array it holds.  An array is one
+JSON string: the standard (RFC 4648, padded) base64 of its row-major entries
+as little-endian ``complex128`` bytes, 16 per entry, so a write followed by
+a read reproduces every array bit-exactly, signed zeros included.  A stack
+of Kraus operators or dilation pieces is one array whose leading length K
+is read from the byte count.  A dilation stores its two stacks of in-block
+Kraus pieces ``a1`` and ``a2``; its unitary and ancilla dimension are
 derived.
 
 Each fact about an input file is checked at one site: :func:`read_file`
 only reads, decodes and parses; a ``*_from_obj`` reader checks the header,
-a JSON object of its kind tagged ``spcpm/4`` (the earlier ``spcpm/1`` to
-``spcpm/3`` are refused), so ``json.loads`` output gets the same refusal
-as a file; and the constructor each decoded matrix is handed to
-gates the array.  Every refusal raises :class:`SpcpmError`, and so does a
-path that cannot be written.
+a JSON object of its kind tagged ``spcpm/5`` (the earlier ``spcpm/1`` to
+``spcpm/4`` are refused), so ``json.loads`` output gets the same refusal
+as a file; :func:`decode_array` checks that each array is a strict base64
+string of the byte count the header fixes; and the constructor each
+decoded array is handed to checks its entries.  Every refusal raises
+:class:`SpcpmError`, and so does a path that cannot be written.
 
 :func:`write_file` writes the one line of JSON and ``\n`` as UTF-8 bytes, the
 same on every platform, with the system calls ``open``, ``write`` (repeated
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import stat
 
@@ -42,53 +45,44 @@ import numpy as np
 from .cpm import ChoiRep, KrausRep
 from .dilation import UnitaryDilation
 from .errors import SpcpmError
-from .linalg import checked_array
 from .sp import SPBlockRep
 from .spaces import DecomposedSpace, is_integer
 
-FORMAT = "spcpm/4"
+FORMAT = "spcpm/5"
 #: The one coefficient basis of choi files: the row-major matrix units.
 MATRIX_UNIT_BASIS = "matrix-units"
 #: Bytes asked of each ``read`` call: a file up to this size takes two calls.
 _READ_SIZE = 1 << 16
 
 
-def encode_matrix(m) -> dict:
+def encode_array(arr) -> str:
+    """The base64 of ``arr``'s row-major little-endian ``complex128`` bytes;
+    every writer hands it arrays its constructors have already gated."""
     # tobytes makes the one copy of a complex128 input
-    arr = checked_array(m, (None, None), "matrix").astype("<c16", copy=False)
-    data = base64.b64encode(arr.tobytes())
-    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
-            "data": data.decode("ascii")}
+    raw = np.asarray(arr).astype("<c16", copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
-def _raw_entries(data: str, n: int) -> np.ndarray:
-    """The n entries of a base64 string of little-endian complex128 bytes."""
+def decode_array(obj: dict, key: str, shape: tuple) -> np.ndarray:
+    """The array of ``shape`` under ``key``; a leading ``None`` is a stack's
+    length K >= 1, read from the byte count.  The count is checked against
+    the header's sizes before anything is allocated, and the constructor
+    the array is handed to checks its entries."""
+    data = obj.get(key)
+    if not isinstance(data, str):
+        raise SpcpmError(f"{key} must be a base64 string, got {type(data).__name__}")
     try:
         raw = base64.b64decode(data, validate=True)
     except ValueError as exc:
-        raise SpcpmError(f"matrix data is not strict base64: {exc}") from exc
-    if len(raw) != 16 * n:
-        raise SpcpmError(
-            f"matrix data holds {len(raw)} bytes, expected 16 * rows * cols"
-        )
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
-
-
-def decode_matrix(obj) -> np.ndarray:
-    """The matrix of a matrix object; the constructor it is handed to gates it."""
-    if not isinstance(obj, dict):
-        raise SpcpmError("matrix object must be a JSON object")
-    try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    except KeyError as exc:
-        raise SpcpmError(f"bad matrix object: {exc}") from exc
-    if not (is_integer(rows) and is_integer(cols)):
-        raise SpcpmError("matrix rows and cols must be integers")
-    if rows < 1 or cols < 1:
-        raise SpcpmError("matrix dimensions must be positive")
-    if not isinstance(data, str):
-        raise SpcpmError("matrix data must be a base64 string")
-    return _raw_entries(data, rows * cols).reshape(rows, cols)
+        raise SpcpmError(f"{key} is not strict base64: {exc}") from exc
+    # on Python ints, so a header of huge dims cannot wrap
+    piece = 16 * math.prod(shape[1:])
+    count, extra = divmod(len(raw), piece)
+    if extra or count < 1 or shape[0] not in (None, count):
+        want = f"a positive multiple of {piece}" if shape[0] is None else piece * shape[0]
+        raise SpcpmError(f"{key} holds {len(raw)} bytes, expected {want}")
+    entries = np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
+    return entries.reshape(count, *shape[1:])
 
 
 def _header(kind: str, **spaces: DecomposedSpace) -> dict:
@@ -122,23 +116,20 @@ def _read_header(obj, kind: str, *keys: str) -> list[DecomposedSpace]:
 def channel_to_obj(rep: KrausRep) -> dict:
     return {
         **_header("channel", source_dims=rep.source, target_dims=rep.target),
-        "kraus": [encode_matrix(op) for op in rep.ops],
+        "kraus": encode_array(rep.ops),
     }
 
 
 def channel_from_obj(obj) -> KrausRep:
     source, target = _read_header(obj, "channel", "source_dims", "target_dims")
-    raw_ops = obj.get("kraus")
-    if not isinstance(raw_ops, list) or not raw_ops:
-        raise SpcpmError("kraus must be a nonempty list of matrices")
-    return KrausRep(source, target, tuple(decode_matrix(o) for o in raw_ops))
+    return KrausRep(source, target, decode_array(obj, "kraus", (None, target.dim, source.dim)))
 
 
 def choi_to_obj(rep: ChoiRep) -> dict:
     return {
         **_header("choi", source_dims=rep.source, target_dims=rep.target),
         "basis": MATRIX_UNIT_BASIS,
-        "matrix": encode_matrix(rep.matrix),
+        "matrix": encode_array(rep.matrix),
     }
 
 
@@ -146,26 +137,28 @@ def choi_from_obj(obj) -> ChoiRep:
     source, target = _read_header(obj, "choi", "source_dims", "target_dims")
     if obj.get("basis") != MATRIX_UNIT_BASIS:
         raise SpcpmError(f"unsupported basis tag: {obj.get('basis')!r}")
-    return ChoiRep(source, target, decode_matrix(obj.get("matrix")))
+    n = source.dim * target.dim
+    return ChoiRep(source, target, decode_array(obj, "matrix", (n, n)))
 
 
 def blocks_to_obj(blocks: SPBlockRep) -> dict:
     return {
         **_header("blocks", source_dims=blocks.source, target_dims=blocks.target),
-        "block1": encode_matrix(blocks.block1),
-        "block2": encode_matrix(blocks.block2),
-        "cross": encode_matrix(blocks.cross),
+        "block1": encode_array(blocks.block1),
+        "block2": encode_array(blocks.block2),
+        "cross": encode_array(blocks.cross),
     }
 
 
 def blocks_from_obj(obj) -> SPBlockRep:
     source, target = _read_header(obj, "blocks", "source_dims", "target_dims")
+    n1, n2 = source.d1 * target.d1, source.d2 * target.d2
     return SPBlockRep(
         source,
         target,
-        decode_matrix(obj.get("block1")),
-        decode_matrix(obj.get("block2")),
-        decode_matrix(obj.get("cross")),
+        decode_array(obj, "block1", (n1, n1)),
+        decode_array(obj, "block2", (n2, n2)),
+        decode_array(obj, "cross", (n1, n2)),
     )
 
 
@@ -177,32 +170,23 @@ def orthonormal_to_obj(
     return {
         **_header("orthonormal", source_dims=source, target_dims=target),
         "weights": [float(r) for r, _ in pairs],
-        "kraus": [encode_matrix(y) for _, y in pairs],
+        "kraus": encode_array([y for _, y in pairs]),
     }
 
 
 def dilation_to_obj(dil: UnitaryDilation) -> dict:
     return {
         **_header("dilation", dims=dil.space),
-        "a1": encode_matrix(dil.a1.reshape(-1, dil.space.d1)),
-        "a2": encode_matrix(dil.a2.reshape(-1, dil.space.d2)),
+        "a1": encode_array(dil.a1),
+        "a2": encode_array(dil.a2),
     }
-
-
-def _decode_stack(obj, name: str, db: int) -> np.ndarray:
-    """The (K, d_i, d_i) stack of a ``(K·d_i) x d_i`` matrix, K >= 1."""
-    if name not in obj:
-        raise SpcpmError(f"dilation needs {name}, a (K·{db}) x {db} stack of Kraus pieces")
-    m = decode_matrix(obj[name])
-    if m.shape[1] != db or m.shape[0] % db:
-        raise SpcpmError(f"{name} has shape {m.shape}, expected (K·{db}, {db})")
-    return m.reshape(-1, db, db)
 
 
 def dilation_from_obj(obj) -> UnitaryDilation:
     (space,) = _read_header(obj, "dilation", "dims")
+    d1, d2 = space.d1, space.d2
     return UnitaryDilation(
-        space, _decode_stack(obj, "a1", space.d1), _decode_stack(obj, "a2", space.d2)
+        space, decode_array(obj, "a1", (None, d1, d1)), decode_array(obj, "a2", (None, d2, d2))
     )
 
 

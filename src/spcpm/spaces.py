@@ -62,6 +62,12 @@ class DecomposedSpace:
 
     def projector(self, block: int) -> np.ndarray:
         """Diagonal 0/1 projector onto the given block; P1 + P2 = I exactly."""
+        nbytes = 16 * self.dim * self.dim  # on Python ints, so it cannot wrap
+        if nbytes > np.iinfo(np.intp).max:
+            raise SpcpmError(
+                f"a projector of shape ({self.dim}, {self.dim}) needs {nbytes} bytes, "
+                "more than an array can hold"
+            )
         diag = np.zeros(self.dim)
         diag[self.block_slice(block)] = 1.0
         return np.diag(diag).astype(np.complex128)

@@ -103,7 +103,7 @@ MUTANTS = [
         "spcpm/serialize.py",
         "validate=True",
         "validate=False",
-        ["tests/test_raw_format.py::test_bad_raw_matrices_are_format_errors"],
+        ["tests/test_raw_format.py::test_malformed_arrays_are_refused_naming_their_key"],
     ),
     # an unrepeatable or negative seed reaches numpy
     (
@@ -297,8 +297,7 @@ MUTANTS = [
         [
             "tests/test_api.py::test_rejections_are_spcpm_errors[checked_array]",
             "tests/test_dilation.py::TestConstructor::test_refuses",
-            "tests/test_raw_format.py::test_encode_refuses_what_no_file_may_hold",
-            "tests/test_raw_format.py::test_bad_raw_matrices_are_format_errors",
+            "tests/test_raw_format.py::test_malformed_arrays_are_refused_naming_their_key",
         ],
     ),
     # the array gate compares only the leading axis, so every later fixed
@@ -315,7 +314,7 @@ MUTANTS = [
         ],
     ),
     # the file readers skip the format tag, so an object tagged for another
-    # format, or not tagged, loads as spcpm/4
+    # format, or not tagged, loads as spcpm/5
     (
         "spcpm/serialize.py",
         '    if obj.get("format") != FORMAT:\n'
@@ -330,7 +329,8 @@ MUTANTS = [
             "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/1]",
             "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/2]",
             "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/3]",
-            "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/5]",
+            "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/4]",
+            "tests/test_cli.py::TestFileFormat::test_other_format_tags_are_refused[spcpm/6]",
         ],
     ),
     # an overwrite is not cut to its new length, so a shorter file keeps the
@@ -417,24 +417,45 @@ MUTANTS = [
         "",
         ["tests/test_api.py::test_rejections_are_spcpm_errors[channel_from_blocks]"],
     ),
-    # the channel reader takes any Kraus value: an empty list reaches the
-    # constructor's empty-stack refusal, a string is read one character at
-    # a time
+    # a stack of zero pieces is read, so an empty string reaches the
+    # constructor's empty-stack refusal, which does not name the file's key
     (
         "spcpm/serialize.py",
-        "    if not isinstance(raw_ops, list) or not raw_ops:",
-        "    if False:",
+        "    if extra or count < 1 or shape[0]",
+        "    if extra or count < 0 or shape[0]",
         [
-            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus_list_empty]",
-            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus_list_str]",
+            "tests/test_api.py::test_rejections_are_spcpm_errors[kraus_empty]",
+            "tests/test_raw_format.py::test_a_stack_holds_a_positive_whole_number_of_pieces",
         ],
     ),
-    # a matrix object without data reads as one whose data is not a string
+    # a byte count that is no whole number of pieces or rows is read, and
+    # the reshape escapes as numpy's ValueError
     (
         "spcpm/serialize.py",
-        'obj["cols"], obj["data"]',
-        'obj["cols"], obj.get("data")',
-        ["tests/test_api.py::test_rejections_are_spcpm_errors[matrix_no_data]"],
+        "    if extra or count < 1 or shape[0]",
+        "    if count < 1 or shape[0]",
+        [
+            "tests/test_raw_format.py::test_a_stack_holds_a_positive_whole_number_of_pieces",
+            "tests/test_raw_format.py::test_a_fixed_shape_names_its_byte_count",
+        ],
+    ),
+    # a fixed shape takes any whole number of rows, so a coefficient matrix
+    # a row short reaches the constructor, whose refusal does not name the key
+    (
+        "spcpm/serialize.py",
+        " or shape[0] not in (None, count):",
+        ":",
+        ["tests/test_raw_format.py::test_a_fixed_shape_names_its_byte_count"],
+    ),
+    # the byte-count refusal does not say which of a file's arrays is wrong
+    (
+        "spcpm/serialize.py",
+        'f"{key} holds {len(raw)} bytes, expected {want}"',
+        'f"array holds {len(raw)} bytes, expected {want}"',
+        [
+            "tests/test_raw_format.py::test_a_fixed_shape_names_its_byte_count",
+            "tests/test_raw_format.py::test_malformed_arrays_are_refused_naming_their_key",
+        ],
     ),
     # a size that is not an integer escapes the dims parser, and argparse
     # words the refusal without int()'s reason

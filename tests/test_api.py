@@ -182,6 +182,31 @@ def test_every_module_name_has_a_reader():
     }
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports its API; every other import is read
+    package = Path(spcpm.__file__).parent
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []
+
+
 def eigensolver_mentions():
     """Every mention of ``eigh`` or ``eigvalsh`` (see :func:`source_mentions`)."""
     return source_mentions({"eigh", "eigvalsh"})
@@ -346,16 +371,15 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         (lambda: linalg.block_psd_check([[1, 2], [3]], [[1]], [[0]]),
          RAGGED.format("first diagonal block")),
         (lambda: UnitaryDilation(C2, [[[1]], [[1, 2]]], [[[1]]]), RAGGED.format("a1")),
-        (lambda: serialize.decode_matrix({"rows": 1, "cols": 1}),
-         r"^bad matrix object: 'data'$"),
+        (lambda: serialize.choi_from_obj(
+            {key: value for key, value in VALID_OBJECTS["choi"].items() if key != "matrix"}),
+         r"^matrix must be a base64 string, got NoneType$"),
         (lambda: serialize.channel_from_obj(VALID_OBJECTS["blocks"]),
          r"^expected a 'channel' file, got kind='blocks'$"),
-        *[
-            (lambda ops=ops: serialize.channel_from_obj({**VALID_OBJECTS["channel"],
-                                                         "kraus": ops}),
-             "^kraus must be a nonempty list of matrices$")
-            for ops in ([], "x")
-        ],
+        (lambda: serialize.channel_from_obj({**VALID_OBJECTS["channel"], "kraus": ""}),
+         "^kraus holds 0 bytes, expected a positive multiple of 64$"),
+        (lambda: serialize.channel_from_obj({**VALID_OBJECTS["channel"], "kraus": []}),
+         "^kraus must be a base64 string, got list$"),
         *[
             (lambda reader=reader, bad=bad: reader(bad),
              f"^a '{kind}' file must be a JSON object, got {type(bad).__name__}$")
@@ -376,7 +400,7 @@ NOT_NUMBERS = "^{} is not an array of numbers: its dtype is "
         "random_tp_str", "random_tp_int", "random_tp_none", "random_tp_float",
         "apply_ragged", "apply_str", "kraus_ragged", "kraus_none", "choi_ragged",
         "blocks_str", "block_psd_ragged", "dilation_ragged", "matrix_no_data",
-        "channel_from_blocks", "kraus_list_empty", "kraus_list_str",
+        "channel_from_blocks", "kraus_empty", "kraus_list",
         *[f"{kind}_from_{type(bad).__name__}" for kind in READERS for bad in NON_OBJECTS],
         *[f"{kind}_tag_{name}" for kind in READERS for name in BAD_TAGS],
     ],
@@ -415,8 +439,9 @@ ARRAY_ENTRY_POINTS = {
     "block_psd_failure.a": lambda x: linalg.block_psd_failure(x, [[1]], [[0]]),
     "block_psd_failure.c": lambda x: linalg.block_psd_failure([[1]], [[1]], x),
     "inv_sqrt_psd": linalg.inv_sqrt_psd,
-    "encode_matrix": serialize.encode_matrix,
-    "decode_matrix": serialize.decode_matrix,
+    "channel_from_obj": lambda x: serialize.channel_from_obj(
+        {**VALID_OBJECTS["channel"], "kraus": x}
+    ),
 }
 
 
@@ -485,9 +510,9 @@ def test_space_accepts_python_and_numpy_integers(d1):
 
 
 def read_dilation_file_with_stacks(a1, a2):
-    """A 1+1 dilation file whose stacks are the given matrices."""
+    """A 1+1 dilation file whose stacks are the given arrays."""
     obj = serialize.dilation_to_obj(UnitaryDilation(C2, np.ones((2, 1, 1)), np.ones((2, 1, 1))))
-    obj["a1"], obj["a2"] = serialize.encode_matrix(a1), serialize.encode_matrix(a2)
+    obj["a1"], obj["a2"] = serialize.encode_array(a1), serialize.encode_array(a2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dilation.json"
         serialize.write_file(path, obj)
@@ -497,11 +522,11 @@ def read_dilation_file_with_stacks(a1, a2):
 @pytest.mark.parametrize(
     "a1, a2, match",
     [
-        (np.ones((2, 1)), np.ones((3, 1)), "a1 and a2 hold 2 and 3 pieces"),
-        (np.ones((2, 2)), np.ones((2, 1)), r"a1 has shape \(2, 2\), expected \(K·1, 1\)"),
-        (np.ones((2, 1)), np.ones((1, 2)), r"a2 has shape \(1, 2\), expected \(K·1, 1\)"),
+        (np.ones((2, 1, 1)), np.ones((3, 1, 1)), "a1 and a2 hold 2 and 3 pieces"),
+        (np.ones((0, 1, 1)), np.ones((2, 1, 1)), "a1 holds 0 bytes, expected a positive"),
+        (np.ones((2, 1, 1)), np.ones((0, 1, 1)), "a2 holds 0 bytes, expected a positive"),
     ],
-    ids=["lengths", "a1-cols", "a2-cols"],
+    ids=["lengths", "a1-empty", "a2-empty"],
 )
 def test_dilation_file_refuses_stacks_that_fix_no_ancilla(a1, a2, match):
     # the ancilla dimension is derived from the stacks, so a file whose
@@ -511,6 +536,6 @@ def test_dilation_file_refuses_stacks_that_fix_no_ancilla(a1, a2, match):
 
 
 def test_dilation_file_derives_a_python_int_ancilla():
-    dil = read_dilation_file_with_stacks(np.ones((2, 1)), np.zeros((2, 1)))
+    dil = read_dilation_file_with_stacks(np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
     assert dil.ancilla_dim == 3 and type(dil.ancilla_dim) is int
     json.dumps(serialize.dilation_to_obj(dil))

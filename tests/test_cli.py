@@ -13,7 +13,7 @@ import spcpm
 from spcpm import serialize
 from spcpm.cli import _build_parser, main
 from spcpm.cpm import KrausRep, channels_equal, choi_to_kraus, kraus_rank
-from spcpm.dilation import build_dilation, verify_dilation
+from spcpm.dilation import verify_dilation
 from spcpm.errors import SpcpmError
 from spcpm.linalg import DEFAULT_TOL, block_psd_check
 from spcpm.sp import SPBlockRep, sp_from_blocks
@@ -27,10 +27,10 @@ def write_channel(path, rep):
 
 
 def channel_file_bytes(ops):
-    """A 1+1 channel file holding the Kraus list ``ops`` as it is, whatever
-    the shapes of its matrices."""
+    """A 1+1 channel file whose Kraus stack holds the entries of ``ops`` one
+    after another, whatever the shapes of its matrices."""
     obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
-    obj["kraus"] = [serialize.encode_matrix(op) for op in ops]
+    obj["kraus"] = serialize.encode_array(np.concatenate([np.ravel(op) for op in ops]))
     return (json.dumps(obj) + "\n").encode()
 
 
@@ -52,8 +52,8 @@ class TestMatrixRoundTrip:
         rng = np.random.default_rng(300)
         mat = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         # push through an actual JSON text round trip
-        text = json.dumps(serialize.encode_matrix(mat))
-        back = serialize.decode_matrix(json.loads(text))
+        text = json.dumps({"m": serialize.encode_array(mat)})
+        back = serialize.decode_array(json.loads(text), "m", (3, 4))
         np.testing.assert_array_equal(back, mat)
 
     def test_channel_file_round_trip(self, tmp_path):
@@ -72,16 +72,16 @@ class TestMatrixRoundTrip:
 
 
 class TestFileFormat:
-    def test_files_are_compact_and_tagged_4(self, tmp_path):
+    def test_files_are_compact_and_tagged_5(self, tmp_path):
         path = tmp_path / "chan.json"
         write_channel(path, KrausRep(C2, C2, (np.eye(2),)))
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("}\n")
-        assert json.loads(text)["format"] == "spcpm/4"
+        assert json.loads(text)["format"] == "spcpm/5"
 
-    @pytest.mark.parametrize("tag", ["spcpm/1", "spcpm/2", "spcpm/3", "spcpm/5"])
+    @pytest.mark.parametrize("tag", ["spcpm/1", "spcpm/2", "spcpm/3", "spcpm/4", "spcpm/6"])
     def test_other_format_tags_are_refused(self, tmp_path, capsys, tag):
-        # only spcpm/4 is read; the refusal names the tag it saw
+        # only spcpm/5 is read; the refusal names the tag it saw
         obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
         obj["format"] = tag
         path = tmp_path / "other.json"
@@ -91,34 +91,32 @@ class TestFileFormat:
         assert main(["verify", str(path)]) == 2
         assert f"unsupported format tag: '{tag}'" in capsys.readouterr().err
 
+    def test_a_file_of_the_previous_format_exits_2(self, tmp_path, capsys):
+        # the 1+1 identity channel as spcpm/4 wrote it, one matrix object
+        # with rows and cols per Kraus operator
+        path = tmp_path / "identity4.json"
+        path.write_text(
+            '{"format": "spcpm/4", "kind": "channel", "source_dims": [1, 1], '
+            '"target_dims": [1, 1], "kraus": [{"rows": 2, "cols": 2, "data": '
+            '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+            'AAAA8D8AAAAAAAAAAA=="}]}\n'
+        )
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: unsupported format tag: 'spcpm/4'\n")
+
     def test_signed_zeros_survive(self):
         mat = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
-        text = json.dumps(serialize.encode_matrix(mat))
-        back = serialize.decode_matrix(json.loads(text))
+        text = json.dumps({"m": serialize.encode_array(mat)})
+        back = serialize.decode_array(json.loads(text), "m", (1, 2))
         assert back.tobytes() == mat.tobytes()
 
     @pytest.mark.parametrize(
-        "fields,match",
-        [
-            ({"data": [[1.0, 0.0], [0.0, 0.0]]}, "matrix data must be a base64 string"),
-            ({"rows": 1.9, "cols": True}, "rows and cols must be integers"),
-            ({"rows": "1"}, "rows and cols must be integers"),
-        ],
-        ids=["pairs", "float-and-bool-size", "text-size"],
-    )
-    def test_bad_entries_are_format_errors(self, fields, match):
-        data = serialize.encode_matrix(np.array([[1.0, 0.0]]))["data"]
-        obj = {"rows": 1, "cols": 2, "data": data, **fields}
-        with pytest.raises(SpcpmError, match=match):
-            serialize.decode_matrix(obj)
-
-    @pytest.mark.parametrize(
         "key,value",
-        [("source_dims", [True, True]), ("rows", 1.9), ("cols", True), ("rows", "2")],
+        [("source_dims", [True, True]), ("target_dims", [1.0, 1]), ("source_dims", ["1", 1])],
     )
     def test_non_integer_sizes_in_files_exit_2(self, tmp_path, key, value):
         obj = serialize.channel_to_obj(KrausRep(C2, C2, (np.eye(2),)))
-        (obj if key.endswith("_dims") else obj["kraus"][0])[key] = value
+        obj[key] = value
         path = tmp_path / "chan.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(SpcpmError, match="integers"):
@@ -281,7 +279,10 @@ class TestVerify:
         path = tmp_path / "subnorm.json"
         write_channel(path, KrausRep(C2, C2, (np.eye(2) / 2,)))
         assert main(["verify", str(path), "--method", "trace"]) == 2
-        refusal = "error: trace method requires a trace-preserving channel\n"
+        refusal = (
+            "error: trace method requires a trace-preserving channel: trace preservation "
+            "residual 1.061e+00 at ||sum_k V_k^dag V_k - I||_F exceeds tol 1.0e-09\n"
+        )
         assert capsys.readouterr() == ("", refusal)
         # under "all" the other verifiers still decide the verdict
         assert main(["verify", str(path), "--method", "all"]) == 0
@@ -307,11 +308,11 @@ class TestVerify:
         [
             b'{"format": "\xff"}',
             b"[" * 200_000,
-            b'{"rows": ' + b"1" * 5000 + b"}",
+            b'{"source_dims": ' + b"1" * 5000 + b"}",
             channel_file_bytes([np.eye(2), np.eye(3)]),
-            channel_file_bytes([np.ones((3, 4))]),
+            channel_file_bytes([np.ones((3, 1))]),
         ],
-        ids=["not-utf8", "deep-nesting", "long-integer", "ragged-kraus", "wide-kraus"],
+        ids=["not-utf8", "deep-nesting", "long-integer", "ragged-kraus", "short-kraus"],
     )
     def test_unreadable_file_exits_2(self, tmp_path, content, capsys):
         path = tmp_path / "bad.json"
@@ -361,7 +362,8 @@ class TestConvert:
         ortho_out = tmp_path / "ortho.json"
         assert main(["convert", str(src), "--to", "orthonormal", "--out", str(ortho_out)]) == 0
         obj = serialize.read_file(ortho_out)
-        assert len(obj["weights"]) == len(obj["kraus"]) == 2
+        kraus = serialize.decode_array(obj, "kraus", (None, 2, 2))
+        assert len(obj["weights"]) == len(kraus) == 2
 
     def test_blocks_of_non_sp_channel_is_negative(self, tmp_path):
         path = tmp_path / "swap.json"

@@ -1,5 +1,6 @@
 """Tests for the unitary dilation of trace-preserving SP channels."""
 
+import base64
 import dataclasses
 
 import numpy as np
@@ -299,10 +300,11 @@ def test_new_files_hold_the_two_stacks_bit_exactly(tmp_path):
     path = tmp_path / "dil.json"
     serialize.write_file(path, serialize.dilation_to_obj(dil))
     obj = serialize.read_file(path)
-    assert obj["format"] == "spcpm/4"
+    assert obj["format"] == "spcpm/5"
     assert set(obj) == {"format", "kind", "dims", "a1", "a2"}
     k = dil.ancilla_dim - 1
-    assert [(obj[a]["rows"], obj[a]["cols"]) for a in ("a1", "a2")] == [(2 * k, 2), (3 * k, 3)]
+    # each stack is one string of its K pieces' bytes, 16 per entry
+    assert [len(base64.b64decode(obj[a])) for a in ("a1", "a2")] == [16 * k * 4, 16 * k * 9]
     back = serialize.dilation_from_obj(obj)
     assert back.a1.tobytes() == dil.a1.tobytes()
     assert back.a2.tobytes() == dil.a2.tobytes()
@@ -410,19 +412,21 @@ class TestStackReader:
     @pytest.mark.parametrize(
         "a1,a2,match",
         [
-            (np.zeros((3, 2)), np.zeros((2, 1)), r"a1 has shape \(3, 2\), expected \(K·2, 2\)"),
-            (np.zeros((4, 1)), np.zeros((2, 1)), r"a1 has shape \(4, 1\), expected \(K·2, 2\)"),
-            (np.zeros((4, 2)), np.zeros((2, 2)), r"a2 has shape \(2, 2\), expected \(K·1, 1\)"),
-            (np.zeros((4, 2)), np.zeros((3, 1)), "a1 and a2 hold 2 and 3 pieces"),
+            # six entries are one and a half 2x2 pieces
+            (np.zeros(6), np.zeros(2), r"^a1 holds 96 bytes, expected a positive multiple of 64$"),
+            (np.zeros((2, 2, 2)), np.zeros(0),
+             r"^a2 holds 0 bytes, expected a positive multiple of 16$"),
+            (np.zeros((2, 2, 2)), np.zeros((3, 1, 1)), "a1 and a2 hold 2 and 3 pieces"),
             # more pieces than any minimal list: refused before a
             # (d_i·(K+1))-square block can be derived
-            (np.zeros((12, 2)), np.zeros((6, 1)), r"holds 6 pieces per block, more than d1² \+ d2² = 5"),
+            (np.zeros((6, 2, 2)), np.zeros((6, 1, 1)),
+             r"holds 6 pieces per block, more than d1² \+ d2² = 5"),
         ],
-        ids=["rows", "cols-a1", "cols-a2", "lengths", "too-many"],
+        ids=["part-piece", "no-pieces", "lengths", "too-many"],
     )
     def test_refuses_stacks_of_the_wrong_shape(self, a1, a2, match):
         obj = serialize.dilation_to_obj(build_dilation(full_rank_tp_channel(2, 1, 973)))
-        obj["a1"], obj["a2"] = serialize.encode_matrix(a1), serialize.encode_matrix(a2)
+        obj["a1"], obj["a2"] = serialize.encode_array(a1), serialize.encode_array(a2)
         with pytest.raises(SpcpmError, match=match):
             serialize.dilation_from_obj(obj)
 
@@ -438,8 +442,8 @@ class TestStackReader:
         obj = serialize.dilation_to_obj(dil)
         for key in drop:
             del obj[key]
-        obj.update({key: serialize.encode_matrix(dil.u) for key in old_keys})
-        with pytest.raises(SpcpmError, match=f"dilation needs {drop[0]}, a "):
+        obj.update({key: serialize.encode_array(dil.u) for key in old_keys})
+        with pytest.raises(SpcpmError, match=f"^{drop[0]} must be a base64 string, got NoneType$"):
             serialize.dilation_from_obj(obj)
 
 

@@ -1,22 +1,25 @@
-"""The matrix form of spcpm files: base64 of little-endian complex128 bytes."""
+"""The array form of spcpm files: each array is one base64 string of
+little-endian complex128 bytes whose shape the file's header fixes."""
 
 import base64
 import json
+import math
 import os
 import re
 import stat
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spcpm import serialize
 from spcpm.cli import main
-from spcpm.cpm import KrausRep, kraus_to_choi, orthonormal_kraus
-from spcpm.dilation import build_dilation
+from spcpm.cpm import ChoiRep, KrausRep, kraus_to_choi, orthonormal_kraus
+from spcpm.dilation import UnitaryDilation, build_dilation
 from spcpm.sp import SPBlockRep, blocks_from_sp, random_sp_channel
 from spcpm.errors import SpcpmError
 from spcpm.spaces import DecomposedSpace
@@ -29,48 +32,105 @@ def b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
+def wire(obj: dict) -> dict:
+    """``obj`` after a JSON text round trip."""
+    return json.loads(json.dumps(obj))
+
+
 # ---------------------------------------------------------------------------
 # round trip and byte order
 
+# finite doubles, with the signed zeros, the subnormals and the largest
+# magnitudes drawn often
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, TINY, -TINY, sys.float_info.min / 3, MAX, -MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SPLITS = st.tuples(st.integers(1, 3), st.integers(1, 3))
 
-@st.composite
-def finite_matrices(draw):
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    n = 2 * rows * cols
-    parts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                          min_size=n, max_size=n))
-    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+def arrays(shape):
+    n = 2 * math.prod(shape)
+    parts = st.lists(FLOATS, min_size=n, max_size=n)
+    return parts.map(lambda p: np.array(p, dtype=np.float64).view(np.complex128).reshape(shape))
 
 
-EDGE = np.array([
-    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(TINY, -TINY)],
-    [complex(MAX, -MAX), complex(-MAX, MAX), complex(sys.float_info.min / 3, -1.0)],
-])
+def channel_pairs(source, target, k, draw):
+    ops = draw(arrays((k, target.dim, source.dim)))
+    rep = KrausRep(source, target, ops)
+    back = serialize.channel_from_obj(wire(serialize.channel_to_obj(rep)))
+    return [(ops, back.ops)]
+
+
+def choi_pairs(source, target, k, draw):
+    n = source.dim * target.dim
+    mat = draw(arrays((n, n)))
+    rep = ChoiRep(source, target, mat)
+    back = serialize.choi_from_obj(wire(serialize.choi_to_obj(rep)))
+    return [(mat, back.matrix)]
+
+
+def blocks_pairs(source, target, k, draw):
+    n1, n2 = source.d1 * target.d1, source.d2 * target.d2
+    parts = [draw(arrays(shape)) for shape in ((n1, n1), (n2, n2), (n1, n2))]
+    blocks = SPBlockRep(source, target, *parts)
+    back = serialize.blocks_from_obj(wire(serialize.blocks_to_obj(blocks)))
+    return list(zip(parts, (back.block1, back.block2, back.cross)))
+
+
+def orthonormal_pairs(source, target, k, draw):
+    # no reader: the stack is read back by the one array reader
+    ys = draw(arrays((k, target.dim, source.dim)))
+    weights = [float(r) for r in range(1, k + 1)]
+    obj = wire(serialize.orthonormal_to_obj(list(zip(weights, ys)), source, target))
+    assert obj["weights"] == weights
+    return [(ys, serialize.decode_array(obj, "kraus", (None, target.dim, source.dim)))]
+
+
+def dilation_pairs(source, target, k, draw):
+    d1, d2 = source.d1, source.d2
+    k = min(k, d1 * d1 + d2 * d2)  # the most pieces a dilation holds
+    a1, a2 = draw(arrays((k, d1, d1))), draw(arrays((k, d2, d2)))
+    dil = UnitaryDilation(source, a1, a2)
+    back = serialize.dilation_from_obj(wire(serialize.dilation_to_obj(dil)))
+    return [(a1, back.a1), (a2, back.a2)]
+
+
+ROUND_TRIPS = {
+    "channel": channel_pairs,
+    "choi": choi_pairs,
+    "blocks": blocks_pairs,
+    "orthonormal": orthonormal_pairs,
+    "dilation": dilation_pairs,
+}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(finite_matrices())
-@example(EDGE)
-def test_raw_round_trip_is_bit_exact(mat):
-    obj = json.loads(json.dumps(serialize.encode_matrix(mat)))
-    assert isinstance(obj["data"], str)
-    back = serialize.decode_matrix(obj)
-    assert back.shape == mat.shape and back.tobytes() == mat.tobytes()
+@given(st.sampled_from(sorted(ROUND_TRIPS)), SPLITS, SPLITS, st.integers(1, 5), st.data())
+def test_every_kind_round_trips_bit_exactly(kind, s, t, k, data):
+    pairs = ROUND_TRIPS[kind](DecomposedSpace(*s), DecomposedSpace(*t), k, data.draw)
+    for written, read in pairs:
+        assert read.shape == written.shape and read.tobytes() == written.tobytes()
+
+
+def test_the_zero_channel_writes_an_empty_string():
+    c2 = DecomposedSpace(1, 1)
+    obj = serialize.orthonormal_to_obj([], c2, c2)
+    assert (obj["weights"], obj["kraus"]) == ([], "")
 
 
 def test_byte_order_is_little_endian():
     # built from struct, not numpy, so the pin holds on any host
     data = b64(struct.pack("<dd", 1.5, -2.0))
-    back = serialize.decode_matrix({"rows": 1, "cols": 1, "data": data})
+    back = serialize.decode_array({"m": data}, "m", (1, 1))
     assert back.dtype == np.complex128 and back[0, 0] == 1.5 - 2j
-    assert serialize.encode_matrix([[1.5 - 2j]])["data"] == data
+    assert serialize.encode_array([[1.5 - 2j]]) == data
 
 
 def test_data_is_row_major_and_sixteen_bytes_per_entry():
     mat = np.arange(6).reshape(2, 3) * (1 - 1j)
-    obj = serialize.encode_matrix(mat)
-    raw = base64.b64decode(obj["data"])
-    assert (obj["rows"], obj["cols"], len(raw)) == (2, 3, 16 * 6)
+    raw = base64.b64decode(serialize.encode_array(mat))
+    assert len(raw) == 16 * 6
     assert struct.unpack("<12d", raw)[2:4] == (1.0, -1.0)  # entry [0, 1]
 
 
@@ -78,78 +138,121 @@ def test_views_and_real_inputs_encode_as_their_complex128_copies():
     mat = np.arange(12).reshape(3, 4) * (1 - 2j)
     for view in (mat.T, mat[::2, 1:], mat.real):
         want = np.array(view, dtype=np.complex128)
-        assert serialize.encode_matrix(view) == serialize.encode_matrix(want)
+        assert serialize.encode_array(view) == serialize.encode_array(want)
 
 
 # ---------------------------------------------------------------------------
-# refusals: every malformed raw matrix is an SpcpmError
+# refusals: every malformed array is an SpcpmError naming its key
+
+C11, C12 = DecomposedSpace(1, 1), DecomposedSpace(1, 2)
+# a valid 1+1 -> 1+2 object of each kind with a reader, so every array of
+# a file has a shape of its own, and a 2+2 dilation, whose pieces are wider
+# than one entry
+VALID = {
+    "channel": serialize.channel_to_obj(
+        KrausRep(C11, C12, np.arange(12).reshape(2, 3, 2) * (1 - 1j))
+    ),
+    "choi": serialize.choi_to_obj(ChoiRep(C11, C12, np.eye(6))),
+    "blocks": serialize.blocks_to_obj(SPBlockRep(C11, C12, [[1]], np.eye(2), [[0, 0]])),
+    "dilation": serialize.dilation_to_obj(
+        UnitaryDilation(DecomposedSpace(2, 2), np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+    ),
+}
+READERS = {
+    "channel": serialize.channel_from_obj,
+    "choi": serialize.choi_from_obj,
+    "blocks": serialize.blocks_from_obj,
+    "dilation": serialize.dilation_from_obj,
+}
+ARRAY_KEYS = [("channel", "kraus"), ("choi", "matrix"), ("blocks", "block1"),
+              ("blocks", "block2"), ("blocks", "cross"), ("dilation", "a1"), ("dilation", "a2")]
+NAN, INF = struct.pack("<dd", 1.0, float("nan")), struct.pack("<dd", float("-inf"), 0.0)
+
+# each malformation as a function of the valid base64 string, and the
+# refusal it gets; the last two reach the constructor's array gate
+MALFORMED = {
+    "missing": (None, "must be a base64 string, got NoneType"),
+    "number": (lambda s: 5, "must be a base64 string, got int"),
+    "null": (lambda s: None, "must be a base64 string, got NoneType"),
+    "object": (lambda s: {"re": 1.0}, "must be a base64 string, got dict"),
+    "pairs": (lambda s: [[1.0, 0.0]], "must be a base64 string, got list"),
+    "non-alphabet": (lambda s: "*" + s[1:], "is not strict base64"),
+    "newline": (lambda s: s[:4] + "\n" + s[4:], "is not strict base64"),
+    "cut-quad": (lambda s: s[:-1], "is not strict base64"),
+    "non-ascii": (lambda s: s[:8] + "é" + s[9:], "is not strict base64"),
+    "empty": (lambda s: "", "holds 0 bytes, expected "),
+    "one-byte-more": (lambda s: b64(base64.b64decode(s) + b"\0"), "holds .* bytes, expected "),
+    "one-byte-less": (lambda s: b64(base64.b64decode(s)[:-1]), "holds .* bytes, expected "),
+    "one-entry-less": (lambda s: b64(base64.b64decode(s)[:-16]), "holds .* bytes, expected "),
+    "nan": (lambda s: b64(NAN + base64.b64decode(s)[16:]), "must have finite entries"),
+    "inf": (lambda s: b64(INF + base64.b64decode(s)[16:]), "must have finite entries"),
+}
+
+
+@pytest.mark.parametrize("how", MALFORMED)
+@pytest.mark.parametrize("kind, key", ARRAY_KEYS, ids=[key for _, key in ARRAY_KEYS])
+def test_malformed_arrays_are_refused_naming_their_key(tmp_path, capsys, kind, key, how):
+    change, match = MALFORMED[how]
+    obj = dict(VALID[kind])
+    if change is None:
+        del obj[key]
+    else:
+        obj[key] = change(obj[key])
+    # the gate names Kraus operators and coefficient matrices in words
+    named = {"kraus": "Kraus operators", "matrix": "coefficient matrix"}.get(key, key)
+    prefix = named if how in ("nan", "inf") else key
+    with pytest.raises(SpcpmError, match=f"^{prefix} ({match})"):
+        READERS[kind](obj)
+    if kind == "channel":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefix} ")
+
+
+@pytest.mark.parametrize("key", ["kraus", "a1", "a2"])
+def test_a_stack_holds_a_positive_whole_number_of_pieces(key):
+    kind = "channel" if key == "kraus" else "dilation"
+    piece = len(base64.b64decode(VALID[kind][key])) // 2
+    for raw in (b"", bytes(piece + 16), bytes(3 * piece - 16)):
+        obj = {**VALID[kind], key: b64(raw)}
+        refusal = f"^{key} holds {len(raw)} bytes, expected a positive multiple of {piece}$"
+        with pytest.raises(SpcpmError, match=refusal):
+            READERS[kind](obj)
 
 
 @pytest.mark.parametrize(
-    "mat,match",
-    [
-        (np.array([[1.0, np.nan]]), "finite"),
-        (np.array([[1.0], [complex(0.0, np.inf)]]), "finite"),
-        (np.zeros((0, 3)), r"^matrix must not be empty, got shape \(0, 3\)$"),
-        (np.zeros((2, 2, 2)), r"^matrix has shape \(2, 2, 2\), expected \(\*, \*\)$"),
-        (np.zeros(3), r"^matrix has shape \(3,\), expected \(\*, \*\)$"),
-    ],
-    ids=["nan", "inf", "empty", "3-d", "1-d"],
+    "kind, key, nbytes, expected",
+    [("blocks", "cross", 48, 32), ("choi", "matrix", 480, 576), ("blocks", "block2", 128, 64)],
+    ids=["part-row", "row-less", "rows-more"],
 )
-def test_encode_refuses_what_no_file_may_hold(mat, match):
-    with pytest.raises(SpcpmError, match=match):
-        serialize.encode_matrix(mat)
-
-GOOD = struct.pack("<4d", 1.0, 0.0, 0.0, -1.0)  # rows=1, cols=2
-NAN_BITS = struct.pack("<4d", 1.0, float("nan"), 0.0, 0.0)
-INF_BITS = struct.pack("<4d", 1.0, 0.0, float("-inf"), 0.0)
+def test_a_fixed_shape_names_its_byte_count(kind, key, nbytes, expected):
+    # whole rows too many or too few are as wrong as a part of one
+    obj = {**VALID[kind], key: b64(bytes(nbytes))}
+    with pytest.raises(SpcpmError, match=f"^{key} holds {nbytes} bytes, expected {expected}$"):
+        READERS[kind](obj)
 
 
-@pytest.mark.parametrize(
-    "fields,match",
-    [
-        ({"data": "*" + b64(GOOD)[1:]}, "base64"),
-        ({"data": b64(GOOD)[:20] + "\n" + b64(GOOD)[20:]}, "base64"),
-        ({"data": b64(GOOD).rstrip("=")}, "base64"),
-        ({"data": b64(GOOD)[:8] + "é" + b64(GOOD)[9:]}, "base64"),
-        ({"data": b64(GOOD + b"\0")}, "bytes"),
-        ({"data": b64(GOOD[:-1])}, "bytes"),
-        ({"data": b64(GOOD + GOOD[:16])}, "bytes"),
-        ({"data": b64(GOOD[:16])}, "bytes"),
-        ({"rows": 10**12, "cols": 10**6}, "bytes"),
-        ({"data": b64(NAN_BITS)}, "finite"),
-        ({"data": b64(INF_BITS)}, "finite"),
-        ({"data": 5}, "must be a base64 string"),
-        ({"data": None}, "must be a base64 string"),
-        ({"data": {"re": 1.0}}, "must be a base64 string"),
-        ({"rows": "1", "data": "!"}, "integers"),
-        ({"cols": 0, "data": "!"}, "positive"),
-    ],
-    ids=["non-alphabet", "newline", "no-padding", "non-ascii", "one-byte-more",
-         "one-byte-less", "one-entry-more", "one-entry-less", "huge-rows",
-         "nan", "inf", "number", "null", "object", "sizes-checked-first",
-         "zero-cols-checked-first"],
-)
-def test_bad_raw_matrices_are_format_errors(fields, match):
-    # read as the 1 x 2 cross block of a 1+1 -> 1+2 blocks file, so the
-    # constructor's array gate, which refuses non-finite entries, runs too
-    obj = {"rows": 1, "cols": 2, "data": b64(GOOD), **fields}
-    c2, c12 = DecomposedSpace(1, 1), DecomposedSpace(1, 2)
-    blocks = {**serialize.blocks_to_obj(SPBlockRep(c2, c12, [[1]], np.eye(2), [[0, 0]])),
-              "cross": obj}
-    with pytest.raises(SpcpmError, match=match):
-        serialize.blocks_from_obj(blocks)
-
-
-def test_good_raw_matrix_decodes():
-    back = serialize.decode_matrix({"rows": 1, "cols": 2, "data": b64(GOOD)})
-    assert back.tolist() == [[1.0, -1j]]
+@pytest.mark.parametrize("kind", READERS)
+def test_huge_dims_with_a_short_string_allocate_nothing(kind):
+    # the expected byte count is a Python int from the header, so dims of
+    # 10**20 are refused by their count before any array is made
+    obj = {key: [10**20, 1] if key.endswith("dims") else value
+           for key, value in VALID[kind].items()}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpcpmError, match=r"^\w+ holds \d+ bytes, expected \D*\d{20,}$"):
+            READERS[kind](obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_nan_bits_in_a_file_exit_2(tmp_path, capsys):
     c2 = DecomposedSpace(1, 1)
     obj = serialize.channel_to_obj(KrausRep(c2, c2, (np.eye(2),)))
-    obj["kraus"][0]["data"] = b64(NAN_BITS + GOOD)
+    obj["kraus"] = b64(NAN + bytes(48))
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
@@ -175,10 +278,13 @@ def test_every_writer_keeps_its_key_order():
         "dilation": (serialize.dilation_to_obj(build_dilation(rep)),
                      ["format", "kind", "dims", "a1", "a2"]),
     }
+    arrays = {"kraus", "matrix", "block1", "block2", "cross", "a1", "a2"}
     for kind, (obj, keys) in objs.items():
         assert list(obj) == keys, kind
-        assert obj["format"] == "spcpm/4" and obj["kind"] == kind
+        assert obj["format"] == "spcpm/5" and obj["kind"] == kind
         assert obj[keys[2]] == [2, 1]
+        # each array is one string: no rows, cols or list of matrix objects
+        assert all(isinstance(obj[key], str) for key in arrays & set(keys)), kind
 
 
 # ---------------------------------------------------------------------------

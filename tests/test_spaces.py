@@ -43,3 +43,16 @@ def test_invalid_block_label(block):
     for method in (space.block_dim, space.block_slice, space.projector):
         with pytest.raises(SpcpmError, match="block must be 1 or 2"):
             method(block)
+
+
+@pytest.mark.parametrize("d1", [10**20, np.int64(2**40)], ids=["python-int", "int64"])
+def test_a_projector_no_array_can_hold_is_refused_before_allocating(d1):
+    # a dim x dim complex128 matrix past the index range: the byte count is
+    # a Python int even for a numpy size, so it neither wraps nor allocates
+    space = DecomposedSpace(d1, 1)
+    dim = int(d1) + 1
+    refusal = (rf"^a projector of shape \({dim}, {dim}\) needs {16 * dim * dim} bytes, "
+               "more than an array can hold$")
+    for block in (1, 2):
+        with pytest.raises(SpcpmError, match=refusal):
+            space.projector(block)
